@@ -545,25 +545,6 @@ branch { IdC => select { Bok => () | UnA => () } }`)
 	}
 }
 
-func BenchmarkPlanSynthesisParallel(b *testing.B) {
-	w := benchgen.Hotels(32)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-					plans.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(as) == 0 {
-					b.Fatal("no plans")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPlanSynthesisCached measures repeated synthesis over an
 // unchanged repository with a shared memo.Cache — the steady-state cost a
 // long-lived tool pays per query once verdicts, products, projections and

@@ -344,6 +344,14 @@ func cmdServe(args []string) error {
 	return nil
 }
 
+// printCacheStats reports the memory-tier counters on stderr (CI's audit
+// gate parses the hit rate off this line).
+func printCacheStats(cache *memo.Cache) {
+	st := cache.Stats()
+	fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
+		st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+}
+
 // printStoreStats reports the disk-tier counters on stderr: the overall
 // line plus one line per record kind that saw traffic (CI keys on the
 // per-kind lines to gate incremental recompute fractions).
@@ -414,9 +422,7 @@ func cmdLint(path, src string, jsonOut bool, severity string, stats bool, cacheD
 		for _, a := range opts.Stats.Analyzers {
 			fmt.Fprintf(os.Stderr, "stats: lint %-14s %d finding(s) in %v\n", a.Name, a.Findings, a.Duration)
 		}
-		st := sess.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-			st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+		printCacheStats(sess.Cache)
 		printStoreStats(true, sess.Disk)
 	}
 	if !jsonOut && len(diags) > 0 {
@@ -562,9 +568,7 @@ func cmdAudit(path, src string, jsonOut bool, severity string, stats, wdot, plan
 		for _, a := range opts.Stats.Analyzers {
 			fmt.Fprintf(os.Stderr, "stats: audit %-14s %d finding(s) in %v\n", a.Name, a.Findings, a.Duration)
 		}
-		st := sess.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-			st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+		printCacheStats(sess.Cache)
 		printStoreStats(true, sess.Disk)
 	}
 	findings := 0
@@ -752,12 +756,6 @@ func exprByName(f *parser.File, name string) (hexpr.Expr, error) {
 	return nil, fmt.Errorf("no service or client named %q", name)
 }
 
-func client(f *parser.File, name string) (parser.ClientDecl, error) {
-	return engine.SelectClient(f, name)
-}
-
-func sortedLocs(repo network.Repository) []hexpr.Location { return repo.Locations() }
-
 func cmdParse(f *parser.File) error {
 	var aliases []string
 	for a := range f.Instances {
@@ -767,7 +765,7 @@ func cmdParse(f *parser.File) error {
 	for _, a := range aliases {
 		fmt.Printf("instance %-10s = %s\n", a, f.Instances[a])
 	}
-	for _, loc := range sortedLocs(f.Repo) {
+	for _, loc := range f.Repo.Locations() {
 		fmt.Printf("service  %-10s = %s\n", loc, hexpr.Pretty(f.Repo[loc]))
 	}
 	for _, c := range f.Clients {
@@ -777,7 +775,7 @@ func cmdParse(f *parser.File) error {
 }
 
 func cmdProject(f *parser.File) error {
-	for _, loc := range sortedLocs(f.Repo) {
+	for _, loc := range f.Repo.Locations() {
 		fmt.Printf("%-10s ! = %s\n", loc, hexpr.Pretty(contract.Project(f.Repo[loc])))
 	}
 	for _, c := range f.Clients {
@@ -805,10 +803,10 @@ func cmdCompliance(f *parser.File) error {
 	for _, c := range f.Clients {
 		collect(c.Name, c.Expr)
 	}
-	for _, loc := range sortedLocs(f.Repo) {
+	for _, loc := range f.Repo.Locations() {
 		collect(string(loc), f.Repo[loc])
 	}
-	locs := sortedLocs(f.Repo)
+	locs := f.Repo.Locations()
 	fmt.Printf("%-16s", "request")
 	for _, l := range locs {
 		fmt.Printf(" %-8s", l)
@@ -845,7 +843,7 @@ func cmdValidity(f *parser.File) error {
 		fmt.Printf(" %-8s", a)
 	}
 	fmt.Println()
-	for _, loc := range sortedLocs(f.Repo) {
+	for _, loc := range f.Repo.Locations() {
 		fmt.Printf("%-10s", loc)
 		for _, a := range aliases {
 			framed := hexpr.Frame(f.Instances[a], f.Repo[loc])
@@ -865,7 +863,7 @@ func cmdValidity(f *parser.File) error {
 }
 
 func cmdPlans(f *parser.File, name string, prune, jsonOut, stream, stats bool, workers int, cacheDir string, bud *budget.Budget) error {
-	c, err := client(f, name)
+	c, err := engine.SelectClient(f, name)
 	if err != nil {
 		return err
 	}
@@ -960,9 +958,7 @@ func printPlanStats(enabled bool, cache *memo.Cache, fs *plans.FusedStats) error
 	if !enabled {
 		return nil
 	}
-	st := cache.Stats()
-	fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-		st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+	printCacheStats(cache)
 	if fs != nil {
 		fmt.Fprintf(os.Stderr,
 			"stats: fused %d plans assessed, %d states expanded, %d edges, %d replay states, %d memo hits, %d bindings pruned\n",
@@ -973,7 +969,7 @@ func printPlanStats(enabled bool, cache *memo.Cache, fs *plans.FusedStats) error
 }
 
 func cmdCheck(f *parser.File, name string, jsonOut, stats bool, cacheDir string, bud *budget.Budget) error {
-	c, err := client(f, name)
+	c, err := engine.SelectClient(f, name)
 	if err != nil {
 		return err
 	}
@@ -987,9 +983,7 @@ func cmdCheck(f *parser.File, name string, jsonOut, stats bool, cacheDir string,
 		return err
 	}
 	if stats {
-		st := sess.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-			st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+		printCacheStats(sess.Cache)
 		printStoreStats(true, sess.Disk)
 	}
 	if jsonOut {
@@ -1016,7 +1010,7 @@ func cmdCheckAll(f *parser.File, src, capSpec string, jsonOut, stats bool, cache
 	var caps map[hexpr.Location]int
 	if capSpec != "" {
 		var err error
-		caps, err = parseCaps(capSpec)
+		caps, err = engine.ParseCaps(capSpec)
 		if err != nil {
 			return err
 		}
@@ -1053,9 +1047,7 @@ func cmdCheckAll(f *parser.File, src, capSpec string, jsonOut, stats bool, cache
 		return runErr
 	}
 	if stats {
-		st := sess.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-			st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+		printCacheStats(sess.Cache)
 		printStoreStats(true, sess.Disk)
 	}
 	if jsonOut {
@@ -1075,7 +1067,7 @@ func cmdRun(f *parser.File, name string, seed int64, steps int, monitored, all b
 	if all {
 		selected = f.Clients
 	} else {
-		c, err := client(f, name)
+		c, err := engine.SelectClient(f, name)
 		if err != nil {
 			return err
 		}
@@ -1090,7 +1082,7 @@ func cmdRun(f *parser.File, name string, seed int64, steps int, monitored, all b
 	}
 	cfg := network.NewConfig(f.Repo, f.Table, clients...)
 	if capSpec != "" {
-		caps, err := parseCaps(capSpec)
+		caps, err := engine.ParseCaps(capSpec)
 		if err != nil {
 			return err
 		}
@@ -1109,9 +1101,4 @@ func cmdRun(f *parser.File, name string, seed int64, steps int, monitored, all b
 		fmt.Printf("history of %s: %s\n", selected[i].Name, comp.Hist)
 	}
 	return nil
-}
-
-// parseCaps parses "loc=n,loc=n" availability specs.
-func parseCaps(spec string) (map[hexpr.Location]int, error) {
-	return engine.ParseCaps(spec)
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -217,6 +218,29 @@ func TestCmdPlansStats(t *testing.T) {
 	for _, want := range []string{"stats: cache", "hit rate", "stats: fused", "states expanded"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("-stats stderr missing %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// TestCmdStatsCacheLine: every mode that takes -stats prints exactly one
+// memory-tier line, in the shape CI's audit gate parses.
+func TestCmdStatsCacheLine(t *testing.T) {
+	line := regexp.MustCompile(`(?m)^stats: cache \d+ hits, \d+ misses \(\d+\.\d% hit rate\), \d+ entries, ~\d+ bytes$`)
+	for _, args := range [][]string{
+		{"lint", hotelFile},
+		{"audit", hotelFile},
+		{"check", hotelFile, "-client", "c1"},
+		{"checkall", hotelFile},
+		{"plans", hotelFile, "-client", "c1"},
+	} {
+		_, stderr, err := captureBoth(t, func() error {
+			return run(append(args, "-stats"))
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", args[0], err)
+		}
+		if strings.Count(stderr, "stats: cache") != 1 || !line.MatchString(stderr) {
+			t.Errorf("%s -stats: want one well-formed cache line:\n%s", args[0], stderr)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package benchgen_test
 
 import (
+	"os"
 	"testing"
 
 	"susc/internal/benchgen"
@@ -48,33 +49,56 @@ func TestChainedPlanSpace(t *testing.T) {
 
 // TestChainedSourceRoundTrips: the surface rendering of a Chained world
 // parses back to a specification with the same repository, the same
-// planless client, and the same pruned plan space.
+// planless client, and the same pruned plan space. A checked-in fixture
+// of a configuration must equal the rendering byte for byte.
 func TestChainedSourceRoundTrips(t *testing.T) {
-	const depth, fanout = 3, 2
-	src := benchgen.ChainedSource(depth, fanout)
-	f, err := parser.ParseFile(src)
-	if err != nil {
-		t.Fatalf("ChainedSource does not parse: %v\n%s", err, src)
-	}
-	w := benchgen.Chained(depth, fanout)
-	if len(f.Repo) != len(w.Repo) {
-		t.Fatalf("parsed %d services, world has %d", len(f.Repo), len(w.Repo))
-	}
-	c, err := f.Client("cl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, err := plans.AssessAll(f.Repo, f.Table, c.Loc, c.Expr,
-		plans.Options{PruneNonCompliant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != w.PlanCount {
-		t.Fatalf("parsed world has %d plans, want %d", len(as), w.PlanCount)
-	}
-	for _, a := range as {
-		if a.Report.Verdict != verify.Valid {
-			t.Fatalf("parsed plan %v is %v, want valid", a.Plan, a.Report.Verdict)
+	for _, tc := range []struct {
+		depth, fanout int
+		fixture       string
+	}{
+		{3, 2, ""},
+		{12, 2, "testdata/chained-12-2.susc"},
+	} {
+		src := benchgen.ChainedSource(tc.depth, tc.fanout)
+		if tc.fixture != "" {
+			assertFixture(t, tc.fixture, src)
 		}
+		f, err := parser.ParseFile(src)
+		if err != nil {
+			t.Fatalf("ChainedSource does not parse: %v\n%s", err, src)
+		}
+		w := benchgen.Chained(tc.depth, tc.fanout)
+		if len(f.Repo) != len(w.Repo) {
+			t.Fatalf("parsed %d services, world has %d", len(f.Repo), len(w.Repo))
+		}
+		c, err := f.Client("cl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		as, err := plans.AssessAll(f.Repo, f.Table, c.Loc, c.Expr,
+			plans.Options{PruneNonCompliant: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(as) != w.PlanCount {
+			t.Fatalf("parsed world has %d plans, want %d", len(as), w.PlanCount)
+		}
+		for _, a := range as {
+			if a.Report.Verdict != verify.Valid {
+				t.Fatalf("parsed plan %v is %v, want valid", a.Plan, a.Report.Verdict)
+			}
+		}
+	}
+}
+
+// assertFixture fails unless the file at path holds exactly src.
+func assertFixture(t *testing.T, path, src string) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != src {
+		t.Fatalf("%s differs from the generator output", path)
 	}
 }

@@ -21,44 +21,56 @@ const (
 	ccN      = 18
 )
 
+// TestChainedClientsSourceRoundTrips: the rendered source parses back to
+// the constructed world, and the checked-in fixtures CI runs equal the
+// rendering byte for byte.
 func TestChainedClientsSourceRoundTrips(t *testing.T) {
-	w := benchgen.ChainedClients(ccDepth, ccFanout, ccN)
-	src := benchgen.ChainedClientsSource(ccDepth, ccFanout, ccN)
-	f, err := parser.ParseFile(src)
-	if err != nil {
-		t.Fatalf("rendered source does not parse: %v", err)
-	}
-	if len(f.Repo) != len(w.Repo) {
-		t.Fatalf("parsed %d services, world has %d", len(f.Repo), len(w.Repo))
-	}
-	for loc, e := range w.Repo {
-		got, ok := f.Repo[loc]
-		if !ok {
-			t.Fatalf("service %s missing from parsed file", loc)
+	for _, tc := range []struct {
+		n       int
+		fixture string
+	}{
+		{ccN, "testdata/chained-clients-6-4-18.susc"},
+		{3, "testdata/chained-clients-6-4-3.susc"},
+	} {
+		w := benchgen.ChainedClients(ccDepth, ccFanout, tc.n)
+		src := benchgen.ChainedClientsSource(ccDepth, ccFanout, tc.n)
+		assertFixture(t, tc.fixture, src)
+		f, err := parser.ParseFile(src)
+		if err != nil {
+			t.Fatalf("rendered source does not parse: %v", err)
 		}
-		if got.Key() != e.Key() {
-			t.Errorf("service %s: parsed key %q, want %q", loc, got.Key(), e.Key())
+		if len(f.Repo) != len(w.Repo) {
+			t.Fatalf("parsed %d services, world has %d", len(f.Repo), len(w.Repo))
 		}
-	}
-	if len(f.Clients) != ccN {
-		t.Fatalf("parsed %d clients, want %d", len(f.Clients), ccN)
-	}
-	for k, c := range w.Clients {
-		got := f.Clients[k]
-		if got.Name != c.Name || got.Loc != c.Loc {
-			t.Fatalf("client %d: parsed %s at %s, want %s at %s",
-				k, got.Name, got.Loc, c.Name, c.Loc)
+		for loc, e := range w.Repo {
+			got, ok := f.Repo[loc]
+			if !ok {
+				t.Fatalf("service %s missing from parsed file", loc)
+			}
+			if got.Key() != e.Key() {
+				t.Errorf("service %s: parsed key %q, want %q", loc, got.Key(), e.Key())
+			}
 		}
-		if got.Expr.Key() != c.Expr.Key() {
-			t.Errorf("client %s: parsed expr key %q, want %q", c.Name, got.Expr.Key(), c.Expr.Key())
+		if len(f.Clients) != tc.n {
+			t.Fatalf("parsed %d clients, want %d", len(f.Clients), tc.n)
 		}
-		if len(got.Plan) != len(c.Plan) {
-			t.Fatalf("client %s: parsed plan has %d bindings, want %d",
-				c.Name, len(got.Plan), len(c.Plan))
-		}
-		for r, loc := range c.Plan {
-			if got.Plan[r] != loc {
-				t.Errorf("client %s: plan binds %s -> %s, want %s", c.Name, r, got.Plan[r], loc)
+		for k, c := range w.Clients {
+			got := f.Clients[k]
+			if got.Name != c.Name || got.Loc != c.Loc {
+				t.Fatalf("client %d: parsed %s at %s, want %s at %s",
+					k, got.Name, got.Loc, c.Name, c.Loc)
+			}
+			if got.Expr.Key() != c.Expr.Key() {
+				t.Errorf("client %s: parsed expr key %q, want %q", c.Name, got.Expr.Key(), c.Expr.Key())
+			}
+			if len(got.Plan) != len(c.Plan) {
+				t.Fatalf("client %s: parsed plan has %d bindings, want %d",
+					c.Name, len(got.Plan), len(c.Plan))
+			}
+			for r, loc := range c.Plan {
+				if got.Plan[r] != loc {
+					t.Errorf("client %s: plan binds %s -> %s, want %s", c.Name, r, got.Plan[r], loc)
+				}
 			}
 		}
 	}

@@ -372,11 +372,13 @@ func (eng *fusedEngine) inertItems(items []history.Item) bool {
 }
 
 // rowFor returns the compiled move row of the canonical leaf, building it on
-// first sight. The construction mirrors leafMovesLazyInto exactly — same
-// step order, same label/item values, same candidate order, opens with no
-// compliant candidate dropped — so projecting the compiled graph under a
-// plan yields precisely the legacy move relation. Racing builders produce
-// structurally identical rows; one wins the publish.
+// first sight. The construction mirrors network.leafMoves exactly — same
+// step order, same label/item values — except that an open branches over
+// its compliant candidates in candidate order instead of resolving through
+// a plan, and an open with no compliant candidate is dropped; so
+// projecting the compiled graph under a plan yields precisely the legacy
+// move relation. Racing builders produce structurally identical rows; one
+// wins the publish.
 func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
 	if r := t.row.Load(); r != nil {
 		return r, nil
@@ -452,15 +454,15 @@ func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
 }
 
 // treeRowFor returns the compiled move row of any canonical ctree,
-// composing pair rows from the children's rows in the exact order of
-// network.treeMovesLazyInto: the left subtree's moves (each successor
-// re-wrapped with the shared right sibling), then the right subtree's
-// (symmetrically), then the Synch/Close moves when both children are
-// leaves. Because children rows already carry canonical successors, each
-// move is wrapped through exactly one pairFor per tree level it is lifted
-// through — and that lift happens once per distinct subtree, not once per
-// expansion. Racing builders produce structurally identical rows; one
-// wins the publish.
+// composing pair rows from the children's rows in the order that,
+// projected onto any one plan, is network.TreeMovesStep's: the left
+// subtree's moves (each successor re-wrapped with the shared right
+// sibling), then the right subtree's (symmetrically), then the
+// Synch/Close moves when both children are leaves. Because children rows
+// already carry canonical successors, each move is wrapped through
+// exactly one pairFor per tree level it is lifted through — and that
+// lift happens once per distinct subtree, not once per expansion. Racing
+// builders produce structurally identical rows; one wins the publish.
 func (eng *fusedEngine) treeRowFor(t *ctree) (*leafRow, error) {
 	if r := t.row.Load(); r != nil {
 		return r, nil

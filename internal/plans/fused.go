@@ -34,12 +34,6 @@ const (
 	// EngineLegacy enumerates every complete plan first and validates
 	// each with an independent verify.CheckPlanOpts exploration.
 	EngineLegacy
-	// EngineReference is the shared-graph engine as it stood before the
-	// compiled-automata rework (interpreted stepping, map-keyed interning;
-	// see reference.go). Sequential only. It exists as the measured
-	// baseline of `benchdump -chained-compare` and as a third equivalence
-	// oracle — not for production use.
-	EngineReference
 )
 
 // FusedStats counts the work of one fused synthesis. The fields are
@@ -470,16 +464,17 @@ func (eng *fusedEngine) advance(n *fnode, items []history.Item, inert bool) (
 }
 
 // buildGroups computes the outgoing move groups of the node from the
-// compiled rows, in the exact order of network.treeMovesLazyInto: for a
-// pair, the left subtree's moves (successors lifted through the shared
-// right sibling), then the right's (symmetrically), then the Synch/Close
-// moves of leaf pairs. Child rows come cached from treeRowFor — only the
-// top-level lift (one pairFor per move) is done here, because a node's
-// root tree is almost always unique to it (caching root rows was tried
-// and lost: the extra row per root inflated the live heap for no reuse).
-// Each group costs one monitor advance (candidates share their items) and
-// one successor-node interning per edge. The groups are returned, not
-// published: the caller owns the partial-expansion retry semantics.
+// compiled rows, in the order that, projected onto any one plan, is
+// network.TreeMovesStep's: for a pair, the left subtree's moves
+// (successors lifted through the shared right sibling), then the right's
+// (symmetrically), then the Synch/Close moves of leaf pairs. Child rows
+// come cached from treeRowFor — only the top-level lift (one pairFor per
+// move) is done here, because a node's root tree is almost always unique
+// to it (caching root rows was tried and lost: the extra row per root
+// inflated the live heap for no reuse). Each group costs one monitor
+// advance (candidates share their items) and one successor-node interning
+// per edge. The groups are returned, not published: the caller owns the
+// partial-expansion retry semantics.
 func (eng *fusedEngine) buildGroups(n *fnode) ([]fgroup, error) {
 	var out []fgroup
 	var edges uint64 // flushed to the shared stats in one add

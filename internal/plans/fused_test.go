@@ -72,6 +72,8 @@ func TestFusedEquivalenceDeterministic(t *testing.T) {
 
 	c := benchgen.Chained(2, 3)
 	assertEquivalent(t, "chained(2,3)", c.Repo, c.Table, c.Loc, c.Client)
+	c = benchgen.Chained(3, 2)
+	assertEquivalent(t, "chained(3,2)", c.Repo, c.Table, c.Loc, c.Client)
 }
 
 // worldGen builds small random worlds: services decorated with random

@@ -91,12 +91,6 @@ func AssessAll(repo network.Repository, table *policy.Table,
 		// attached — no separate incremental dispatch needed.
 		return assessAllLegacy(repo, table, loc, client, opts)
 	}
-	if opts.Engine == EngineReference {
-		// The reference engine is a frozen baseline: it never touches the
-		// persistent tier, by design, so it stays byte-for-byte the PR 2
-		// engine.
-		return assessAllReference(repo, table, loc, client, opts)
-	}
 	if opts.Cache != nil && opts.Cache.Disk() != nil && !opts.MemoryTierOnly {
 		return assessAllIncremental(repo, table, loc, client, opts)
 	}

@@ -533,6 +533,9 @@ type flightCall struct {
 	wg  sync.WaitGroup
 	val any
 	err error
+	// joined counts the callers that found this call in flight and wait
+	// on its result; guarded by flightGroup.mu.
+	joined int
 }
 
 type flightGroup struct {
@@ -546,6 +549,7 @@ func (g *flightGroup) do(k ikey, fn func() (any, error)) (any, error) {
 		g.m = map[ikey]*flightCall{}
 	}
 	if c, ok := g.m[k]; ok {
+		c.joined++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, c.err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -377,14 +378,18 @@ func TestOnceSingleflight(t *testing.T) {
 			results <- v
 		}()
 	}
-	// Let the goroutines pile up on the flight, then release.
+	// Release the leader only once every other caller has joined its
+	// flight: Once shares one execution among concurrent callers, and a
+	// caller that arrives after the flight has ended starts its own.
 	for {
-		mu.Lock()
-		c := calls
-		mu.Unlock()
-		if c >= 1 {
+		s.flight.mu.Lock()
+		c := s.flight.m[ikey{kind: KindPlanReport, sum: k}]
+		joined := c != nil && c.joined == waiters-1
+		s.flight.mu.Unlock()
+		if joined {
 			break
 		}
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
