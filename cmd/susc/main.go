@@ -17,7 +17,7 @@
 //	susc explain    FILE                 semantic analysis with counterexamples:
 //	                                     model-check every declaration and print a
 //	                                     minimal witness trace per finding
-//	                                     (SUSC011–015); -code SUSCnnn, -json, -dot
+//	                                     (SUSC011–015); -code SUSCnnn, -json, -wdot
 //	susc dot        FILE -policy P | -lts NAME | -product OWNER.REQ -vs LOC
 //	                                     render an artifact as Graphviz dot
 //	susc effect     FILE.lam [-decls FILE.susc]
@@ -146,28 +146,28 @@ func run(args []string) error {
 	capSpec := fs.String("cap", "", "checkall: bounded availability, e.g. \"br=2,s3=1\"")
 	planOnly := fs.Bool("plan", false,
 		"audit: audit only each client's declared plan instead of the whole valid-plan family")
-	jsonOut := fs.Bool("json", false, "check/checkall/plans/lint: JSON output (lint: NDJSON, one diagnostic per line)")
+	jsonOut := fs.Bool("json", false, "plans/check/checkall/lint/audit/explain: JSON output (lint, audit, explain: NDJSON, one record per line)")
 	stream := fs.Bool("stream", false,
 		"plans: print each assessment as it is produced (with -json, one object per line)")
 	stats := fs.Bool("stats", false,
-		"plans/check/checkall/lint: print per-engine work counters on stderr")
+		"plans/check/checkall/lint/audit: print per-engine work counters on stderr")
 	cacheDir := fs.String("cache", "",
-		"plans/check/checkall/lint: persist verdicts in DIR/susc.store and reuse them across runs (incremental re-verification)")
+		"plans/check/checkall/lint/audit: persist verdicts in DIR/susc.store and reuse them across runs (incremental re-verification)")
 	severity := fs.String("severity", "info",
-		"lint: report findings at or above this severity (info, warning, error)")
+		"lint/audit: report findings at or above this severity (info, warning, error)")
 	codeFilter := fs.String("code", "",
 		"explain: only report findings with this diagnostic code (e.g. SUSC011)")
 	witnessDot := fs.Bool("wdot", false,
-		"explain: render each witness as a Graphviz digraph instead of text")
+		"audit/explain: render each witness as a Graphviz digraph instead of text")
 	runAll := fs.Bool("all", false, "run: simulate all declared clients concurrently")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"plans/effect: validate candidate plans with this many goroutines")
 	timeout := fs.Duration("timeout", 0,
-		"plans/check/checkall/lint/explain: wall-clock budget (0 = none)")
+		"plans/check/checkall/lint/audit/explain: wall-clock budget (0 = none)")
 	maxStates := fs.Int64("max-states", 0,
-		"plans/check/checkall/lint/explain: state budget for the exploration (0 = unlimited)")
+		"plans/check/checkall/lint/audit/explain: state budget for the exploration (0 = unlimited)")
 	maxEdges := fs.Int64("max-edges", 0,
-		"plans/check/checkall/lint/explain: edge budget for the exploration (0 = unlimited)")
+		"plans/check/checkall/lint/audit/explain: edge budget for the exploration (0 = unlimited)")
 	if len(args) < 2 {
 		return fmt.Errorf("usage: susc %s FILE [flags]", cmd)
 	}
@@ -884,9 +884,7 @@ func cmdPlans(f *parser.File, name string, prune, jsonOut, stream, stats bool, w
 	// isolated worker panic (exit 2) outranks a budget cutoff or
 	// interruption (exit 3).
 	finalize := func(runErr error) error {
-		if err := printPlanStats(stats, sess.Cache, opts.Stats); err != nil {
-			return err
-		}
+		printPlanStats(stats, sess.Cache, opts.Stats)
 		printStoreStats(stats, sess.Disk)
 		if runErr != nil {
 			return runErr
@@ -954,9 +952,9 @@ func cmdPlans(f *parser.File, name string, prune, jsonOut, stream, stats bool, w
 
 // printPlanStats reports the memo-cache hit rate and the fused engine's
 // work counters on stderr (keeping stdout machine-readable under -json).
-func printPlanStats(enabled bool, cache *memo.Cache, fs *plans.FusedStats) error {
+func printPlanStats(enabled bool, cache *memo.Cache, fs *plans.FusedStats) {
 	if !enabled {
-		return nil
+		return
 	}
 	printCacheStats(cache)
 	if fs != nil {
@@ -965,7 +963,6 @@ func printPlanStats(enabled bool, cache *memo.Cache, fs *plans.FusedStats) error
 			fs.PlansAssessed.Load(), fs.StatesExpanded.Load(), fs.EdgesBuilt.Load(),
 			fs.ReplayStates.Load(), fs.ReplayMemoHits.Load(), fs.BindingsPruned.Load())
 	}
-	return nil
 }
 
 func cmdCheck(f *parser.File, name string, jsonOut, stats bool, cacheDir string, bud *budget.Budget) error {

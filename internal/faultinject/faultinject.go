@@ -41,12 +41,11 @@ const (
 	// FusedReplay fires on every state visit of a fused plan replay; the
 	// unit is the visited node's session-tree key.
 	FusedReplay Point = "plans.fused.replay"
-	// VerifyState fires on every state the direct exploration of
-	// verify.CheckPlanOpts pops; the unit is the session-tree key.
+	// VerifyState fires on every state the exploration kernel of
+	// internal/verify pops — in CheckPlanOpts, CheckNetwork and
+	// ExploreFlow; the unit is the component-tree keys joined by " || "
+	// (the session-tree key for one component).
 	VerifyState Point = "verify.state"
-	// NetworkState fires on every state verify.CheckNetwork pops; the
-	// unit is the joined component-tree key.
-	NetworkState Point = "verify.network.state"
 	// LintAnalyzer fires before each lint analyzer runs; the unit is the
 	// analyzer name.
 	LintAnalyzer Point = "lint.analyzer"

@@ -90,7 +90,7 @@ func TestCancelAfter(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h(VerifyState, "")
 	}
-	h(NetworkState, "") // other points don't count
+	h(LTSBuild, "") // other points don't count
 	if cancelled != 1 {
 		t.Fatalf("cancel ran %d times, want 1", cancelled)
 	}

@@ -12,12 +12,11 @@ import (
 	"susc/internal/plans"
 	"susc/internal/policy"
 	"susc/internal/store"
-	"susc/internal/valid"
 	"susc/internal/verify"
 )
 
 // This file is the whole-network security-flow audit (`susc audit`,
-// SUSC017–021): it runs the internal/valid flow core over every valid
+// SUSC017–021): it runs the flow core (verify.ExploreFlow) over every valid
 // plan of every client, annotating each reachable event occurrence with
 // its active-framing set, then decides coverage questions — which events
 // run unguarded, which framings the ambient set already implies, which
@@ -37,7 +36,7 @@ const (
 // planAudit is one audited (plan, flow) pair of a client.
 type planAudit struct {
 	plan   network.Plan
-	flow   *valid.PlanFlow
+	flow   *verify.PlanFlow
 	cached bool
 }
 
@@ -152,11 +151,11 @@ func (p *Pass) auditData() *auditState {
 // keyed on the content hash of the verdict's dependency cone
 // (verify.PlanKey) when a store is attached. Unknown flows — budget
 // cutoffs — are never persisted.
-func (p *Pass) flowFor(c parser.ClientDecl, plan network.Plan) (*valid.PlanFlow, bool, error) {
-	fopts := valid.FlowOptions{Cache: p.Cache, Budget: p.Budget}
+func (p *Pass) flowFor(c parser.ClientDecl, plan network.Plan) (*verify.PlanFlow, bool, error) {
+	fopts := verify.Options{Cache: p.Cache, Budget: p.Budget}
 	disk := p.Cache.Disk()
 	if disk == nil {
-		f, err := valid.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, fopts)
+		f, err := verify.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, fopts)
 		return f, false, err
 	}
 	sum, err := verify.PlanKey(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, nil)
@@ -164,22 +163,22 @@ func (p *Pass) flowFor(c parser.ClientDecl, plan network.Plan) (*valid.PlanFlow,
 		return nil, false, err
 	}
 	if raw, ok := disk.Get(store.KindAudit, sum); ok {
-		if f, derr := valid.DecodeFlow(raw); derr == nil {
+		if f, derr := verify.DecodeFlow(raw); derr == nil {
 			return f, true, nil
 		}
 	}
 	got, err := disk.Once(store.KindAudit, sum, func() (any, error) {
 		if raw, ok := disk.Peek(store.KindAudit, sum); ok {
-			if f, derr := valid.DecodeFlow(raw); derr == nil {
+			if f, derr := verify.DecodeFlow(raw); derr == nil {
 				return f, nil
 			}
 		}
-		f, ferr := valid.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, fopts)
+		f, ferr := verify.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, fopts)
 		if ferr != nil {
 			return nil, ferr
 		}
 		if f.Verdict != verify.Unknown.String() {
-			enc, eerr := valid.EncodeFlow(f)
+			enc, eerr := verify.EncodeFlow(f)
 			if eerr != nil {
 				return nil, eerr
 			}
@@ -192,7 +191,7 @@ func (p *Pass) flowFor(c parser.ClientDecl, plan network.Plan) (*valid.PlanFlow,
 	if err != nil {
 		return nil, false, err
 	}
-	return got.(*valid.PlanFlow), false, nil
+	return got.(*verify.PlanFlow), false, nil
 }
 
 // --- shared helpers --------------------------------------------------------
@@ -338,9 +337,9 @@ type eventCoverage struct {
 	event     string
 	guarded   []int // indices into ca.plans
 	unguarded []int
-	occPlan   int             // plan index of the witness occurrence
-	occ       valid.EventFlow // first unguarded occurrence
-	guards    []string        // watching policies seen guarding it (union)
+	occPlan   int              // plan index of the witness occurrence
+	occ       verify.EventFlow // first unguarded occurrence
+	guards    []string         // watching policies seen guarding it (union)
 }
 
 func (p *Pass) clientEventCoverage(ca *clientAudit) []*eventCoverage {
@@ -348,7 +347,7 @@ func (p *Pass) clientEventCoverage(ca *clientAudit) []*eventCoverage {
 	byEvent := map[string]*eventCoverage{}
 	var order []string
 	for pi, pa := range ca.plans {
-		perPlan := map[string]*valid.EventFlow{} // first unguarded occurrence
+		perPlan := map[string]*verify.EventFlow{} // first unguarded occurrence
 		seen := map[string]bool{}
 		for i, ef := range pa.flow.Events {
 			seen[ef.Event] = true
@@ -538,7 +537,7 @@ var redundantFramingAnalyzer = &Analyzer{
 		type openRec struct {
 			client int // index into st.clients
 			plan   network.Plan
-			flow   valid.OpenFlow
+			flow   verify.OpenFlow
 		}
 		opensBy := map[string][]openRec{}
 		var order []string
@@ -760,7 +759,7 @@ type AuditResult struct {
 }
 
 // coverageRows builds the event × guarding-policies table of one flow.
-func coverageRows(ct *policy.CompiledTable, flow *valid.PlanFlow) []CoverageRow {
+func coverageRows(ct *policy.CompiledTable, flow *verify.PlanFlow) []CoverageRow {
 	type agg struct {
 		occ     int
 		always  []string

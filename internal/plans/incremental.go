@@ -3,7 +3,6 @@ package plans
 import (
 	"errors"
 	"sort"
-	"sync"
 
 	"susc/internal/budget"
 	"susc/internal/faultinject"
@@ -123,11 +122,8 @@ func recomputeMisses(repo network.Repository, table *policy.Table,
 	cache := opts.Cache
 	disk := cache.Disk()
 	vopts := verify.Options{Cache: cache, Budget: opts.Budget, SkipDiskProbe: true}
-	checkOne := func(i int) (Assessment, error) {
-		plan := complete[i]
-		key := plan.Key()
-		var report *verify.Report
-		err := budget.Guard("plan "+key, func() error {
+	return assessEach(opts.Workers, complete, misses, out,
+		func(i int, key string) (*verify.Report, error) {
 			got, err := disk.Once(store.KindPlanReport, sums[i], func() (any, error) {
 				// A concurrent assessor may have written the cone while we
 				// queued behind the flight.
@@ -139,7 +135,7 @@ func recomputeMisses(repo network.Repository, table *policy.Table,
 				if faultinject.Enabled() {
 					faultinject.Fire(faultinject.PlansWorker, key)
 				}
-				r, err := verify.CheckPlanOpts(repo, table, loc, client, plan, vopts)
+				r, err := verify.CheckPlanOpts(repo, table, loc, client, complete[i], vopts)
 				if err != nil {
 					return nil, err
 				}
@@ -155,75 +151,8 @@ func recomputeMisses(repo network.Repository, table *policy.Table,
 				return r, nil
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			report = got.(*verify.Report)
-			return nil
+			return got.(*verify.Report), nil
 		})
-		if err != nil {
-			var ie *budget.InternalError
-			if errors.As(err, &ie) {
-				return Assessment{Plan: plan,
-					Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}, err
-			}
-			return Assessment{}, err
-		}
-		return Assessment{Plan: plan, Report: report}, nil
-	}
-
-	var firstInternal *budget.InternalError
-	if opts.Workers > 1 && len(misses) > 1 {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		jobs := make(chan int)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					a, err := checkOne(i)
-					if err != nil {
-						var ie *budget.InternalError
-						mu.Lock()
-						if errors.As(err, &ie) {
-							if firstInternal == nil {
-								firstInternal = ie
-							}
-						} else if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						if a.Report == nil {
-							continue
-						}
-					}
-					out[i] = a
-				}
-			}()
-		}
-		for _, i := range misses {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	} else {
-		for _, i := range misses {
-			a, err := checkOne(i)
-			if err != nil {
-				var ie *budget.InternalError
-				if !errors.As(err, &ie) {
-					return nil, err
-				}
-				if firstInternal == nil {
-					firstInternal = ie
-				}
-			}
-			out[i] = a
-		}
-	}
-	return firstInternal, nil
 }

@@ -141,85 +141,20 @@ func assessAllLegacy(repo network.Repository, table *policy.Table,
 	}
 	vopts := verify.Options{Cache: cache, Budget: opts.Budget,
 		SkipDiskProbe: opts.MemoryTierOnly}
-	// checkGuarded validates one plan inside a panic guard: a worker panic
-	// becomes a typed *budget.InternalError carrying the plan key as a
-	// repro bundle, the plan's verdict degrades to Unknown, and the rest
-	// of the fleet finishes undisturbed.
-	checkGuarded := func(plan network.Plan) (Assessment, error) {
-		key := plan.Key()
-		var report *verify.Report
-		err := budget.Guard("plan "+key, func() error {
+	out := make([]Assessment, len(complete))
+	all := make([]int, len(complete))
+	for i := range all {
+		all[i] = i
+	}
+	firstInternal, err := assessEach(opts.Workers, complete, all, out,
+		func(i int, key string) (*verify.Report, error) {
 			if faultinject.Enabled() {
 				faultinject.Fire(faultinject.PlansWorker, key)
 			}
-			var err error
-			report, err = verify.CheckPlanOpts(repo, table, loc, client, plan, vopts)
-			return err
+			return verify.CheckPlanOpts(repo, table, loc, client, complete[i], vopts)
 		})
-		if err != nil {
-			var ie *budget.InternalError
-			if errors.As(err, &ie) {
-				return Assessment{Plan: plan,
-					Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}, err
-			}
-			return Assessment{}, err
-		}
-		return Assessment{Plan: plan, Report: report}, nil
-	}
-	out := make([]Assessment, len(complete))
-	var firstInternal *budget.InternalError
-	if opts.Workers > 1 && len(complete) > 1 {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		jobs := make(chan int)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					a, err := checkGuarded(complete[i])
-					if err != nil {
-						var ie *budget.InternalError
-						mu.Lock()
-						if errors.As(err, &ie) {
-							if firstInternal == nil {
-								firstInternal = ie
-							}
-						} else if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						if a.Report == nil {
-							continue
-						}
-					}
-					out[i] = a
-				}
-			}()
-		}
-		for i := range complete {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	} else {
-		for i, plan := range complete {
-			a, err := checkGuarded(plan)
-			if err != nil {
-				var ie *budget.InternalError
-				if !errors.As(err, &ie) {
-					return nil, err
-				}
-				if firstInternal == nil {
-					firstInternal = ie
-				}
-			}
-			out[i] = a
-		}
+	if err != nil {
+		return nil, err
 	}
 	// sort on precomputed keys: Plan.Key() rebuilds its string per call,
 	// so computing it once per plan beats recomputing per comparison
@@ -232,6 +167,86 @@ func assessAllLegacy(repo network.Repository, table *policy.Table,
 		return out, firstInternal
 	}
 	return out, nil
+}
+
+// assessEach validates complete[i] for every i in idxs through check,
+// which receives i and the plan key, and stores the assessment in out[i]:
+// on `workers` goroutines when there is more than one index, serially
+// otherwise. Each plan runs inside a panic guard: a worker panic becomes a
+// typed *budget.InternalError carrying the plan key as a repro bundle, the
+// plan's verdict degrades to Unknown, and the rest of the fleet finishes
+// undisturbed. The first such error is returned; any other error fails
+// the whole call.
+func assessEach(workers int, complete []network.Plan, idxs []int, out []Assessment,
+	check func(i int, key string) (*verify.Report, error)) (*budget.InternalError, error) {
+
+	one := func(i int) error {
+		plan := complete[i]
+		key := plan.Key()
+		var report *verify.Report
+		err := budget.Guard("plan "+key, func() error {
+			var err error
+			report, err = check(i, key)
+			return err
+		})
+		var ie *budget.InternalError
+		switch {
+		case err == nil:
+			out[i] = Assessment{Plan: plan, Report: report}
+		case errors.As(err, &ie):
+			out[i] = Assessment{Plan: plan,
+				Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}
+		}
+		return err
+	}
+	var mu sync.Mutex
+	var firstInternal *budget.InternalError
+	var firstErr error
+	record := func(err error) {
+		var ie *budget.InternalError
+		if errors.As(err, &ie) {
+			if firstInternal == nil {
+				firstInternal = ie
+			}
+		} else if firstErr == nil {
+			firstErr = err
+		}
+	}
+	if workers > 1 && len(idxs) > 1 {
+		var wg sync.WaitGroup
+		jobs := make(chan int)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range jobs {
+					if err := one(i); err != nil {
+						mu.Lock()
+						record(err)
+						mu.Unlock()
+					}
+				}
+			}()
+		}
+		for _, i := range idxs {
+			jobs <- i
+		}
+		close(jobs)
+		wg.Wait()
+	} else {
+		for _, i := range idxs {
+			if err := one(i); err != nil {
+				record(err)
+				if firstErr != nil {
+					break
+				}
+			}
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return firstInternal, nil
 }
 
 type byKey struct {

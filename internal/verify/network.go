@@ -2,28 +2,22 @@ package verify
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
-	"susc/internal/faultinject"
-	"susc/internal/hexpr"
-	"susc/internal/history"
+	"susc/internal/hash"
 	"susc/internal/memo"
 	"susc/internal/network"
 	"susc/internal/policy"
-	"susc/internal/ring"
 	"susc/internal/store"
 )
 
 // CheckNetwork validates a whole vector of clients in one exploration of
 // the full product state space (component trees × monitors × shared
-// availability). Without capacity bounds, components never interact and
-// CheckClients (one exploration per client) is equivalent and much
-// cheaper; with bounded availability the components *do* interact — they
-// compete for replicas — so only the product exploration is sound, e.g. it
-// finds the deadlock where two clients each hold the last replica the
-// other needs.
+// availability) — the kernel's n-component call. Without capacity bounds,
+// components never interact and CheckClients (one exploration per client)
+// is equivalent and much cheaper; with bounded availability the
+// components *do* interact — they compete for replicas — so only the
+// product exploration is sound, e.g. it finds the deadlock where two
+// clients each hold the last replica the other needs.
 func CheckNetwork(repo network.Repository, table *policy.Table,
 	clients []ClientSpec, opts Options) (*Report, error) {
 
@@ -31,229 +25,31 @@ func CheckNetwork(repo network.Repository, table *policy.Table,
 	if cache == nil {
 		cache = memo.New()
 	}
-
-	// Persistent tier, mirroring CheckPlanOpts: the key is the whole
-	// network's cone (components compete for shared replicas, so there is
-	// no per-component granularity to exploit). Unknown reports are never
-	// persisted.
-	if disk := cache.Disk(); disk != nil && !opts.SkipDiskProbe {
-		sum, err := NetworkKey(repo, table, clients, opts.Capacities)
-		if err != nil {
-			return nil, err
-		}
-		if raw, ok := disk.Get(store.KindNetworkReport, sum); ok {
-			if r, err := DecodeReport(raw); err == nil {
+	// The persistent tier keys on the whole network's cone: components
+	// compete for shared replicas, so there is no per-component
+	// granularity to exploit.
+	key := func() (hash.Sum, error) { return NetworkKey(repo, table, clients, opts.Capacities) }
+	return cachedReport(cache, opts, store.KindNetworkReport, key, func() (*Report, error) {
+		// per-client static prechecks; the witness names the client
+		for _, c := range clients {
+			r, err := StaticCheck(repo, c.Client, c.Plan, cache)
+			if err != nil {
+				return nil, err
+			}
+			if r != nil {
+				sep := ", "
+				if r.Verdict == UnboundedNesting {
+					sep = ": "
+				}
+				r.Witness = fmt.Sprintf("client at %s%s%s", c.Loc, sep, r.Witness)
 				return r, nil
 			}
 		}
-		got, err := disk.Once(store.KindNetworkReport, sum, func() (any, error) {
-			if raw, ok := disk.Peek(store.KindNetworkReport, sum); ok {
-				if r, err := DecodeReport(raw); err == nil {
-					return r, nil
-				}
-			}
-			inner := opts
-			inner.Cache = cache
-			inner.SkipDiskProbe = true
-			r, err := CheckNetwork(repo, table, clients, inner)
-			if err != nil {
-				return nil, err
-			}
-			if r.Verdict != Unknown {
-				enc, eerr := EncodeReport(r)
-				if eerr != nil {
-					return nil, eerr
-				}
-				if perr := disk.Put(store.KindNetworkReport, sum, enc); perr != nil {
-					return nil, perr
-				}
-			}
-			return r, nil
-		})
-		if err != nil {
-			return nil, err
+		x := &explorer{repo: repo, comps: clients, cache: cache, budget: opts.Budget}
+		r, err := x.run(table, opts.Capacities)
+		if err == errStateLimit {
+			err = fmt.Errorf("verify: network exploration exceeds %d states", MaxStates)
 		}
-		return got.(*Report), nil
-	}
-
-	// per-client static prechecks (cycles, compliance)
-	for _, c := range clients {
-		if cyc := CallCycle(repo, c.Client, c.Plan); cyc != nil {
-			return &Report{
-				Verdict: UnboundedNesting,
-				Witness: fmt.Sprintf("client at %s: cyclic service calls: %s", c.Loc, LocPath(cyc)),
-			}, nil
-		}
-		reqs, err := PlannedRequests(repo, c.Client, c.Plan)
-		if err != nil {
-			return nil, err
-		}
-		for _, pr := range reqs {
-			if !pr.Bound {
-				continue
-			}
-			ok, witness, err := cache.Compliance(pr.Body, pr.Service)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return &Report{
-					Verdict: NotCompliant,
-					Request: pr.Req,
-					Witness: fmt.Sprintf("client at %s, service at %s: %s", c.Loc, pr.Loc, witness),
-				}, nil
-			}
-		}
-	}
-
-	var limited []hexpr.Location
-	for l := range opts.Capacities {
-		limited = append(limited, l)
-	}
-	sort.Slice(limited, func(i, j int) bool { return limited[i] < limited[j] })
-	limitedIdx := map[hexpr.Location]int{}
-	initialAvail := make([]int, len(limited))
-	for i, l := range limited {
-		limitedIdx[l] = i
-		initialAvail[i] = opts.Capacities[l]
-	}
-
-	type state struct {
-		trees []network.Node
-		mons  []*history.Monitor
-		avail []int
-		trace *traceNode
-	}
-	start := state{avail: initialAvail}
-	for _, c := range clients {
-		start.trees = append(start.trees, network.Leaf{Loc: c.Loc, Expr: c.Client})
-		start.mons = append(start.mons, history.NewMonitor(table))
-	}
-	// The visited-set key interns each component tree and monitor
-	// signature, so a state collapses to a short string of IDs instead of
-	// the concatenation of full tree keys.
-	tab := cache.Interner()
-	key := func(s state) string {
-		buf := make([]byte, 0, 16*len(s.trees)+len(s.avail)*4)
-		for i, tr := range s.trees {
-			buf = strconv.AppendInt(buf, int64(InternTree(tab, tr)), 10)
-			buf = append(buf, ':')
-			buf = strconv.AppendInt(buf, int64(tab.Key(s.mons[i].Signature())), 10)
-			buf = append(buf, ';')
-		}
-		for _, n := range s.avail {
-			buf = strconv.AppendInt(buf, int64(n), 10)
-			buf = append(buf, ',')
-		}
-		return string(buf)
-	}
-	allDone := func(s state) bool {
-		for _, tr := range s.trees {
-			if !network.Done(tr) {
-				return false
-			}
-		}
-		return true
-	}
-	// Ring-buffer queue: see CheckPlanOpts — `queue[1:]` popping would pin
-	// every state ever enqueued until the exploration ends.
-	seen := map[string]bool{key(start): true}
-	var queue ring.Queue[state]
-	queue.Push(start)
-	report := &Report{}
-	for queue.Len() > 0 {
-		report.States++
-		if report.States > MaxStates {
-			return nil, fmt.Errorf("verify: network exploration exceeds %d states", MaxStates)
-		}
-		if e := opts.Budget.ConsumeStates(1); e != nil {
-			report.States--
-			return unknownReport(report, e, queue.Len()), nil
-		}
-		s := queue.Pop()
-		if faultinject.Enabled() {
-			parts := make([]string, len(s.trees))
-			for i, tr := range s.trees {
-				parts[i] = tr.Key()
-			}
-			faultinject.Fire(faultinject.NetworkState, strings.Join(parts, " || "))
-		}
-		type compMove struct {
-			comp int
-			m    network.Move
-		}
-		var moves []compMove
-		for ci := range s.trees {
-			for _, m := range network.TreeMovesStep(s.trees[ci], clients[ci].Plan, repo, cache.Steps) {
-				if m.OpenLoc != "" {
-					if i, ok := limitedIdx[m.OpenLoc]; ok && s.avail[i] == 0 {
-						continue
-					}
-				}
-				moves = append(moves, compMove{comp: ci, m: m})
-			}
-		}
-		if e := opts.Budget.ConsumeEdges(int64(len(moves))); e != nil {
-			return unknownReport(report, e, queue.Len()), nil
-		}
-		if len(moves) == 0 && !allDone(s) {
-			report.Verdict = CommunicationDeadlock
-			report.Trace = s.trace.materialize()
-			parts := make([]string, len(s.trees))
-			for i, tr := range s.trees {
-				parts[i] = tr.Key()
-			}
-			report.StuckTree = strings.Join(parts, " || ")
-			return report, nil
-		}
-		for _, cm := range moves {
-			// see CheckPlanOpts: item-less moves share the monitor
-			mon := s.mons[cm.comp]
-			bad := hexpr.NoPolicy
-			if len(cm.m.Items) > 0 {
-				mon = mon.Snapshot()
-				for _, it := range cm.m.Items {
-					if err := mon.Append(it); err != nil {
-						if verr, ok := err.(*history.ViolationError); ok {
-							bad = verr.Policy
-						} else {
-							return nil, fmt.Errorf("verify: unexpected monitor error: %w", err)
-						}
-						break
-					}
-				}
-			}
-			entry := network.TraceEntry{Comp: cm.comp, Label: cm.m.Label}
-			if bad != hexpr.NoPolicy {
-				report.Verdict = SecurityViolation
-				report.Policy = bad
-				report.Trace = (&traceNode{prev: s.trace, entry: entry}).materialize()
-				return report, nil
-			}
-			next := state{
-				trees: append([]network.Node(nil), s.trees...),
-				mons:  append([]*history.Monitor(nil), s.mons...),
-				avail: s.avail,
-				trace: &traceNode{prev: s.trace, entry: entry},
-			}
-			next.trees[cm.comp] = cm.m.Tree
-			next.mons[cm.comp] = mon
-			if len(limited) > 0 && (cm.m.OpenLoc != "" || cm.m.ReleaseLoc != "") {
-				next.avail = append([]int(nil), s.avail...)
-				if i, ok := limitedIdx[cm.m.OpenLoc]; ok && cm.m.OpenLoc != "" {
-					next.avail[i]--
-				}
-				if i, ok := limitedIdx[cm.m.ReleaseLoc]; ok && cm.m.ReleaseLoc != "" {
-					next.avail[i]++
-				}
-			}
-			k := key(next)
-			if !seen[k] {
-				seen[k] = true
-				queue.Push(next)
-			}
-		}
-	}
-	report.Verdict = Valid
-	return report, nil
+		return r, err
+	})
 }

@@ -15,21 +15,22 @@
 // Parallel components of a network never interact (they only interleave,
 // each with its own history), so validating a vector of clients reduces to
 // validating each client separately; CheckClients does exactly that.
+// Bounded availability makes them compete for replicas, and CheckNetwork
+// explores their product instead. ExploreFlow reads the security audit's
+// active-policy facts off the same exploration: one kernel (explore.go)
+// serves all three.
 package verify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"susc/internal/budget"
-	"susc/internal/faultinject"
+	"susc/internal/hash"
 	"susc/internal/hexpr"
-	"susc/internal/history"
 	"susc/internal/memo"
 	"susc/internal/network"
 	"susc/internal/policy"
-	"susc/internal/ring"
 	"susc/internal/store"
 )
 
@@ -243,7 +244,9 @@ func StaticCheck(repo network.Repository, client hexpr.Expr,
 	return nil, nil
 }
 
-// CheckPlanOpts is CheckPlan with extension options.
+// CheckPlanOpts is CheckPlan with extension options: the exploration is
+// the kernel's one-component call, behind the persistent report tier when
+// the cache has a store attached.
 func CheckPlanOpts(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, plan network.Plan, opts Options) (*Report, error) {
 
@@ -251,187 +254,21 @@ func CheckPlanOpts(repo network.Repository, table *policy.Table,
 	if cache == nil {
 		cache = memo.New()
 	}
-
-	// Persistent tier: probe the store under the content hash of the
-	// verdict's dependency cone; on a miss compute under singleflight (so
-	// concurrent workers explore a cone once) and write the report back.
-	// Unknown reports — budget cutoffs, cancellations — are never
-	// persisted: they describe this run's limits, not the cone's content.
-	if disk := cache.Disk(); disk != nil && !opts.SkipDiskProbe {
-		sum, err := PlanKey(repo, table, loc, client, plan, opts.Capacities)
-		if err != nil {
-			return nil, err
+	key := func() (hash.Sum, error) { return PlanKey(repo, table, loc, client, plan, opts.Capacities) }
+	return cachedReport(cache, opts, store.KindPlanReport, key, func() (*Report, error) {
+		// (a) the static prechecks: cyclic composition, per-request compliance.
+		if r, err := StaticCheck(repo, client, plan, cache); err != nil || r != nil {
+			return r, err
 		}
-		if raw, ok := disk.Get(store.KindPlanReport, sum); ok {
-			if r, err := DecodeReport(raw); err == nil {
-				return r, nil
-			}
+		// (b) exhaustive exploration for security and structural deadlocks.
+		x := &explorer{repo: repo, comps: []ClientSpec{{Loc: loc, Client: client, Plan: plan}},
+			cache: cache, budget: opts.Budget}
+		r, err := x.run(table, opts.Capacities)
+		if err == errStateLimit {
+			err = fmt.Errorf("verify: exploration exceeds %d states", MaxStates)
 		}
-		got, err := disk.Once(store.KindPlanReport, sum, func() (any, error) {
-			if raw, ok := disk.Peek(store.KindPlanReport, sum); ok {
-				if r, err := DecodeReport(raw); err == nil {
-					return r, nil
-				}
-			}
-			inner := opts
-			inner.Cache = cache
-			inner.SkipDiskProbe = true
-			r, err := CheckPlanOpts(repo, table, loc, client, plan, inner)
-			if err != nil {
-				return nil, err
-			}
-			if r.Verdict != Unknown {
-				enc, eerr := EncodeReport(r)
-				if eerr != nil {
-					return nil, eerr
-				}
-				if perr := disk.Put(store.KindPlanReport, sum, enc); perr != nil {
-					return nil, perr
-				}
-			}
-			return r, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return got.(*Report), nil
-	}
-
-	// (a) the static prechecks: cyclic composition, per-request compliance.
-	if r, err := StaticCheck(repo, client, plan, cache); err != nil {
-		return nil, err
-	} else if r != nil {
-		return r, nil
-	}
-
-	// (b) exhaustive exploration for security and structural deadlocks;
-	// limited locations are tracked in a dense availability vector.
-	var limited []hexpr.Location
-	for l := range opts.Capacities {
-		limited = append(limited, l)
-	}
-	sort.Slice(limited, func(i, j int) bool { return limited[i] < limited[j] })
-	limitedIdx := map[hexpr.Location]int{}
-	initialAvail := make([]int, len(limited))
-	for i, l := range limited {
-		limitedIdx[l] = i
-		initialAvail[i] = opts.Capacities[l]
-	}
-
-	type state struct {
-		tree  network.Node
-		mon   *history.Monitor
-		avail []int
-		trace *traceNode
-	}
-	start := state{
-		tree:  network.Leaf{Loc: loc, Expr: client},
-		mon:   history.NewMonitor(table),
-		avail: initialAvail,
-	}
-	// Visited states are keyed by a small comparable struct of interned
-	// IDs — tree shape and monitor signature are interned once per state
-	// instead of concatenated into an O(size) string per lookup.
-	tab := cache.Interner()
-	key := func(s state) stateKey {
-		return stateKey{
-			tree:  InternTree(tab, s.tree),
-			sig:   tab.Key(s.mon.Signature()),
-			avail: packAvail(s.avail),
-		}
-	}
-	// The queue is a ring buffer: `queue = queue[1:]` would pin the whole
-	// backing array — every state ever enqueued — until the exploration
-	// ends, while the ring reuses dequeued slots and keeps only the
-	// frontier live.
-	seen := map[stateKey]bool{key(start): true}
-	var queue ring.Queue[state]
-	queue.Push(start)
-	report := &Report{}
-	for queue.Len() > 0 {
-		report.States++
-		if report.States > MaxStates {
-			return nil, fmt.Errorf("verify: exploration exceeds %d states", MaxStates)
-		}
-		if e := opts.Budget.ConsumeStates(1); e != nil {
-			report.States--
-			return unknownReport(report, e, queue.Len()), nil
-		}
-		s := queue.Pop()
-		if faultinject.Enabled() {
-			faultinject.Fire(faultinject.VerifyState, s.tree.Key())
-		}
-		all := network.TreeMovesStep(s.tree, plan, repo, cache.Steps)
-		moves := all[:0:0]
-		for _, m := range all {
-			if m.OpenLoc != "" {
-				if i, ok := limitedIdx[m.OpenLoc]; ok && s.avail[i] == 0 {
-					continue // no replica available: not enabled
-				}
-			}
-			moves = append(moves, m)
-		}
-		if e := opts.Budget.ConsumeEdges(int64(len(moves))); e != nil {
-			return unknownReport(report, e, queue.Len()), nil
-		}
-		if len(moves) == 0 && !network.Done(s.tree) {
-			report.Verdict = CommunicationDeadlock
-			report.Trace = s.trace.materialize()
-			report.StuckTree = s.tree.Key()
-			return report, nil
-		}
-		for _, m := range moves {
-			// Item-less moves (synchronisations) leave the monitor
-			// untouched; sharing it avoids a map copy per move. Monitors
-			// are only ever advanced on fresh snapshots, so sharing is
-			// safe.
-			mon := s.mon
-			bad := hexpr.NoPolicy
-			if len(m.Items) > 0 {
-				mon = s.mon.Snapshot()
-				for _, it := range m.Items {
-					if err := mon.Append(it); err != nil {
-						if verr, ok := err.(*history.ViolationError); ok {
-							bad = verr.Policy
-						} else {
-							return nil, fmt.Errorf("verify: unexpected monitor error: %w", err)
-						}
-						break
-					}
-				}
-			}
-			entry := network.TraceEntry{Comp: 0, Label: m.Label}
-			if bad != hexpr.NoPolicy {
-				report.Verdict = SecurityViolation
-				report.Policy = bad
-				report.Trace = (&traceNode{prev: s.trace, entry: entry}).materialize()
-				return report, nil
-			}
-			avail := s.avail
-			if len(limited) > 0 && (m.OpenLoc != "" || m.ReleaseLoc != "") {
-				avail = append([]int(nil), s.avail...)
-				if i, ok := limitedIdx[m.OpenLoc]; ok && m.OpenLoc != "" {
-					avail[i]--
-				}
-				if i, ok := limitedIdx[m.ReleaseLoc]; ok && m.ReleaseLoc != "" {
-					avail[i]++
-				}
-			}
-			next := state{
-				tree:  m.Tree,
-				mon:   mon,
-				avail: avail,
-				trace: &traceNode{prev: s.trace, entry: entry},
-			}
-			k := key(next)
-			if !seen[k] {
-				seen[k] = true
-				queue.Push(next)
-			}
-		}
-	}
-	report.Verdict = Valid
-	return report, nil
+		return r, err
+	})
 }
 
 // ValidPlan reports whether the plan is valid for the client.
