@@ -20,6 +20,7 @@ import (
 	"susc/internal/hexpr"
 	"susc/internal/history"
 	"susc/internal/lambda"
+	"susc/internal/lint"
 	"susc/internal/lts"
 	"susc/internal/memo"
 	"susc/internal/network"
@@ -308,6 +309,25 @@ func BenchmarkVerifyCheckPlan(b *testing.B) {
 			}
 			b.ReportMetric(float64(states), "states")
 		})
+	}
+}
+
+// BenchmarkAuditChained is the whole-family flow audit (`susc audit`) of
+// Chained(10,2): the fused sweep classifies its 1024 plans, and the first
+// 256 valid ones (the audit's cap) get their flows read off the sweep's
+// graph.
+func BenchmarkAuditChained(b *testing.B) {
+	src := benchgen.ChainedSource(10, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res := lint.AuditSource(src, lint.Options{})
+		if len(res.Diagnostics) != 0 || len(res.Coverage) != 1 {
+			b.Fatalf("audit: %d findings, %d coverage records; want 0, 1",
+				len(res.Diagnostics), len(res.Coverage))
+		}
+		if cc := res.Coverage[0]; cc.ValidPlans != 1024 || cc.Audited != 256 {
+			b.Fatalf("audit: %d valid, %d audited; want 1024, 256", cc.ValidPlans, cc.Audited)
+		}
 	}
 }
 

@@ -3,9 +3,12 @@ package main
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"susc/internal/benchgen"
 	"susc/internal/budget"
 	"susc/internal/faultinject"
 )
@@ -86,6 +89,29 @@ func TestRunInternalErrorExit2(t *testing.T) {
 	}
 	if !strings.Contains(out, "plan(s)") {
 		t.Fatalf("surviving assessments must still print, got %q", out)
+	}
+}
+
+// TestRunSweepPanicExit2: a worker panic isolated in a lint plan sweep —
+// the audit's, and SUSC013's under explain — is reported and exits 2,
+// like plans.
+func TestRunSweepPanicExit2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chained.susc")
+	if err := os.WriteFile(path, []byte(benchgen.ChainedSource(4, 2)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const victim = "{r1>s1_0,r2>s2_1,r3>s3_0,r4>s4_0}"
+	for _, cmd := range []string{"audit", "explain"} {
+		restore := faultinject.Set(faultinject.PanicOnce(faultinject.PlansWorker, victim, "injected"))
+		out, err := capture(t, func() error { return run([]string{cmd, path}) })
+		restore()
+		var ie *budget.InternalError
+		if !errors.As(err, &ie) || !strings.Contains(ie.Error(), victim) {
+			t.Fatalf("%s: err = %v, want *budget.InternalError naming plan %s", cmd, err, victim)
+		}
+		if cmd == "audit" && !strings.Contains(out, "15 valid plan(s), 15 audited") {
+			t.Fatalf("audit: the surviving plans must still be audited, got %q", out)
+		}
 	}
 }
 

@@ -499,8 +499,9 @@ func cmdExplain(path, src, code string, jsonOut, wdot bool, bud *budget.Budget) 
 }
 
 // cmdAudit runs the whole-network security-flow audit (SUSC017–021): an
-// abstract interpretation of every valid plan of every client annotating
-// each reachable event occurrence with its active-framing set, then the
+// abstract interpretation of the valid plans of every client — at most
+// 256 per client, the first in plan-key order — annotating each
+// reachable event occurrence with its active-framing set, then the
 // coverage analyzers over the result. Text output prints the findings
 // (with their witness traces) followed by the per-client, per-plan
 // "event × guarding policies" coverage tables; -json emits NDJSON — one

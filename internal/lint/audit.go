@@ -16,11 +16,14 @@ import (
 )
 
 // This file is the whole-network security-flow audit (`susc audit`,
-// SUSC017–021): it runs the flow core (verify.ExploreFlow) over every valid
-// plan of every client, annotating each reachable event occurrence with
-// its active-framing set, then decides coverage questions — which events
-// run unguarded, which framings the ambient set already implies, which
-// policies are dead, which scopes leak — with the autom language ops.
+// SUSC017–021): it records the flow (verify.PlanFlow) of the valid plans
+// of every client, annotating each reachable event occurrence with its
+// active-framing set, then decides coverage questions — which events run
+// unguarded, which framings the ambient set already implies, which
+// policies are dead, which scopes leak — with the autom language ops. A
+// family's flows are read off the graph of the plan sweep that found the
+// valid plans (plans.AssessWithFlows); a declared plan is explored on the
+// kernel (verify.ExploreFlow).
 
 const (
 	// maxAuditPlans bounds the plan families the audit enumerates; larger
@@ -64,7 +67,8 @@ type auditState struct {
 // auditData computes (once) the per-client flow audit: the valid-plan
 // family (or just the declared plan, under AuditDeclaredOnly) and one
 // PlanFlow per audited plan, drawn from the cone-keyed persistent tier
-// when a store is attached.
+// when a store is attached. An isolated panic in the family's sweep is
+// reported as SUSC016; the poisoned plan is Unknown, the rest stand.
 func (p *Pass) auditData() *auditState {
 	if p.audit != nil {
 		return p.audit
@@ -79,6 +83,10 @@ func (p *Pass) auditData() *auditState {
 		}
 		ca := clientAudit{idx: i, name: c.Name}
 		var candidates []network.Plan
+		explore := func(plan network.Plan) (*verify.PlanFlow, error) {
+			return verify.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan,
+				verify.Options{Cache: p.Cache, Budget: p.Budget})
+		}
 		if p.AuditDeclaredOnly {
 			if len(c.Plan) == 0 && len(hexpr.Requests(c.Expr)) > 0 {
 				ca.skipped = "no declared plan"
@@ -88,22 +96,22 @@ func (p *Pass) auditData() *auditState {
 			}
 			candidates = []network.Plan{c.Plan}
 		} else {
-			as, err := plans.AssessAll(p.File.Repo, p.File.Table, c.Loc, c.Expr, plans.Options{
+			// The sweep only classifies plans; per-plan verdicts stay in
+			// the memory tier. The audit's own records persist under
+			// KindAudit (flowFor).
+			as, read, err := plans.AssessWithFlows(p.File.Repo, p.File.Table, c.Loc, c.Expr, plans.Options{
 				PruneNonCompliant: true,
 				MaxPlans:          maxAuditPlans,
 				Cache:             p.Cache,
 				Budget:            p.Budget,
-				// The sweep only classifies plans; per-plan verdicts stay
-				// in the memory tier. The audit's own records persist
-				// under KindAudit below.
-				MemoryTierOnly: true,
 			})
-			if err != nil {
+			if !p.reportSweepPanic(i, err) && err != nil {
 				ca.skipped = fmt.Sprintf("plan family not enumerable: %v", err)
 				st.complete = false
 				st.clients = append(st.clients, ca)
 				continue
 			}
+			explore = read
 			for _, a := range as {
 				switch a.Report.Verdict {
 				case verify.Valid:
@@ -120,7 +128,7 @@ func (p *Pass) auditData() *auditState {
 			}
 		}
 		for _, plan := range candidates {
-			flow, cached, err := p.flowFor(c, plan)
+			flow, cached, err := p.flowFor(c, plan, explore)
 			if err != nil {
 				ca.skipped = fmt.Sprintf("flow analysis failed: %v", err)
 				st.complete = false
@@ -147,15 +155,16 @@ func (p *Pass) auditData() *auditState {
 	return st
 }
 
-// flowFor explores one (client, plan) flow, through the persistent tier
-// keyed on the content hash of the verdict's dependency cone
-// (verify.PlanKey) when a store is attached. Unknown flows — budget
+// flowFor computes one (client, plan) flow with explore, through the
+// persistent tier keyed on the content hash of the verdict's dependency
+// cone (verify.PlanKey) when a store is attached. Unknown flows — budget
 // cutoffs — are never persisted.
-func (p *Pass) flowFor(c parser.ClientDecl, plan network.Plan) (*verify.PlanFlow, bool, error) {
-	fopts := verify.Options{Cache: p.Cache, Budget: p.Budget}
+func (p *Pass) flowFor(c parser.ClientDecl, plan network.Plan,
+	explore func(network.Plan) (*verify.PlanFlow, error)) (*verify.PlanFlow, bool, error) {
+
 	disk := p.Cache.Disk()
 	if disk == nil {
-		f, err := verify.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, fopts)
+		f, err := explore(plan)
 		return f, false, err
 	}
 	sum, err := verify.PlanKey(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, nil)
@@ -173,7 +182,7 @@ func (p *Pass) flowFor(c parser.ClientDecl, plan network.Plan) (*verify.PlanFlow
 				return f, nil
 			}
 		}
-		f, ferr := verify.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, fopts)
+		f, ferr := explore(plan)
 		if ferr != nil {
 			return nil, ferr
 		}

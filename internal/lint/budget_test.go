@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"susc/internal/benchgen"
 	"susc/internal/budget"
 	"susc/internal/faultinject"
 )
@@ -88,5 +89,57 @@ func TestLintAnalyzerPanicIsolated(t *testing.T) {
 		if got[code] != n {
 			t.Fatalf("code %s: %d findings after the panic, want %d", code, got[code], n)
 		}
+	}
+}
+
+// sweepVictim is one of Chained(4,2)'s 16 plans, all valid.
+const sweepVictim = "{r1>s1_0,r2>s2_1,r3>s3_0,r4>s4_0}"
+
+// sweepPanics fails unless diags hold exactly one SUSC016 finding, and it
+// names the poisoned plan.
+func sweepPanics(t *testing.T, diags []Diagnostic) {
+	t.Helper()
+	var failures []Diagnostic
+	for _, d := range diags {
+		if d.Code == CodeInternalError {
+			failures = append(failures, d)
+		}
+	}
+	if len(failures) != 1 || !strings.Contains(failures[0].Message, "plan "+sweepVictim) {
+		t.Fatalf("want one SUSC016 naming plan %s, got %v", sweepVictim, failures)
+	}
+}
+
+// TestAuditSweepPanicReported: a worker panic isolated in the audit's plan
+// sweep is reported as SUSC016 naming the plan, and the surviving plans
+// are still audited; the poisoned one is Unknown, so the audit is
+// incomplete.
+func TestAuditSweepPanicReported(t *testing.T) {
+	restore := faultinject.Set(faultinject.PanicOnce(faultinject.PlansWorker, sweepVictim, "injected"))
+	defer restore()
+	res := AuditSource(benchgen.ChainedSource(4, 2), Options{})
+	sweepPanics(t, res.Diagnostics)
+	if len(res.Coverage) != 1 {
+		t.Fatalf("%d coverage records, want 1", len(res.Coverage))
+	}
+	cc := res.Coverage[0]
+	if cc.Skipped != "" || cc.ValidPlans != 15 || cc.Audited != 15 {
+		t.Fatalf("coverage: %d valid, %d audited, skipped %q; want 15, 15, none",
+			cc.ValidPlans, cc.Audited, cc.Skipped)
+	}
+	if res.Complete {
+		t.Fatal("an audit with a poisoned plan must be incomplete")
+	}
+}
+
+// TestUnrealizableSweepPanicReported: the same panic in SUSC013's plan
+// sweep is reported as SUSC016 naming the plan, not passed over.
+func TestUnrealizableSweepPanicReported(t *testing.T) {
+	restore := faultinject.Set(faultinject.PanicOnce(faultinject.PlansWorker, sweepVictim, "injected"))
+	defer restore()
+	diags := Source(benchgen.ChainedSource(4, 2), Options{Analyzers: AllAnalyzers()})
+	sweepPanics(t, diags)
+	if len(diags) != 1 {
+		t.Fatalf("want only the SUSC016 finding, got %v", diags)
 	}
 }

@@ -239,6 +239,20 @@ func (p *Pass) Reportf(code string, sev Severity, span parser.Span, format strin
 	p.Report(Diagnostic{Code: code, Severity: sev, Span: span, Message: fmt.Sprintf(format, args...)})
 }
 
+// reportSweepPanic reports err, when it is the isolated worker panic a
+// plan sweep of client i returns beside its surviving assessments (a
+// *budget.InternalError naming the poisoned plan), as one SUSC016
+// finding, and says whether it was.
+func (p *Pass) reportSweepPanic(i int, err error) bool {
+	var ie *budget.InternalError
+	if !errors.As(err, &ie) {
+		return false
+	}
+	p.Reportf(CodeInternalError, Error, p.clientSpan(i),
+		"plan sweep of client %s failed: %s", p.File.Clients[i].Name, ie)
+	return true
+}
+
 // AnalyzerStat is the per-analyzer cost and yield of one run.
 type AnalyzerStat struct {
 	Name     string

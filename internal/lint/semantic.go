@@ -186,7 +186,7 @@ var unrealizableAnalyzer = &Analyzer{
 				// (the lint result itself is persisted whole-file).
 				MemoryTierOnly: true,
 			})
-			if err != nil || len(as) == 0 {
+			if err != nil && !pass.reportSweepPanic(i, err) || len(as) == 0 {
 				continue // plan space too large or empty: nothing sound to say
 			}
 			rep := as[0]
@@ -200,9 +200,9 @@ var unrealizableAnalyzer = &Analyzer{
 				}
 			}
 			// An Unknown verdict means some plan's exploration was cut
-			// short: "none of the assessed plans is valid" is no longer
-			// evidence that no valid plan exists, so stay silent rather
-			// than report a false SUSC013.
+			// short or panicked: "none of the assessed plans is valid" is
+			// no longer evidence that no valid plan exists, so stay silent
+			// rather than report a false SUSC013.
 			if anyValid || anyUnknown {
 				continue
 			}

@@ -226,16 +226,16 @@ type fnode struct {
 
 // fgroup is one outgoing move group of an expanded node. The overwhelming
 // majority of groups are plain concrete moves, so the struct is three
-// words — label, successor, and a nil ext — and everything rarer (a policy
+// words — move, successor, and a nil ext — and everything rarer (a policy
 // violation, or the candidate set of a lazy open) lives behind ext. The
 // monitor items of a group are shared by all its candidates, so a
 // violation is a per-group fact.
 type fgroup struct {
-	// label points into the shared steps cache (see cleafMove.label);
-	// traces dereference it on the failure paths.
-	label *hexpr.Label
-	next  *fnode // concrete groups (nil when the move violates or opens)
-	ext   *fgext
+	// mv is the compiled move the group was built from: its label for
+	// traces, its items for flow replays (replayer.record).
+	mv   *cleafMove
+	next *fnode // concrete groups (nil when the move violates or opens)
+	ext  *fgext
 }
 
 // fgext is the rare-group extension: a violating move (violation set,
@@ -489,7 +489,7 @@ func (eng *fusedEngine) buildGroups(n *fnode) ([]fgroup, error) {
 	emit := func(moves []cleafMove, side int) error {
 		for i := range moves {
 			mv := &moves[i]
-			fg := fgroup{label: mv.label}
+			fg := fgroup{mv: mv}
 			mon, sigID, violation, err := eng.advance(n, mv.moveItems(), mv.inert)
 			if err != nil {
 				return err
@@ -666,6 +666,11 @@ type replayer struct {
 	// states counts this replay's visits, flushed to the shared stats in
 	// one atomic add per plan.
 	states uint64
+	// flow, when set, observes the replay as it observes a kernel
+	// exploration (record); flowAt maps a visited node's fnode.idx to its
+	// discovery index in the recorder.
+	flow   *verify.FlowRecorder
+	flowAt []int32
 }
 
 func (eng *fusedEngine) newReplayer() *replayer {
@@ -714,6 +719,35 @@ func (r *replayer) slot(n *fnode) *rvis {
 	return &r.visited[n.idx]
 }
 
+// discovered records n, just visited by the replay, as the recorder's
+// state reached from state parent by a move labelled label.
+func (r *replayer) discovered(n *fnode, parent int32, label *hexpr.Label) {
+	if len(r.flowAt) < len(r.visited) {
+		r.flowAt = append(r.flowAt, make([]int32, len(r.visited)-len(r.flowAt))...)
+	}
+	r.flowAt[n.idx] = r.flow.State(parent, label, n.mon)
+}
+
+// record feeds the recorder one projected move of n, in the kernel's
+// order: each history item the move logs, the target when the move
+// discovered it, and the move.
+func (r *replayer) record(n *fnode, m pmove, fresh bool) {
+	mv := n.groups[m.gi].mv
+	from := r.flowAt[n.idx]
+	if mv.inert && mv.label.Kind == hexpr.LEvent {
+		// Inert moves dropped their items at row-build time; of those,
+		// only an event move logs one.
+		r.flow.Item(from, mv.label, n.mon, history.EventItem(mv.label.Event))
+	}
+	for _, it := range mv.moveItems() {
+		r.flow.Item(from, mv.label, n.mon, it)
+	}
+	if fresh {
+		r.discovered(m.next, from, mv.label)
+	}
+	r.flow.Move(from, r.flowAt[m.next.idx])
+}
+
 func (r *replayer) trace(n *fnode) []network.TraceEntry {
 	depth := 0
 	for p := r.visited[n.idx]; p.prev != nil; p = r.visited[p.prev.idx] {
@@ -723,7 +757,7 @@ func (r *replayer) trace(n *fnode) []network.TraceEntry {
 	out := make([]network.TraceEntry, depth)
 	for p := r.visited[n.idx]; p.prev != nil; p = r.visited[p.prev.idx] {
 		depth--
-		out[depth] = network.TraceEntry{Label: *p.prev.groups[p.gi].label}
+		out[depth] = network.TraceEntry{Label: *p.prev.groups[p.gi].mv.label}
 	}
 	return out
 }
@@ -735,7 +769,10 @@ func (r *replayer) trace(n *fnode) []network.TraceEntry {
 // even state counts coincide — but each visit is an indexed-slot lookup
 // over prebuilt edges, and every binding consultation is an int32 vector
 // read. The binding decisions consulted, in consultation order, are left
-// in r.used for the replay memo.
+// in r.used for the replay memo. With r.flow set, the replay also feeds
+// the recorder and charges each visit's projected moves as edges, as the
+// kernel's exploration does, so a flow read off the graph stops at the
+// same budget cutoff as verify.ExploreFlow.
 func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error) {
 	r.used = r.used[:0]
 	r.epoch++
@@ -744,6 +781,9 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 	s := r.slot(eng.start)
 	*s = rvis{epoch: r.epoch}
 	r.queue.Push(eng.start)
+	if r.flow != nil {
+		r.discovered(eng.start, -1, nil)
+	}
 	report := &verify.Report{}
 	for r.queue.Len() > 0 {
 		report.States++
@@ -796,6 +836,11 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 			// candidate set): the open is not enabled, exactly as in the
 			// direct exploration.
 		}
+		if r.flow != nil {
+			if e := eng.opts.Budget.ConsumeEdges(int64(len(r.moves))); e != nil {
+				return unknownReport(report, e, r.queue.Len()), nil
+			}
+		}
 		if len(r.moves) == 0 && !n.done {
 			report.Verdict = verify.CommunicationDeadlock
 			report.Trace = r.trace(n)
@@ -806,12 +851,17 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 			if m.violation != hexpr.NoPolicy {
 				report.Verdict = verify.SecurityViolation
 				report.Policy = m.violation
-				report.Trace = append(r.trace(n), network.TraceEntry{Label: *n.groups[m.gi].label})
+				report.Trace = append(r.trace(n), network.TraceEntry{Label: *n.groups[m.gi].mv.label})
 				return report, nil
 			}
-			if s := r.slot(m.next); s.epoch != r.epoch {
+			s := r.slot(m.next)
+			fresh := s.epoch != r.epoch
+			if fresh {
 				*s = rvis{epoch: r.epoch, gi: m.gi, prev: n}
 				r.queue.Push(m.next)
+			}
+			if r.flow != nil {
+				r.record(n, m, fresh)
 			}
 		}
 	}
@@ -1167,7 +1217,7 @@ func AssessStream(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options,
 	yield func(Assessment) error) error {
 
-	return assessStream(repo, table, loc, client, opts, yield, nil)
+	return newFusedEngine(repo, table, loc, client, opts).stream(yield, nil)
 }
 
 // planKeys builds every enumerated plan's network.Plan.Key without
@@ -1216,16 +1266,12 @@ func (eng *fusedEngine) planKeys(vecs [][]int32) []string {
 	return keys
 }
 
-// assessStream is AssessStream with a side channel: when keys is non-nil
-// it receives the enumerated plans' Plan.Keys (planKeys), aligned with
-// the yield order — every enumerated plan is yielded exactly once, also
-// under budget exhaustion and isolated worker panics. AssessAll sorts on
-// them instead of rebuilding each key from its plan map.
-func assessStream(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options,
-	yield func(Assessment) error, keys *[]string) error {
-
-	eng := newFusedEngine(repo, table, loc, client, opts)
+// stream is AssessStream with a side channel: when keys is non-nil it
+// receives the enumerated plans' Plan.Keys (planKeys), aligned with the
+// yield order — every enumerated plan is yielded exactly once, also under
+// budget exhaustion and isolated worker panics. assessAll sorts on them
+// instead of rebuilding each key from its plan map.
+func (eng *fusedEngine) stream(yield func(Assessment) error, keys *[]string) error {
 	plans, vecs, err := eng.enumerate()
 	if err != nil {
 		return err
@@ -1247,7 +1293,7 @@ func assessStream(repo network.Repository, table *policy.Table,
 	if err := eng.computeCycleSkip(); err != nil {
 		return err
 	}
-	if opts.Workers > 1 && len(plans) > serialAssessThreshold {
+	if eng.opts.Workers > 1 && len(plans) > serialAssessThreshold {
 		if eng.cycleFree {
 			// Warm the shared graph with the sharded parallel frontier
 			// before the replay fleet starts; an acyclic union call graph

@@ -74,7 +74,7 @@ func assessAllIncremental(repo network.Repository, table *policy.Table,
 		// A cold or mostly-invalidated store: the shared-graph engine
 		// amortises the exploration across all plans, and the misses are
 		// written back from its output.
-		all, aerr := assessAllFused(repo, table, loc, client, opts)
+		all, aerr := newFusedEngine(repo, table, loc, client, opts).assessAll()
 		if aerr != nil && !errors.As(aerr, &firstInternal) {
 			return nil, aerr
 		}

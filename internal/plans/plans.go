@@ -94,17 +94,48 @@ func AssessAll(repo network.Repository, table *policy.Table,
 	if opts.Cache != nil && opts.Cache.Disk() != nil && !opts.MemoryTierOnly {
 		return assessAllIncremental(repo, table, loc, client, opts)
 	}
-	return assessAllFused(repo, table, loc, client, opts)
+	return newFusedEngine(repo, table, loc, client, opts).assessAll()
 }
 
-// assessAllFused runs the default shared-graph engine and collects the
-// stream into deterministically ordered assessments.
-func assessAllFused(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
+// AssessWithFlows is the audit's plan sweep: AssessAll on the fused
+// engine, serially and in the memory tier only (opts.Engine, Workers and
+// MemoryTierOnly are ignored), returning with the assessments a flow
+// reader over the graph the sweep built. Given a plan the sweep assessed
+// Valid, the reader replays it over that graph into a verify.FlowRecorder
+// and returns the flow verify.ExploreFlow records for the plan, with the
+// same budget charges: one state per visit, the projected moves as edges
+// and one check per leak-analysis step. The reader is not safe for
+// concurrent use. As with AssessAll, an isolated worker panic comes back
+// as a *budget.InternalError alongside the assessments.
+func AssessWithFlows(repo network.Repository, table *policy.Table,
+	loc hexpr.Location, client hexpr.Expr, opts Options,
+) ([]Assessment, func(network.Plan) (*verify.PlanFlow, error), error) {
 
+	opts.Workers = 0
+	eng := newFusedEngine(repo, table, loc, client, opts)
+	as, err := eng.assessAll()
+	if err != nil && !errors.As(err, new(*budget.InternalError)) {
+		return nil, nil, err
+	}
+	r := eng.newReplayer()
+	r.flow = &verify.FlowRecorder{}
+	read := func(plan network.Plan) (*verify.PlanFlow, error) {
+		r.flow.Reset(table)
+		rep, err := eng.replay(eng.planVec(plan, r.vec), r)
+		if err != nil {
+			return nil, err
+		}
+		return r.flow.Flow(rep, opts.Budget), nil
+	}
+	return as, read, err
+}
+
+// assessAll runs the shared-graph engine and collects the stream into
+// deterministically ordered assessments.
+func (eng *fusedEngine) assessAll() ([]Assessment, error) {
 	var out []Assessment
 	var keys []string
-	err := assessStream(repo, table, loc, client, opts, func(a Assessment) error {
+	err := eng.stream(func(a Assessment) error {
 		out = append(out, a)
 		return nil
 	}, &keys)

@@ -24,8 +24,8 @@ import (
 // Def. 2 network semantics over a vector of components — per component a
 // session tree and a history monitor — plus the availability vector the
 // components share. CheckPlanOpts is its one-component call, CheckNetwork
-// its n-component call, and ExploreFlow a one-component call whose hooks
-// record the flow audit's facts.
+// its n-component call, and ExploreFlow a one-component call that feeds a
+// FlowRecorder.
 
 // component is one client's share of a configuration.
 type component struct {
@@ -95,20 +95,17 @@ func (n *traceNode) materialize() []network.TraceEntry {
 // it for its own analysis.
 var errStateLimit = errors.New("verify: state limit exceeded")
 
-// explorer is one run of the kernel. The hooks are optional observers:
-// item sees each history item a move from state `from` logs, before the
-// moving component's monitor mon appends it; state sees each newly
-// discovered state, the initial one included; edge sees every move, from
-// its source state's index to its (possibly already known) target's.
+// explorer is one run of the kernel. flow, when set on a one-component
+// run, observes it: every newly discovered state, the initial one
+// included; every history item a move logs; and every move, from its
+// source state's discovery index to its (possibly already known)
+// target's.
 type explorer struct {
 	repo   network.Repository
 	comps  []ClientSpec
 	cache  *memo.Cache
 	budget *budget.Budget
-
-	item  func(from *traceNode, label hexpr.Label, mon *history.Monitor, it history.Item)
-	state func(at *traceNode, comps []component)
-	edge  func(from, to int32)
+	flow   *FlowRecorder
 
 	tab   *intern.Table
 	moves [][]network.Move // the expanded state's moves, per component
@@ -140,8 +137,8 @@ func (x *explorer) run(table *policy.Table, caps map[hexpr.Location]int) (*Repor
 			component{tree: network.Leaf{Loc: c.Loc, Expr: c.Client}, mon: history.NewMonitor(table)})
 	}
 	start.trace = &traceNode{}
-	if x.state != nil {
-		x.state(start.trace, start.comps)
+	if x.flow != nil {
+		x.flow.State(-1, nil, start.comps[0].mon)
 	}
 	// The queue is a ring buffer: `queue = queue[1:]` would pin the whole
 	// backing array — every state ever enqueued — until the exploration
@@ -193,7 +190,8 @@ func (x *explorer) run(table *policy.Table, caps map[hexpr.Location]int) (*Repor
 			return report, nil
 		}
 		for ci, moves := range x.moves {
-			for _, m := range moves {
+			for mi := range moves {
+				m := &moves[mi]
 				entry := network.TraceEntry{Comp: ci, Label: m.Label}
 				// Item-less moves (synchronisations) leave the monitor
 				// untouched; sharing it avoids a copy per move. Monitors
@@ -203,8 +201,8 @@ func (x *explorer) run(table *policy.Table, caps map[hexpr.Location]int) (*Repor
 				if len(m.Items) > 0 {
 					mon = mon.Snapshot()
 					for _, it := range m.Items {
-						if x.item != nil {
-							x.item(s.trace, m.Label, mon, it)
+						if x.flow != nil {
+							x.flow.Item(s.trace.idx, &m.Label, s.comps[ci].mon, it)
 						}
 						if err := mon.Append(it); err != nil {
 							verr, ok := err.(*history.ViolationError)
@@ -237,13 +235,13 @@ func (x *explorer) run(table *policy.Table, caps map[hexpr.Location]int) (*Repor
 					next := xstate{comps: append([]component(nil), s.comps...), avail: avail,
 						trace: &traceNode{prev: s.trace, idx: to, entry: entry}}
 					next.comps[ci] = moved
-					if x.state != nil {
-						x.state(next.trace, next.comps)
+					if x.flow != nil {
+						x.flow.State(s.trace.idx, &next.trace.entry.Label, mon)
 					}
 					queue.Push(next)
 				}
-				if x.edge != nil {
-					x.edge(s.trace.idx, to)
+				if x.flow != nil {
+					x.flow.Move(s.trace.idx, to)
 				}
 			}
 		}

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
+	"susc/internal/budget"
 	"susc/internal/hexpr"
 	"susc/internal/history"
 	"susc/internal/memo"
@@ -80,143 +80,158 @@ func DecodeFlow(raw []byte) (*PlanFlow, error) {
 	return &f, nil
 }
 
-// activeInfo renders the monitor's active set as a dedup key plus the
-// sorted policy identifiers. Tables within the 64-policy bitmask use the
-// mask directly; wider tables fall back to the activation map.
-func activeInfo(mon *history.Monitor, ct *policy.CompiledTable, wide bool) (string, []string) {
-	if !wide {
-		mask := mon.ActiveMask()
-		if mask == 0 {
-			return "0", nil
-		}
-		var ids []string
-		for i := 0; i < ct.Len(); i++ {
-			if mask&(1<<uint(i)) != 0 {
-				ids = append(ids, string(ct.IDs()[i]))
-			}
-		}
-		return strconv.FormatUint(mask, 16), ids
-	}
-	m := mon.Active()
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, "\x01"), ids
+// FlowRecorder is the flow audit's bookkeeping. An exploration of one
+// plan feeds it through three observers, in BFS order: State for every
+// newly discovered state (the initial one first), Item for every history
+// item a move logs, and Move for every move. Flow then turns what was
+// recorded into the plan's PlanFlow: the first (event, active set) and
+// (framing, ambient set) occurrences with their BFS-minimal witness
+// traces, sorted, and the definite scope leaks. Two explorations feed it —
+// the kernel's, in ExploreFlow, and the fused plan engine's replay over
+// its shared graph (internal/plans) — so both yield the same record.
+// Reset readies a recorder, zero or used, for the next plan.
+type FlowRecorder struct {
+	ct   *policy.CompiledTable
+	wide bool // >64 policies: keyed on the activation map, leaks skipped
+	evs  map[occKey]*occurrence
+	ops  map[occKey]*occurrence
+	// Per state, by discovery index: its BFS parent (-1 for the initial
+	// state), the label of the move that discovered it, and its
+	// active-framing bitmask; and every move as a (from, to) pair.
+	parents []int32
+	labels  []*hexpr.Label
+	masks   []uint64
+	edges   [][2]int32
 }
 
-// ExploreFlow runs the flow analysis of one client under one plan: the
-// static prechecks of plan validation followed by the exhaustive
-// exploration, recording every distinct (event, active set) and
-// (framing, ambient set) occurrence with a BFS-minimal witness trace, and
-// the definite scope leaks. Non-valid plans return early with just the
-// verdict; budget exhaustion returns Verdict "unknown". Of opts, the
-// flow uses only Cache and Budget: it always explores the unbounded
-// network, the one its store key (PlanKey with no capacities) names.
-func ExploreFlow(repo network.Repository, table *policy.Table, loc hexpr.Location,
-	client hexpr.Expr, plan network.Plan, opts Options) (*PlanFlow, error) {
+// occKey identifies one occurrence: an event rendering or a policy, with
+// the active set as a bitmask, or, for wide tables, as the joined ids.
+type occKey struct {
+	name string
+	mask uint64
+	ids  string
+}
 
-	cache := opts.Cache
-	if cache == nil {
-		cache = memo.New()
+// occurrence is the first sighting of an occKey: the active ids, the state
+// the move leaves and the move's label.
+type occurrence struct {
+	name  string
+	ids   []string
+	at    int32
+	label *hexpr.Label
+}
+
+// Reset clears the recorder for a new exploration over table.
+func (r *FlowRecorder) Reset(table *policy.Table) {
+	r.ct = table.Compiled()
+	r.wide = r.ct.Len() > 64
+	if r.evs == nil {
+		r.evs, r.ops = map[occKey]*occurrence{}, map[occKey]*occurrence{}
 	}
-	if r, err := StaticCheck(repo, client, plan, cache); err != nil {
-		return nil, err
-	} else if r != nil {
-		return &PlanFlow{Verdict: r.Verdict.String(), Reason: r.Witness}, nil
+	clear(r.evs)
+	clear(r.ops)
+	r.parents, r.labels, r.masks, r.edges = r.parents[:0], r.labels[:0], r.masks[:0], r.edges[:0]
+}
+
+// State records a newly discovered state, reached from state parent by a
+// move labelled label (-1 and nil for the initial state), with monitor
+// mon, and returns its discovery index.
+func (r *FlowRecorder) State(parent int32, label *hexpr.Label, mon *history.Monitor) int32 {
+	r.parents = append(r.parents, parent)
+	r.labels = append(r.labels, label)
+	r.masks = append(r.masks, mon.ActiveMask())
+	return int32(len(r.parents) - 1)
+}
+
+// Item records one history item that a move labelled label logs from state
+// from, whose monitor is mon. Events and policy framing openings are
+// recorded, each at its first sighting, with mon's active set: each is the
+// only item its move logs (network.TreeMoves), so that is the set at the
+// occurrence. Other items, framing closes, are not read.
+func (r *FlowRecorder) Item(from int32, label *hexpr.Label, mon *history.Monitor, it history.Item) {
+	var occs map[occKey]*occurrence
+	var k occKey
+	switch {
+	case it.Kind == history.ItemEvent:
+		occs, k.name = r.evs, it.Event.String()
+	case it.Kind == history.ItemFrameOpen && it.Policy != hexpr.NoPolicy:
+		occs, k.name = r.ops, string(it.Policy)
+	default:
+		return
 	}
-
-	ct := table.Compiled()
-	wide := ct.Len() > 64
-
-	// occurrence is the first sighting of an (event or framing, active
-	// set) pair: the state the move leaves and the move's label.
-	type occurrence struct {
-		name  string
-		ids   []string
-		at    *traceNode
-		label string
-	}
-	evs := map[string]*occurrence{}
-	ops := map[string]*occurrence{}
-	// Per state, in discovery order: its trace and its active-framing
-	// bitmask; and every move as a (from, to) pair of state indices.
-	var nodes []*traceNode
-	var masks []uint64
-	var edges [][2]int32
-
-	x := &explorer{repo: repo, comps: []ClientSpec{{Loc: loc, Client: client, Plan: plan}},
-		cache: cache, budget: opts.Budget}
-	x.item = func(from *traceNode, label hexpr.Label, mon *history.Monitor, it history.Item) {
-		var occs map[string]*occurrence
-		var name string
-		switch {
-		case it.Kind == history.ItemEvent:
-			occs, name = evs, it.Event.String()
-		case it.Kind == history.ItemFrameOpen && it.Policy != hexpr.NoPolicy:
-			occs, name = ops, string(it.Policy)
-		default:
-			return
+	var ids []string
+	if r.wide {
+		for id := range mon.Active() {
+			ids = append(ids, string(id))
 		}
-		key, ids := activeInfo(mon, ct, wide)
-		k := name + "\x00" + key
-		if _, ok := occs[k]; !ok {
-			occs[k] = &occurrence{name: name, ids: ids, at: from, label: label.String()}
+		sort.Strings(ids)
+		k.ids = strings.Join(ids, "\x01")
+	} else {
+		k.mask = mon.ActiveMask()
+	}
+	if _, ok := occs[k]; ok {
+		return
+	}
+	if !r.wide {
+		for i := 0; i < r.ct.Len(); i++ {
+			if k.mask&(1<<uint(i)) != 0 {
+				ids = append(ids, string(r.ct.IDs()[i]))
+			}
 		}
 	}
-	x.state = func(at *traceNode, comps []component) {
-		nodes = append(nodes, at)
-		masks = append(masks, comps[0].mon.ActiveMask())
-	}
-	x.edge = func(from, to int32) { edges = append(edges, [2]int32{from, to}) }
+	occs[k] = &occurrence{name: k.name, ids: ids, at: from, label: label}
+}
 
-	r, err := x.run(table, nil)
-	if err == errStateLimit {
-		return &PlanFlow{Verdict: Unknown.String(), States: MaxStates,
-			Reason: fmt.Sprintf("exploration exceeds %d states", MaxStates)}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	flow := &PlanFlow{Verdict: r.Verdict.String(), States: r.States}
-	switch r.Verdict {
+// Move records a move from state from to state to, a new or a known one.
+func (r *FlowRecorder) Move(from, to int32) { r.edges = append(r.edges, [2]int32{from, to}) }
+
+// Flow closes the recording into the plan's flow record under the
+// exploration's report. Only a Valid report — the whole finite space
+// explored — carries occurrences and leaks; any other verdict carries just
+// its reason. Each step of the leak analysis charges b, and exhaustion
+// marks the leaks skipped.
+func (r *FlowRecorder) Flow(rep *Report, b *budget.Budget) *PlanFlow {
+	flow := &PlanFlow{Verdict: rep.Verdict.String(), States: rep.States}
+	switch rep.Verdict {
 	case SecurityViolation:
-		flow.Reason = fmt.Sprintf("policy %s violated", r.Policy)
-		return flow, nil
+		flow.Reason = fmt.Sprintf("policy %s violated", rep.Policy)
+		return flow
 	case CommunicationDeadlock:
-		flow.Reason = r.StuckTree
-		return flow, nil
+		flow.Reason = rep.StuckTree
+		return flow
+	case NotCompliant, UnboundedNesting:
+		flow.Reason = rep.Witness
+		return flow
 	case Unknown:
-		flow.Reason = r.Reason
-		return flow, nil
+		flow.Reason = rep.Reason
+		return flow
 	}
 
 	// Witness traces share their prefixes: each state's discovering label
 	// is rendered once.
-	rendered := make([]string, len(nodes))
-	traceOf := func(n *traceNode, extra string) []string {
+	rendered := make([]string, len(r.parents))
+	traceOf := func(at int32, extra *hexpr.Label) []string {
 		depth := 0
-		for p := n; p.prev != nil; p = p.prev {
+		for p := at; r.parents[p] >= 0; p = r.parents[p] {
 			depth++
 		}
 		out := make([]string, depth, depth+1)
-		if extra != "" {
-			out = append(out, extra)
+		if extra != nil {
+			out = append(out, extra.String())
 		}
-		for p := n; p.prev != nil; p = p.prev {
+		for p := at; r.parents[p] >= 0; p = r.parents[p] {
 			depth--
-			if rendered[p.idx] == "" {
-				rendered[p.idx] = p.entry.Label.String()
+			if rendered[p] == "" {
+				rendered[p] = r.labels[p].String()
 			}
-			out[depth] = rendered[p.idx]
+			out[depth] = rendered[p]
 		}
 		return out
 	}
 
 	// Materialise occurrences in a deterministic order: events by
 	// (event, active set), openings by (policy, ambient set).
-	for _, o := range evs {
+	for _, o := range r.evs {
 		flow.Events = append(flow.Events, EventFlow{
 			Event:  o.name,
 			Active: o.ids,
@@ -230,7 +245,7 @@ func ExploreFlow(repo network.Repository, table *policy.Table, loc hexpr.Locatio
 		}
 		return strings.Join(a.Active, "\x01") < strings.Join(b.Active, "\x01")
 	})
-	for _, o := range ops {
+	for _, o := range r.ops {
 		flow.Opens = append(flow.Opens, OpenFlow{
 			Policy:  o.name,
 			Ambient: o.ids,
@@ -245,39 +260,39 @@ func ExploreFlow(repo network.Repository, table *policy.Table, loc hexpr.Locatio
 		return strings.Join(a.Ambient, "\x01") < strings.Join(b.Ambient, "\x01")
 	})
 
-	if wide {
+	if r.wide {
 		flow.LeaksSkipped = true
-		return flow, nil
+		return flow
 	}
 	// Leak analysis: for each policy ever active, a reachable state with
 	// the policy active that cannot reach any state with it inactive is a
 	// definite scope leak (the η♭ flattening never balances the opening).
-	n := len(masks)
+	n := len(r.masks)
 	preds := make([][]int32, n)
-	for _, e := range edges {
+	for _, e := range r.edges {
 		preds[e[1]] = append(preds[e[1]], e[0])
 	}
 	var anyMask uint64
-	for _, m := range masks {
+	for _, m := range r.masks {
 		anyMask |= m
 	}
-	for p := 0; p < ct.Len(); p++ {
+	for p := 0; p < r.ct.Len(); p++ {
 		bit := uint64(1) << uint(p)
 		if anyMask&bit == 0 {
 			continue
 		}
 		can := make([]bool, n)
 		var bq []int32
-		for i, m := range masks {
+		for i, m := range r.masks {
 			if m&bit == 0 {
 				can[i] = true
 				bq = append(bq, int32(i))
 			}
 		}
 		for len(bq) > 0 {
-			if opts.Budget.Check() != nil {
+			if b.Check() != nil {
 				flow.LeaksSkipped = true
-				return flow, nil
+				return flow
 			}
 			i := bq[0]
 			bq = bq[1:]
@@ -288,15 +303,50 @@ func ExploreFlow(repo network.Repository, table *policy.Table, loc hexpr.Locatio
 				}
 			}
 		}
-		for i, m := range masks {
+		for i, m := range r.masks {
 			if m&bit != 0 && !can[i] {
 				flow.Leaks = append(flow.Leaks, LeakFlow{
-					Policy: string(ct.IDs()[p]),
-					Trace:  traceOf(nodes[i], ""),
+					Policy: string(r.ct.IDs()[p]),
+					Trace:  traceOf(int32(i), nil),
 				})
 				break
 			}
 		}
 	}
-	return flow, nil
+	return flow
+}
+
+// ExploreFlow runs the flow analysis of one client under one plan on the
+// exploration kernel: the static prechecks of plan validation followed by
+// the exhaustive exploration, recorded by a FlowRecorder. Non-valid plans
+// return just the verdict; budget exhaustion returns Verdict "unknown".
+// Of opts, the flow uses only Cache and Budget: it always explores the
+// unbounded network, the one its store key (PlanKey with no capacities)
+// names.
+func ExploreFlow(repo network.Repository, table *policy.Table, loc hexpr.Location,
+	client hexpr.Expr, plan network.Plan, opts Options) (*PlanFlow, error) {
+
+	cache := opts.Cache
+	if cache == nil {
+		cache = memo.New()
+	}
+	r, err := StaticCheck(repo, client, plan, cache)
+	if err != nil {
+		return nil, err
+	}
+	var rec FlowRecorder
+	if r == nil {
+		rec.Reset(table)
+		x := &explorer{repo: repo, comps: []ClientSpec{{Loc: loc, Client: client, Plan: plan}},
+			cache: cache, budget: opts.Budget, flow: &rec}
+		r, err = x.run(table, nil)
+		if err == errStateLimit {
+			r, err = &Report{Verdict: Unknown, States: MaxStates,
+				Reason: fmt.Sprintf("exploration exceeds %d states", MaxStates)}, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rec.Flow(r, opts.Budget), nil
 }
