@@ -250,42 +250,27 @@ func BenchmarkPlanSynthesis(b *testing.B) {
 
 // BenchmarkPlanSynthesisChained scales the request dimension: fanout^depth
 // complete plans over a chained-brokers repository with heavily shared
-// state. The legacy engine explores every plan from scratch; the fused
-// engine expands the shared configuration graph once and replays plans
-// over it (BENCH_pr2.json records the headline comparison).
+// state. The fused engine expands the shared configuration graph once and
+// replays plans over it (BENCH_pr2.json records the headline comparison
+// against the per-plan engine, now the tests' oracle).
 func BenchmarkPlanSynthesisChained(b *testing.B) {
 	for _, cfg := range []struct{ depth, fanout int }{
 		{2, 4}, {4, 4}, {12, 2},
 	} {
 		w := benchgen.Chained(cfg.depth, cfg.fanout)
-		for _, engine := range []struct {
-			name string
-			e    plans.Engine
-			wk   int
-		}{
-			{"legacy", plans.EngineLegacy, 1},
-			{"fused", plans.EngineFused, 1},
-			{"fused-workers=4", plans.EngineFused, 4},
-		} {
-			name := fmt.Sprintf("depth=%d/fanout=%d/%s", cfg.depth, cfg.fanout, engine.name)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-						plans.Options{
-							PruneNonCompliant: true,
-							Engine:            engine.e,
-							Workers:           engine.wk,
-						})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(as) != w.PlanCount {
-						b.Fatalf("plans = %d, want %d", len(as), w.PlanCount)
-					}
+		b.Run(fmt.Sprintf("depth=%d/fanout=%d", cfg.depth, cfg.fanout), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+					plans.Options{PruneNonCompliant: true})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if len(as) != w.PlanCount {
+					b.Fatalf("plans = %d, want %d", len(as), w.PlanCount)
+				}
+			}
+		})
 	}
 }
 
@@ -578,7 +563,7 @@ func BenchmarkPlanSynthesisCached(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-					plans.Options{PruneNonCompliant: true, Workers: 4, Cache: cache})
+					plans.Options{PruneNonCompliant: true, Cache: cache})
 				if err != nil {
 					b.Fatal(err)
 				}

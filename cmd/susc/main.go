@@ -161,7 +161,7 @@ func run(args []string) error {
 		"audit/explain: render each witness as a Graphviz digraph instead of text")
 	runAll := fs.Bool("all", false, "run: simulate all declared clients concurrently")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"plans/effect: validate candidate plans with this many goroutines")
+		"plans: with -cache, re-check the plans an edit invalidated on this many goroutines")
 	timeout := fs.Duration("timeout", 0,
 		"plans/check/checkall/lint/audit/explain: wall-clock budget (0 = none)")
 	maxStates := fs.Int64("max-states", 0,
@@ -195,7 +195,7 @@ func run(args []string) error {
 		return err
 	}
 	if cmd == "effect" {
-		return cmdEffect(string(src), *decls, *workers)
+		return cmdEffect(string(src), *decls)
 	}
 	if cmd == "lint" {
 		// lint parses leniently itself, so one run can report several
@@ -654,7 +654,7 @@ func cmdDual(f *parser.File, of string) error {
 // cmdEffect infers the type and effect of a λ-program; with a declarations
 // file, policy aliases resolve and the program's plans are classified
 // against the declared repository.
-func cmdEffect(src, declsPath string, workers int) error {
+func cmdEffect(src, declsPath string) error {
 	var aliases map[string]hexpr.PolicyID
 	var f *parser.File
 	if declsPath != "" {
@@ -686,7 +686,7 @@ func cmdEffect(src, declsPath string, workers int) error {
 		return nil
 	}
 	fmt.Println("plans  :")
-	as, err := plans.AssessAll(f.Repo, f.Table, "program", eff, plans.Options{Workers: workers})
+	as, err := plans.AssessAll(f.Repo, f.Table, "program", eff, plans.Options{})
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,6 @@
 package plans
 
 import (
-	"sync/atomic"
-
 	"susc/internal/hexpr"
 	"susc/internal/history"
 	"susc/internal/intern"
@@ -23,18 +21,17 @@ import (
 // The struct is kept lean on purpose: pairs dominate the population by
 // orders of magnitude (one per distinct subtree of the explored
 // configuration space), so the leaf payload lives behind one pointer that
-// pairs leave nil, and pairs themselves are bump-allocated in blocks under
-// the intern lock (they are engine-lifetime, so individual GC tracking
-// buys nothing).
+// pairs leave nil, and pairs themselves are bump-allocated in blocks (they
+// are engine-lifetime, so individual GC tracking buys nothing).
 //
 // Canonical ctrees also carry their compiled move row (treeRowFor): the
 // row pointer is filled once and every later expansion of any state
-// containing the subtree reuses it lock-free.
+// containing the subtree reuses it.
 type ctree struct {
 	id          intern.ID // engine-local ID: odd for leaves, even for pairs
 	left, right *ctree    // nil for leaves
 	lp          *leafPayload
-	row         atomic.Pointer[leafRow]
+	row         *leafRow
 	// nd is a one-entry cache of the graph node last interned for this
 	// tree: worlds have few distinct monitor signatures (often one), so
 	// almost every node lookup is answered here without touching the node
@@ -42,7 +39,7 @@ type ctree struct {
 	// node the map already published. (A two-way cache was tried and
 	// bought nothing: signatures rarely alternate on one tree, and the
 	// extra word per ctree just grew the scanned heap.)
-	nd atomic.Pointer[fnode]
+	nd *fnode
 }
 
 // leafPayload is the located process of a leaf ctree (left == nil). steps
@@ -73,8 +70,8 @@ func (t *ctree) treeKey() string {
 // beats the generic map twice over: probes are a multiplicative hash plus
 // a linear scan of a bare []uint64 (no control bytes, no interface
 // hashing), and the backing arrays are pointer-free, so the garbage
-// collector never scans the tables at all. Callers provide their own
-// locking (the tables live behind the engine's pairMu/nodeMu).
+// collector never scans the tables at all. The tables are engine-local
+// and only the engine's goroutine touches them, so they need no locking.
 type u64map struct {
 	slots []u64slot
 	n     int
@@ -98,23 +95,8 @@ func hash64(k uint64) uint64 {
 	return h ^ h>>29
 }
 
-func (m *u64map) get(k uint64) (int32, bool) {
-	if m.slots == nil {
-		return 0, false
-	}
-	mask := uint64(len(m.slots) - 1)
-	for i := hash64(k) & mask; ; i = (i + 1) & mask {
-		switch m.slots[i].key {
-		case k:
-			return m.slots[i].val, true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
 // put inserts k (absent, non-zero) → v, growing at 1/2 load. The low
-// ceiling matters: every pairFor/nodeFor interning does a *failed* get
+// ceiling matters: every pairFor/node interning does a *failed* lookup
 // first, and with linear probing the unsuccessful-search cost curve bends
 // hard past half load (~3.5 expected probes at 2/3 versus ~1.5 at 1/2,
 // each probe a likely cache miss on the million-entry tables).
@@ -142,12 +124,12 @@ func (m *u64map) put(k uint64, v int32) {
 	m.n++
 }
 
-// getOrSlot looks k up like get; on a miss it also returns the empty slot
-// its probe ended on, so a caller holding the table still (same lock, no
-// intervening insert or growth) can complete the insert with putAt instead
-// of re-walking the probe chain — on million-entry tables each walk is a
-// cache miss, and every interning is a miss-then-insert. slot is -1 when
-// the table has no backing array yet.
+// getOrSlot looks k up; on a miss it also returns the empty slot its
+// probe ended on, so a caller with no intervening insert or growth can
+// complete the insert with putAt instead of re-walking the probe chain —
+// on million-entry tables each walk is a cache miss, and every interning
+// is a miss-then-insert. slot is -1 when the table has no backing array
+// yet.
 func (m *u64map) getOrSlot(k uint64) (v int32, slot int, ok bool) {
 	if m.slots == nil {
 		return 0, -1, false
@@ -200,10 +182,7 @@ func (m *u64map) reserve(n int) {
 }
 
 // carena bump-allocates pair ctrees in 4096-entry blocks, addressable by
-// dense index (the value stored in the pair table). All allocation happens
-// under the owning structure's write lock (pairFor), so no further
-// synchronisation is needed; reads of at() happen under at least the read
-// lock, after the entry was published.
+// dense index (the value stored in the pair table).
 type carena struct {
 	blocks [][]ctree
 	n      int32
@@ -233,31 +212,12 @@ func (a *carena) at(i int32) *ctree {
 // on the engine-local ID.
 func (eng *fusedEngine) leaf(loc hexpr.Location, locID intern.ID, e hexpr.Expr) *ctree {
 	k := intern.Pack(locID, eng.tab.Expr(e))
-	if eng.concurrent {
-		eng.leafMu.RLock()
-		t := eng.leaves[k]
-		eng.leafMu.RUnlock()
-		if t != nil {
-			return t
-		}
-		nt := &ctree{lp: &leafPayload{loc: loc, locID: locID, expr: e, steps: eng.cache.Steps(e)}}
-		eng.leafMu.Lock()
-		if ex := eng.leaves[k]; ex != nil {
-			nt = ex
-		} else {
-			eng.leafID++
-			nt.id = intern.ID(2*eng.leafID - 1) // odd IDs (pairs take the even ones)
-			eng.leaves[k] = nt
-		}
-		eng.leafMu.Unlock()
-		return nt
-	}
 	if t := eng.leaves[k]; t != nil {
 		return t
 	}
 	eng.leafID++
 	nt := &ctree{
-		id: intern.ID(2*eng.leafID - 1),
+		id: intern.ID(2*eng.leafID - 1), // odd IDs (pairs take the even ones)
 		lp: &leafPayload{loc: loc, locID: locID, expr: e, steps: eng.cache.Steps(e)},
 	}
 	eng.leaves[k] = nt
@@ -267,38 +227,16 @@ func (eng *fusedEngine) leaf(loc hexpr.Location, locID intern.ID, e hexpr.Expr) 
 // pairFor interns the canonical pair ctree [l , r], keyed on the children's
 // IDs. The children are canonical by construction (spines are rebuilt
 // bottom-up from canonical leaves), so the key identifies the whole
-// subtree. This is the innermost expansion hot path — one read-locked
-// uint64 map hit per lifted move in the steady state.
+// subtree. This is the innermost expansion hot path — one uint64 map hit
+// per lifted move in the steady state.
 func (eng *fusedEngine) pairFor(l, r *ctree) *ctree {
 	k := intern.Pack(l.id, r.id)
-	if eng.concurrent {
-		eng.pairMu.RLock()
-		var t *ctree
-		if i, ok := eng.pairs.get(k); ok {
-			t = eng.pairArena.at(i)
-		}
-		eng.pairMu.RUnlock()
-		if t != nil {
-			return t
-		}
-		eng.pairMu.Lock()
-		if i, slot, ok := eng.pairs.getOrSlot(k); ok {
-			t = eng.pairArena.at(i)
-		} else {
-			eng.pairID++
-			var idx int32
-			t, idx = eng.pairArena.alloc(intern.ID(2*eng.pairID), l, r) // even IDs (leaves take the odd ones)
-			eng.pairs.putAt(slot, k, idx)
-		}
-		eng.pairMu.Unlock()
-		return t
-	}
 	i, slot, ok := eng.pairs.getOrSlot(k)
 	if ok {
 		return eng.pairArena.at(i)
 	}
 	eng.pairID++
-	t, idx := eng.pairArena.alloc(intern.ID(2*eng.pairID), l, r)
+	t, idx := eng.pairArena.alloc(intern.ID(2*eng.pairID), l, r) // even IDs (leaves take the odd ones)
 	eng.pairs.putAt(slot, k, idx)
 	return t
 }
@@ -377,10 +315,9 @@ func (eng *fusedEngine) inertItems(items []history.Item) bool {
 // its compliant candidates in candidate order instead of resolving through
 // a plan, and an open with no compliant candidate is dropped; so
 // projecting the compiled graph under a plan yields precisely the legacy
-// move relation. Racing builders produce structurally identical rows; one
-// wins the publish.
+// move relation.
 func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
-	if r := t.row.Load(); r != nil {
+	if r := t.row; r != nil {
 		return r, nil
 	}
 	lp := t.lp
@@ -449,7 +386,7 @@ func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
 			}
 		}
 	}
-	t.row.Store(row)
+	t.row = row
 	return row, nil
 }
 
@@ -461,10 +398,9 @@ func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
 // Synch/Close moves when both children are leaves. Because children rows
 // already carry canonical successors, each move is wrapped through
 // exactly one pairFor per tree level it is lifted through — and that
-// lift happens once per distinct subtree, not once per expansion. Racing
-// builders produce structurally identical rows; one wins the publish.
+// lift happens once per distinct subtree, not once per expansion.
 func (eng *fusedEngine) treeRowFor(t *ctree) (*leafRow, error) {
-	if r := t.row.Load(); r != nil {
+	if r := t.row; r != nil {
 		return r, nil
 	}
 	if t.left == nil {
@@ -500,7 +436,7 @@ func (eng *fusedEngine) treeRowFor(t *ctree) (*leafRow, error) {
 	if t.left.left == nil && t.right.left == nil {
 		eng.pairMovesInto(row, t.left, t.right)
 	}
-	t.row.Store(row)
+	t.row = row
 	return row, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"susc/internal/budget"
@@ -19,28 +18,11 @@ import (
 	"susc/internal/verify"
 )
 
-// Engine selects the synthesis strategy.
-type Engine int
-
-const (
-	// EngineFused (the default) synthesizes and validates plans in one
-	// shared exploration of the client's configuration space: request
-	// bindings are resolved lazily at the first session-open, states
-	// reachable under many plans are expanded once, and per-plan verdicts
-	// are recovered by cheap replays over the shared graph, memoised on
-	// the binding decisions they actually consult. Output is identical to
-	// EngineLegacy — same assessments, same deterministic order.
-	EngineFused Engine = iota
-	// EngineLegacy enumerates every complete plan first and validates
-	// each with an independent verify.CheckPlanOpts exploration.
-	EngineLegacy
-)
-
-// FusedStats counts the work of one fused synthesis. The fields are
-// typed atomics: the engine's workers Add to them concurrently and any
-// reader may Load at any time, including mid-run — there is no plain
-// access to mix with. The struct must not be copied; Reset zeroes it
-// in place between runs.
+// FusedStats counts the work of one fused synthesis. An engine adds to
+// it from the goroutine that called it; the fields are typed atomics so
+// that concurrent calls may share one FusedStats and any reader may Load
+// at any time, including mid-run — there is no plain access to mix with.
+// The struct must not be copied; Reset zeroes it in place between runs.
 type FusedStats struct {
 	// StatesExpanded is the number of distinct graph states whose moves
 	// and monitor advances were computed (once, shared by every plan
@@ -75,8 +57,10 @@ func (s *FusedStats) Reset() {
 }
 
 // fusedEngine is the shared-state-space synthesis engine. One engine
-// serves one AssessStream call; the memo.Cache it draws compliance
-// verdicts and transition sets from may outlive it.
+// serves one AssessStream call and runs on the goroutine that made it, so
+// its graph, canonical tables and replay memo need no locks; the
+// memo.Cache it draws compliance verdicts and transition sets from may
+// outlive it and is shared, under its own locks, by concurrent calls.
 //
 // The state graph is plan-oblivious: a node is keyed by the interned
 // session tree and monitor signature only — exactly the visited-set key of
@@ -141,47 +125,34 @@ type fusedEngine struct {
 	clientReqs []hexpr.RequestID
 	locReqs    map[hexpr.Location][]hexpr.RequestID
 
-	// concurrent records whether plan assessment may run on multiple
-	// goroutines (opts.Workers > 1). Single-threaded engines skip the
-	// canonical-table locks entirely — the locks exist only to make the
-	// shared graph safe for parallel replay workers. Set at construction,
-	// read-only after.
-	concurrent bool
-
 	// cycleFree records that the union call graph — every request pointing
 	// at every location enumeration could bind it to — is acyclic, which
 	// proves every assessed plan acyclic (each plan's call graph is a
 	// subgraph) and lets staticCheck skip the per-plan cycle DFS. Set
-	// before workers start, read-only after.
+	// before the first plan is assessed, read-only after.
 	cycleFree bool
 
-	candMu sync.Mutex
-	cands  map[hexpr.RequestID][]hexpr.Location
+	cands map[hexpr.RequestID][]hexpr.Location
 
 	// leaves/pairs intern the canonical ctrees — leaves keyed on (location
 	// ID, expression ID), pairs on the children's engine-local IDs. IDs are
-	// split odd (leaves, leafID) / even (pairs, pairID) so each counter is
-	// guarded by the lock already held at creation. Pair ctrees and fnodes
-	// are bump-allocated from arenas under their locks: they are
-	// engine-lifetime and dominate the object population, so block
-	// allocation removes both the per-object malloc and the garbage
-	// collector's per-object tracking, and packs the replay-hot nodes
-	// contiguously.
-	leafMu    sync.RWMutex
+	// split odd (leaves, leafID) / even (pairs, pairID) so the two spaces
+	// cannot collide. Pair ctrees and fnodes are bump-allocated from
+	// arenas: they are engine-lifetime and dominate the object population,
+	// so block allocation removes both the per-object malloc and the
+	// garbage collector's per-object tracking, and packs the replay-hot
+	// nodes contiguously.
 	leaves    map[uint64]*ctree
 	leafID    int32
-	pairMu    sync.RWMutex
 	pairs     u64map
 	pairArena carena
 	pairID    int32
 
-	nodeMu    sync.Mutex
 	nodes     u64map
 	nodeArena narena
 	start     *fnode
 
-	memoMu sync.Mutex
-	memo   *decisionTrie
+	memo *decisionTrie
 }
 
 // pendEntry is one pending session of the static compliance walk: the
@@ -214,11 +185,7 @@ type fnode struct {
 	// arrays on it (an indexed slot instead of a map operation per visit).
 	idx int32
 
-	// ready flips once groups/err are final; replays check it lock-free
-	// (Store is the release publishing the fields, Load the acquire), so
-	// the n-th visit of an expanded node costs no mutex.
-	ready    atomic.Bool
-	mu       sync.Mutex
+	// expanded flips once groups/err are final.
 	expanded bool
 	err      error
 	groups   []fgroup
@@ -285,20 +252,19 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 		stats = &FusedStats{}
 	}
 	eng := &fusedEngine{
-		repo:       repo,
-		table:      table,
-		loc:        loc,
-		client:     client,
-		opts:       opts,
-		cache:      cache,
-		tab:        cache.Interner(),
-		stats:      stats,
-		monCT:      table.Compiled(),
-		concurrent: opts.Workers > 1,
-		locations:  repo.Locations(),
-		bodies:     map[hexpr.RequestID]hexpr.Expr{},
-		cands:      map[hexpr.RequestID][]hexpr.Location{},
-		leaves:     map[uint64]*ctree{},
+		repo:      repo,
+		table:     table,
+		loc:       loc,
+		client:    client,
+		opts:      opts,
+		cache:     cache,
+		tab:       cache.Interner(),
+		stats:     stats,
+		monCT:     table.Compiled(),
+		locations: repo.Locations(),
+		bodies:    map[hexpr.RequestID]hexpr.Expr{},
+		cands:     map[hexpr.RequestID][]hexpr.Location{},
+		leaves:    map[uint64]*ctree{},
 	}
 	eng.locIDs = make(map[hexpr.Location]intern.ID, len(eng.locations)+1)
 	eng.locIDs[loc] = eng.tab.Key(string(loc))
@@ -359,8 +325,6 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 // with the request's body, in deterministic (sorted-location) order — the
 // branching set of a lazy session-open. Cached per request.
 func (eng *fusedEngine) candidates(req hexpr.RequestID) ([]hexpr.Location, error) {
-	eng.candMu.Lock()
-	defer eng.candMu.Unlock()
 	if locs, ok := eng.cands[req]; ok {
 		return locs, nil
 	}
@@ -384,7 +348,7 @@ func (eng *fusedEngine) candidates(req hexpr.RequestID) ([]hexpr.Location, error
 }
 
 // narena bump-allocates fnodes in 4096-entry blocks, addressable by dense
-// index (fnode.idx doubles as the arena index), under nodeMu. Besides
+// index (fnode.idx doubles as the arena index). Besides
 // removing per-object malloc/GC costs, it lays the nodes out in creation
 // order, which is close to BFS order — the order replays touch them.
 type narena struct {
@@ -408,24 +372,19 @@ func (a *narena) at(i int32) *fnode {
 }
 
 // node interns (tree, monitor) into the shared graph, creating the node on
-// first sight. The caller supplies the interned monitor signature —
-// computed once per move group, before the node is published through the
-// map mutex, so readers in other goroutines never race on the signature
-// cache. The tree's one-entry node cache answers repeat lookups (the vast
-// majority: worlds have few distinct signatures per tree) without the map.
+// first sight. The caller supplies the interned monitor signature,
+// computed once per move group. The tree's one-entry node cache answers
+// repeat lookups (the vast majority: worlds have few distinct signatures
+// per tree) without the map.
 func (eng *fusedEngine) node(ct *ctree, mon *history.Monitor, sigID intern.ID) *fnode {
-	if n := ct.nd.Load(); n != nil && n.sigID == sigID {
+	if n := ct.nd; n != nil && n.sigID == sigID {
 		return n
 	}
 	k := intern.Pack(ct.id, sigID)
-	if eng.concurrent {
-		eng.nodeMu.Lock()
-		defer eng.nodeMu.Unlock()
-	}
 	i, slot, ok := eng.nodes.getOrSlot(k)
 	if ok {
 		n := eng.nodeArena.at(i)
-		ct.nd.Store(n)
+		ct.nd = n
 		return n
 	}
 	n, idx := eng.nodeArena.alloc()
@@ -435,7 +394,7 @@ func (eng *fusedEngine) node(ct *ctree, mon *history.Monitor, sigID intern.ID) *
 	n.done = ct.left == nil && hexpr.IsNil(ct.lp.expr)
 	n.idx = idx
 	eng.nodes.putAt(slot, k, idx)
-	ct.nd.Store(n)
+	ct.nd = n
 	return n
 }
 
@@ -573,38 +532,30 @@ func (eng *fusedEngine) buildGroups(n *fnode) ([]fgroup, error) {
 // items), and the successor nodes. Every plan whose replay reaches this
 // state reuses the result.
 func (n *fnode) ensureExpanded(eng *fusedEngine) error {
-	if n.ready.Load() {
-		return n.err
-	}
-	// Budget exhaustion aborts the expansion *without* publishing into
-	// n.err: the cutoff is a property of this run's budget, not of the
-	// node, and a cached exhaustion would poison replays of plans whose
-	// verdict was already decided (or later unbudgeted runs sharing the
-	// graph through a long-lived engine).
-	if e := eng.opts.Budget.Exhausted(); e != nil {
-		return e
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.expanded {
 		return n.err
+	}
+	// Budget exhaustion aborts the expansion *without* recording it in
+	// n.err: the cutoff is a property of this run's budget, not of the
+	// node, and a cached exhaustion would poison replays of plans whose
+	// verdict was already decided.
+	if e := eng.opts.Budget.Exhausted(); e != nil {
+		return e
 	}
 	if faultinject.Enabled() {
 		faultinject.Fire(faultinject.FusedExpand, n.ct.treeKey())
 	}
-	// Built groups accumulate in a local slice published only on success:
+	// Built groups accumulate in a local slice stored only on success:
 	// if a panic (injected or genuine) unwinds mid-expansion, the node
 	// stays unexpanded and a sibling plan's retry rebuilds from scratch
 	// instead of appending duplicates after a partial n.groups.
 	built, err := eng.buildGroups(n)
+	n.expanded = true
 	if err != nil {
-		n.expanded, n.err = true, err
-		n.ready.Store(true)
+		n.err = err
 		return err
 	}
 	n.groups = built
-	n.expanded = true
-	n.ready.Store(true)
 	eng.stats.StatesExpanded.Add(1)
 	return nil
 }
@@ -638,7 +589,7 @@ type pmove struct {
 	next      *fnode
 }
 
-// replayer holds one worker's reusable replay scratch: the epoch-stamped
+// replayer holds the engine's reusable replay scratch: the epoch-stamped
 // visited array (indexed by fnode.idx — a slot access instead of a map
 // operation per visit), BFS ring, projected-move buffer, the dense plan
 // vector, decision accumulators and compliance matrix persist across
@@ -657,14 +608,14 @@ type replayer struct {
 	used     []decision
 	usedMark []uint32
 	// seenMark/seenEpoch dedup the static compliance walk; compl is the
-	// per-worker compliance matrix (reqIdx*nLoc + locIdx → 0 unknown,
+	// replayer's compliance matrix (reqIdx*nLoc + locIdx → 0 unknown,
 	// 1 compliant, 2 non-compliant), lazily filled from the shared cache
 	// so the steady-state walk does no hashing at all.
 	seenMark  []uint32
 	seenEpoch uint32
 	compl     []int8
-	// states counts this replay's visits, flushed to the shared stats in
-	// one atomic add per plan.
+	// states counts this replay's visits, flushed to the stats in one add
+	// per plan.
 	states uint64
 	// flow, when set, observes the replay as it observes a kernel
 	// exploration (record); flowAt maps a visited node's fnode.idx to its
@@ -873,11 +824,9 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 // memo: a hit costs one trie walk; a miss replays and files the report
 // under the decisions the replay consulted.
 func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, error) {
-	eng.memoMu.Lock()
 	for t := eng.memo; t != nil; {
 		if t.leaf {
 			rep := *t.report
-			eng.memoMu.Unlock()
 			eng.stats.ReplayMemoHits.Add(1)
 			return &rep, nil
 		}
@@ -886,7 +835,6 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 		}
 		t = t.branches[vec[t.req]]
 	}
-	eng.memoMu.Unlock()
 
 	report, err := eng.replay(vec, r)
 	eng.stats.ReplayStates.Add(r.states)
@@ -900,7 +848,6 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 		return report, nil
 	}
 
-	eng.memoMu.Lock()
 	node := eng.memo
 	if node == nil {
 		node = &decisionTrie{req: -1}
@@ -908,7 +855,7 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 	}
 	for _, d := range r.used {
 		if node.leaf {
-			break // concurrent duplicate replay already filed a report
+			break // defensive: a filed prefix would have answered the lookup
 		}
 		if node.req < 0 {
 			node.req = d.req
@@ -925,7 +872,6 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 		node.leaf = true
 		node.report = report
 	}
-	eng.memoMu.Unlock()
 	rep := *report
 	return &rep, nil
 }
@@ -1085,11 +1031,11 @@ func (eng *fusedEngine) assess(plan network.Plan, vec []int32, r *replayer) (Ass
 // plan's assessment (expansion, replay, static walk — injected or
 // genuine) becomes a typed *budget.InternalError whose Unit is the plan
 // key, the plan's verdict degrades to Unknown, and the error is returned
-// alongside the assessment so the caller can report it after the rest of
-// the fleet finishes. The plan key is rendered lazily — only fault
-// injection and the panic path pay the map-sort-format cost. The replayer
-// stays reusable: replay and staticCheck reset every piece of scratch
-// state at entry.
+// alongside the assessment so the caller can report it after the
+// remaining plans are assessed. The plan key is rendered lazily — only
+// fault injection and the panic path pay the map-sort-format cost. The
+// replayer stays reusable: replay and staticCheck reset every piece of
+// scratch state at entry.
 func (eng *fusedEngine) assessGuarded(plan network.Plan, vec []int32, r *replayer) (Assessment, error) {
 	var a Assessment
 	err := budget.GuardLazy(func() string { return "plan " + plan.Key() }, func() error {
@@ -1206,8 +1152,8 @@ func (eng *fusedEngine) enumerate() ([]network.Plan, [][]int32, error) {
 // over pending requests, candidates in sorted-location order). A non-nil
 // error from yield stops the stream and is returned. Assessments come from
 // the fused engine: plans are validated against one shared state graph,
-// and with opts.Workers > 1 they are assessed concurrently (yield still
-// observes enumeration order, and is never called concurrently).
+// one after another on the calling goroutine (opts.Workers is not read;
+// only the store's per-plan recompute in AssessAll reads it).
 //
 // With a persistent store attached to opts.Cache, the stream uses only
 // the compliance and LTS disk tiers (through the cache); per-plan report
@@ -1269,7 +1215,7 @@ func (eng *fusedEngine) planKeys(vecs [][]int32) []string {
 // stream is AssessStream with a side channel: when keys is non-nil it
 // receives the enumerated plans' Plan.Keys (planKeys), aligned with the
 // yield order — every enumerated plan is yielded exactly once, also under
-// budget exhaustion and isolated worker panics. assessAll sorts on them
+// budget exhaustion and isolated plan panics. assessAll sorts on them
 // instead of rebuilding each key from its plan map.
 func (eng *fusedEngine) stream(yield func(Assessment) error, keys *[]string) error {
 	plans, vecs, err := eng.enumerate()
@@ -1293,19 +1239,6 @@ func (eng *fusedEngine) stream(yield func(Assessment) error, keys *[]string) err
 	if err := eng.computeCycleSkip(); err != nil {
 		return err
 	}
-	if eng.opts.Workers > 1 && len(plans) > serialAssessThreshold {
-		if eng.cycleFree {
-			// Warm the shared graph with the sharded parallel frontier
-			// before the replay fleet starts; an acyclic union call graph
-			// bounds it (see expandSharded).
-			eng.expandSharded()
-		}
-		return eng.runParallel(plans, vecs, yield)
-	}
-	// Serial fallback: below the threshold the fleet costs more than the
-	// work (see serialAssessThreshold). No goroutine will touch the graph,
-	// so the engine also drops the canonical-table locking.
-	eng.concurrent = false
 	r := eng.newReplayer()
 	var firstInternal *budget.InternalError
 	for i, p := range plans {
@@ -1321,86 +1254,6 @@ func (eng *fusedEngine) stream(yield func(Assessment) error, keys *[]string) err
 		}
 		if err := yield(a); err != nil {
 			return err
-		}
-	}
-	if firstInternal != nil {
-		return firstInternal
-	}
-	return nil
-}
-
-// runParallel assesses the plans with opts.Workers goroutines over the
-// shared graph, delivering results to yield in enumeration order through a
-// reorder buffer. Work-stealing is implicit: workers pull the next plan
-// index as they free up, so an expensive replay never stalls the others.
-func (eng *fusedEngine) runParallel(plans []network.Plan, vecs [][]int32, yield func(Assessment) error) error {
-	type res struct {
-		idx int
-		a   Assessment
-		err error
-	}
-	jobs := make(chan int)
-	results := make(chan res, eng.opts.Workers)
-	stop := make(chan struct{})
-	defer close(stop)
-	var wg sync.WaitGroup
-	for w := 0; w < eng.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := eng.newReplayer()
-			for i := range jobs {
-				a, err := eng.assessGuarded(plans[i], vecs[i], r)
-				select {
-				case results <- res{idx: i, a: a, err: err}:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for i := range plans {
-			select {
-			case jobs <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	pending := map[int]res{}
-	next := 0
-	var firstInternal *budget.InternalError
-	for r := range results {
-		pending[r.idx] = r
-		for {
-			rr, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if rr.err != nil {
-				// An isolated worker panic is not fatal to the fleet: the
-				// poisoned plan's Unknown assessment is still yielded and
-				// the first internal error is reported once all plans are
-				// through.
-				var ie *budget.InternalError
-				if !errors.As(rr.err, &ie) {
-					return rr.err
-				}
-				if firstInternal == nil {
-					firstInternal = ie
-				}
-			}
-			if err := yield(rr.a); err != nil {
-				return err
-			}
-			next++
 		}
 	}
 	if firstInternal != nil {

@@ -16,46 +16,46 @@ import (
 	"susc/internal/verify"
 )
 
-// assertEquivalent runs both engines on the world and requires identical
-// assessments — plans, verdicts, witnesses, traces, even state counts — in
-// identical order, for every prune × workers combination. This is the
-// contract of the fused engine: it is an optimisation, never a semantic
-// change.
+// assertEquivalent runs the fused engine and the legacy oracle on the
+// world and requires identical assessments — plans, verdicts, witnesses,
+// traces, even state counts — in identical order, with and without
+// pruning. This is the contract of the fused engine: it is an
+// optimisation, never a semantic change.
 func assertEquivalent(t *testing.T, label string, repo network.Repository,
 	table *policy.Table, loc hexpr.Location, client hexpr.Expr) {
 	t.Helper()
 	for _, prune := range []bool{false, true} {
-		legacy, legacyErr := plans.AssessAll(repo, table, loc, client, plans.Options{
-			Engine: plans.EngineLegacy, PruneNonCompliant: prune,
-		})
-		for _, workers := range []int{1, 4} {
-			fused, fusedErr := plans.AssessAll(repo, table, loc, client, plans.Options{
-				Engine: plans.EngineFused, PruneNonCompliant: prune, Workers: workers,
-			})
-			if (legacyErr == nil) != (fusedErr == nil) {
-				t.Fatalf("%s (prune=%v workers=%d): legacy err = %v, fused err = %v",
-					label, prune, workers, legacyErr, fusedErr)
-			}
-			if legacyErr != nil {
-				if legacyErr.Error() != fusedErr.Error() {
-					t.Fatalf("%s (prune=%v workers=%d): legacy err = %q, fused err = %q",
-						label, prune, workers, legacyErr, fusedErr)
-				}
-				continue
-			}
-			if len(legacy) != len(fused) {
-				t.Fatalf("%s (prune=%v workers=%d): legacy %d assessments, fused %d",
-					label, prune, workers, len(legacy), len(fused))
-			}
-			for i := range legacy {
-				if !reflect.DeepEqual(legacy[i], fused[i]) {
-					t.Fatalf("%s (prune=%v workers=%d): assessment %d differs:\nlegacy: %+v\n        %+v\nfused:  %+v\n        %+v",
-						label, prune, workers, i,
-						legacy[i], *legacy[i].Report, fused[i], *fused[i].Report)
-				}
-			}
+		assertEquivalentOpts(t, fmt.Sprintf("%s (prune=%v)", label, prune),
+			repo, table, loc, client, plans.Options{PruneNonCompliant: prune})
+	}
+}
+
+// assertEquivalentOpts is assertEquivalent for one set of options; it
+// returns the fused engine's assessments.
+func assertEquivalentOpts(t *testing.T, label string, repo network.Repository,
+	table *policy.Table, loc hexpr.Location, client hexpr.Expr, opts plans.Options) []plans.Assessment {
+	t.Helper()
+	legacy, legacyErr := plans.AssessAllLegacy(repo, table, loc, client, opts)
+	fused, fusedErr := plans.AssessAll(repo, table, loc, client, opts)
+	if (legacyErr == nil) != (fusedErr == nil) {
+		t.Fatalf("%s: legacy err = %v, fused err = %v", label, legacyErr, fusedErr)
+	}
+	if legacyErr != nil {
+		if legacyErr.Error() != fusedErr.Error() {
+			t.Fatalf("%s: legacy err = %q, fused err = %q", label, legacyErr, fusedErr)
+		}
+		return nil
+	}
+	if len(legacy) != len(fused) {
+		t.Fatalf("%s: legacy %d assessments, fused %d", label, len(legacy), len(fused))
+	}
+	for i := range legacy {
+		if !reflect.DeepEqual(legacy[i], fused[i]) {
+			t.Fatalf("%s: assessment %d differs:\nlegacy: %+v\n        %+v\nfused:  %+v\n        %+v",
+				label, i, legacy[i], *legacy[i].Report, fused[i], *fused[i].Report)
 		}
 	}
+	return fused
 }
 
 // TestFusedEquivalenceDeterministic: the engines agree on the curated
@@ -74,6 +74,35 @@ func TestFusedEquivalenceDeterministic(t *testing.T) {
 	assertEquivalent(t, "chained(2,3)", c.Repo, c.Table, c.Loc, c.Client)
 	c = benchgen.Chained(3, 2)
 	assertEquivalent(t, "chained(3,2)", c.Repo, c.Table, c.Loc, c.Client)
+}
+
+// TestFusedEquivalenceSharded extends the equivalence contract to the
+// large worlds, Chained(8,2) (256 plans) and Chained(4,3) (81 plans),
+// where one sweep shares a union graph across many plans: the fused
+// engine must reproduce the legacy engine's assessments byte for byte,
+// whatever Workers says — the sweep runs on the calling goroutine, so a
+// pool size must never change an answer. The worlds run pruned only:
+// unpruned, every request may bind any of their services and the plan
+// space explodes.
+func TestFusedEquivalenceSharded(t *testing.T) {
+	for _, cfg := range []struct{ depth, fanout int }{{8, 2}, {4, 3}} {
+		c := benchgen.Chained(cfg.depth, cfg.fanout)
+		label := fmt.Sprintf("chained(%d,%d)", cfg.depth, cfg.fanout)
+		sequential := assertEquivalentOpts(t, label+" (workers=1)", c.Repo, c.Table, c.Loc, c.Client,
+			plans.Options{PruneNonCompliant: true, Workers: 1})
+		var stats plans.FusedStats
+		pooled := assertEquivalentOpts(t, label+" (workers=4)", c.Repo, c.Table, c.Loc, c.Client,
+			plans.Options{PruneNonCompliant: true, Workers: 4, Stats: &stats})
+		if len(pooled) != c.PlanCount {
+			t.Fatalf("%s: assessed %d plans, want %d", label, len(pooled), c.PlanCount)
+		}
+		if stats.StatesExpanded.Load() == 0 {
+			t.Fatalf("%s: expanded no states", label)
+		}
+		if !reflect.DeepEqual(sequential, pooled) {
+			t.Fatalf("%s: Workers=4 diverges from Workers=1", label)
+		}
+	}
 }
 
 // worldGen builds small random worlds: services decorated with random
@@ -150,8 +179,7 @@ func (g *worldGen) decorate(e hexpr.Expr, opens *int, depth int) hexpr.Expr {
 
 // TestFusedEquivalenceRandom is the equivalence property test: on
 // randomized repositories the fused engine reproduces the legacy engine's
-// assessments exactly, across pruning and worker settings (the CI runs
-// this under -race, exercising the shared graph concurrently).
+// assessments exactly, with and without pruning.
 func TestFusedEquivalenceRandom(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -177,13 +205,13 @@ func TestFusedEquivalenceRandom(t *testing.T) {
 }
 
 // TestAssessStreamDeterministicOrder: the stream's enumeration order is
-// reproducible, also with a worker pool racing over the shared graph.
+// reproducible.
 func TestAssessStreamDeterministicOrder(t *testing.T) {
 	w := benchgen.Chained(3, 3)
 	run := func() []string {
 		var keys []string
 		err := plans.AssessStream(w.Repo, w.Table, w.Loc, w.Client,
-			plans.Options{PruneNonCompliant: true, Workers: 4},
+			plans.Options{PruneNonCompliant: true},
 			func(a plans.Assessment) error {
 				keys = append(keys, a.Plan.Key())
 				return nil
@@ -205,27 +233,25 @@ func TestAssessStreamDeterministicOrder(t *testing.T) {
 }
 
 // TestAssessStreamEarlyStop: a yield error stops the stream and surfaces
-// unchanged, sequentially and with workers.
+// unchanged.
 func TestAssessStreamEarlyStop(t *testing.T) {
 	w := benchgen.Chained(2, 3)
 	sentinel := errors.New("enough")
-	for _, workers := range []int{1, 4} {
-		seen := 0
-		err := plans.AssessStream(w.Repo, w.Table, w.Loc, w.Client,
-			plans.Options{PruneNonCompliant: true, Workers: workers},
-			func(plans.Assessment) error {
-				seen++
-				if seen == 2 {
-					return sentinel
-				}
-				return nil
-			})
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: err = %v, want sentinel", workers, err)
-		}
-		if seen != 2 {
-			t.Fatalf("workers=%d: yield ran %d times after stop", workers, seen)
-		}
+	seen := 0
+	err := plans.AssessStream(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true},
+		func(plans.Assessment) error {
+			seen++
+			if seen == 2 {
+				return sentinel
+			}
+			return nil
+		})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want sentinel", err)
+	}
+	if seen != 2 {
+		t.Fatalf("yield ran %d times after stop", seen)
 	}
 }
 
@@ -265,14 +291,24 @@ func TestFusedStats(t *testing.T) {
 // same error.
 func TestFusedMaxPlansParity(t *testing.T) {
 	w := benchgen.Chained(2, 3)
-	for _, engine := range []plans.Engine{plans.EngineLegacy, plans.EngineFused} {
-		_, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-			plans.Options{PruneNonCompliant: true, MaxPlans: 4, Engine: engine})
+	for _, engine := range []struct {
+		name   string
+		assess assessFunc
+	}{
+		{"legacy", plans.AssessAllLegacy},
+		{"fused", plans.AssessAll},
+	} {
+		_, err := engine.assess(w.Repo, w.Table, w.Loc, w.Client,
+			plans.Options{PruneNonCompliant: true, MaxPlans: 4})
 		if err == nil || err.Error() != "plans: more than 4 complete plans" {
-			t.Fatalf("engine %d: err = %v", engine, err)
+			t.Fatalf("engine %s: err = %v", engine.name, err)
 		}
 	}
 }
+
+// assessFunc is the signature AssessAll and the legacy oracle share.
+type assessFunc func(network.Repository, *policy.Table, hexpr.Location, hexpr.Expr,
+	plans.Options) ([]plans.Assessment, error)
 
 // policyTableForRandom keeps the import of policy used even if the random
 // generator evolves.

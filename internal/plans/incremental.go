@@ -112,7 +112,7 @@ func assessAllIncremental(repo network.Repository, table *policy.Table,
 }
 
 // recomputeMisses validates the missed plans one exploration each —
-// panic-guarded and worker-parallel exactly like the legacy engine — and
+// panic-guarded, on assessEach's pool of opts.Workers goroutines — and
 // writes decided verdicts back to the store. Unknown verdicts (budget
 // cutoffs) are never persisted.
 func recomputeMisses(repo network.Repository, table *policy.Table,

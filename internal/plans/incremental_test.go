@@ -111,7 +111,7 @@ func TestIncrementalWarmStoreMatches(t *testing.T) {
 func TestIncrementalConeEditRecomputesOnlyCone(t *testing.T) {
 	const depth, fanout = 2, 4 // 16 plans; editing one leaf invalidates 4 = 1/4 → per-plan recompute path
 	w := benchgen.Chained(depth, fanout)
-	opts := plans.Options{PruneNonCompliant: true, Workers: 4}
+	opts := plans.Options{PruneNonCompliant: true}
 
 	path := filepath.Join(t.TempDir(), "susc.store")
 	s1, err := store.Open(path, hash.Fingerprint())
@@ -245,16 +245,15 @@ func TestEngineParityWithStore(t *testing.T) {
 	want := render(t, baseline)
 
 	engines := []struct {
-		name string
-		e    plans.Engine
+		name   string
+		assess assessFunc
 	}{
-		{"legacy", plans.EngineLegacy},
-		{"fused", plans.EngineFused},
+		{"legacy", plans.AssessAllLegacy},
+		{"fused", plans.AssessAll},
 	}
 	for _, eng := range engines {
 		// Disabled: no store at all.
-		as, err := plans.AssessAll(repo, table, loc, client,
-			plans.Options{Engine: eng.e})
+		as, err := eng.assess(repo, table, loc, client, plans.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,8 +267,8 @@ func TestEngineParityWithStore(t *testing.T) {
 		for _, phase := range []string{"cold", "warm"} {
 			cache := memo.New()
 			cache.AttachDisk(s)
-			as, err := plans.AssessAll(repo, table, loc, client,
-				plans.Options{Engine: eng.e, Cache: cache})
+			as, err := eng.assess(repo, table, loc, client,
+				plans.Options{Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}

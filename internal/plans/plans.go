@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"susc/internal/budget"
-	"susc/internal/faultinject"
 	"susc/internal/hexpr"
 	"susc/internal/memo"
 	"susc/internal/network"
@@ -33,23 +32,21 @@ type Options struct {
 	// MaxPlans bounds the number of complete plans examined (0 = no
 	// bound). Synthesis fails with an error when the bound is hit.
 	MaxPlans int
-	// Workers validates plans concurrently with this many goroutines
-	// (0 or 1 = sequential). All analyses are read-only over the
-	// repository and policy table, so parallel validation is safe.
+	// Workers sizes the goroutine pool that re-checks store misses (0 or
+	// 1 = sequential): with a persistent store attached to Cache, AssessAll
+	// reads it when an edit invalidated at most a quarter of the plans,
+	// which it then recomputes one exploration each. Every other path —
+	// AssessStream, AssessWithFlows, AssessAll without a store — runs the
+	// fused engine on the calling goroutine and ignores it.
 	Workers int
 	// Cache memoises compliance verdicts, product automata and one-step
 	// transition sets across the whole synthesis: the enumeration probe
-	// (PruneNonCompliant) and every worker validating candidate plans
-	// share it, so per-pair work is done once instead of once per plan.
+	// (PruneNonCompliant) and every plan's validation share it, so
+	// per-pair work is done once instead of once per plan.
 	// Nil builds a fresh cache for the call; supply one to share it
 	// across calls (e.g. repeated synthesis over the same repository).
 	Cache *memo.Cache
-	// Engine selects the synthesis strategy: EngineFused (default)
-	// validates every plan against one shared state graph, EngineLegacy
-	// explores each plan independently. Both produce identical output.
-	Engine Engine
-	// Stats, when non-nil, receives the fused engine's work counters
-	// (EngineFused only).
+	// Stats, when non-nil, receives the fused engine's work counters.
 	Stats *FusedStats
 	// MemoryTierOnly keeps per-plan verdicts out of the persistent store
 	// even when the cache has one attached. Analyzer sweeps (the lint
@@ -80,17 +77,12 @@ func (a Assessment) String() string {
 
 // AssessAll enumerates every complete plan for the client and validates
 // each, returning the assessments in deterministic order (lexicographic in
-// the plan keys). The work runs on the engine opts.Engine selects; the
-// result does not depend on the choice.
+// the plan keys). The plans are validated against one shared state graph
+// (the fused engine); with a persistent store attached to opts.Cache, the
+// store's plan verdicts are read first and only the misses are recomputed.
 func AssessAll(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
 
-	if opts.Engine == EngineLegacy {
-		// The legacy engine validates plans through CheckPlanOpts, which
-		// carries its own persistent tier when the cache has a store
-		// attached — no separate incremental dispatch needed.
-		return assessAllLegacy(repo, table, loc, client, opts)
-	}
 	if opts.Cache != nil && opts.Cache.Disk() != nil && !opts.MemoryTierOnly {
 		return assessAllIncremental(repo, table, loc, client, opts)
 	}
@@ -98,20 +90,19 @@ func AssessAll(repo network.Repository, table *policy.Table,
 }
 
 // AssessWithFlows is the audit's plan sweep: AssessAll on the fused
-// engine, serially and in the memory tier only (opts.Engine, Workers and
-// MemoryTierOnly are ignored), returning with the assessments a flow
-// reader over the graph the sweep built. Given a plan the sweep assessed
+// engine in the memory tier only (opts.MemoryTierOnly is ignored),
+// returning with the assessments a flow reader over the graph the sweep
+// built. Given a plan the sweep assessed
 // Valid, the reader replays it over that graph into a verify.FlowRecorder
 // and returns the flow verify.ExploreFlow records for the plan, with the
 // same budget charges: one state per visit, the projected moves as edges
 // and one check per leak-analysis step. The reader is not safe for
-// concurrent use. As with AssessAll, an isolated worker panic comes back
+// concurrent use. As with AssessAll, an isolated plan panic comes back
 // as a *budget.InternalError alongside the assessments.
 func AssessWithFlows(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options,
 ) ([]Assessment, func(network.Plan) (*verify.PlanFlow, error), error) {
 
-	opts.Workers = 0
 	eng := newFusedEngine(repo, table, loc, client, opts)
 	as, err := eng.assessAll()
 	if err != nil && !errors.As(err, new(*budget.InternalError)) {
@@ -152,52 +143,9 @@ func (eng *fusedEngine) assessAll() ([]Assessment, error) {
 		}
 	}
 	sort.Sort(&byKey{keys: keys, out: out})
-	// An internal error (isolated worker panic) is returned alongside the
+	// An internal error (isolated plan panic) is returned alongside the
 	// assessments: the poisoned plan is Unknown, the rest are intact.
 	return out, err
-}
-
-// assessAllLegacy is the one-exploration-per-plan strategy: enumerate
-// every complete plan, then verify each independently.
-func assessAllLegacy(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
-
-	cache := opts.Cache
-	if cache == nil {
-		cache = memo.New()
-	}
-	complete, err := enumerate(repo, client, opts, cache)
-	if err != nil {
-		return nil, err
-	}
-	vopts := verify.Options{Cache: cache, Budget: opts.Budget,
-		SkipDiskProbe: opts.MemoryTierOnly}
-	out := make([]Assessment, len(complete))
-	all := make([]int, len(complete))
-	for i := range all {
-		all[i] = i
-	}
-	firstInternal, err := assessEach(opts.Workers, complete, all, out,
-		func(i int, key string) (*verify.Report, error) {
-			if faultinject.Enabled() {
-				faultinject.Fire(faultinject.PlansWorker, key)
-			}
-			return verify.CheckPlanOpts(repo, table, loc, client, complete[i], vopts)
-		})
-	if err != nil {
-		return nil, err
-	}
-	// sort on precomputed keys: Plan.Key() rebuilds its string per call,
-	// so computing it once per plan beats recomputing per comparison
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = out[i].Plan.Key()
-	}
-	sort.Sort(&byKey{keys: keys, out: out})
-	if firstInternal != nil {
-		return out, firstInternal
-	}
-	return out, nil
 }
 
 // assessEach validates complete[i] for every i in idxs through check,
@@ -205,7 +153,7 @@ func assessAllLegacy(repo network.Repository, table *policy.Table,
 // on `workers` goroutines when there is more than one index, serially
 // otherwise. Each plan runs inside a panic guard: a worker panic becomes a
 // typed *budget.InternalError carrying the plan key as a repro bundle, the
-// plan's verdict degrades to Unknown, and the rest of the fleet finishes
+// plan's verdict degrades to Unknown, and the other workers finish
 // undisturbed. The first such error is returned; any other error fails
 // the whole call.
 func assessEach(workers int, complete []network.Plan, idxs []int, out []Assessment,

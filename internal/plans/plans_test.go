@@ -165,15 +165,16 @@ func TestAssessmentString(t *testing.T) {
 	}
 }
 
-// TestParallelAssessmentMatchesSequential: the worker pool returns the
-// same assessments as the sequential path.
+// TestParallelAssessmentMatchesSequential: the worker pool (assessEach,
+// which the store's per-plan recompute runs on, here driven through the
+// legacy oracle) returns the same assessments as the sequential path.
 func TestParallelAssessmentMatchesSequential(t *testing.T) {
 	seq, err := plans.AssessAll(paperex.Repository(), paperex.Policies(),
 		paperex.LocC1, paperex.C1(), plans.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := plans.AssessAll(paperex.Repository(), paperex.Policies(),
+	par, err := plans.AssessAllLegacy(paperex.Repository(), paperex.Policies(),
 		paperex.LocC1, paperex.C1(), plans.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

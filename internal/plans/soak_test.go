@@ -60,9 +60,11 @@ func TestSoakCancellationSound(t *testing.T) {
 				lim = budget.Limits{}
 			}
 			b := budget.New(ctx, lim)
-			for _, engine := range []plans.Engine{plans.EngineLegacy, plans.EngineFused} {
-				as, err := plans.AssessAll(repo, paperex.Policies(), "cl", client, plans.Options{
-					Engine: engine, Workers: 1 + g.r.Intn(4), Budget: b,
+			for _, assess := range []assessFunc{plans.AssessAllLegacy, plans.AssessAll} {
+				// Only the legacy oracle's pool reads Workers; drawing it for
+				// both runs keeps every seed's trial sequence.
+				as, err := assess(repo, paperex.Policies(), "cl", client, plans.Options{
+					Workers: 1 + g.r.Intn(4), Budget: b,
 				})
 				if err != nil {
 					t.Fatalf("seed %d trial %d: budgeted run errored: %v", seed, trial, err)
