@@ -1,11 +1,11 @@
 // Package engine hosts the verification session shared by every susc
 // front end: one warm memo.Cache layered over an optional persistent
-// store tier, the mode-level run functions, and the JSON entry shapes
-// both the CLI and the server emit. Keeping the run logic and the entry
-// shapes in one place is what makes a served NDJSON record
-// byte-identical to the same record from a single-shot CLI run — the
-// front ends differ only in where the bytes go and how text output is
-// rendered.
+// store tier, the mode table (each verification mode's parameters and
+// its one run function), and the JSON entry shapes both the CLI and the
+// server emit. Keeping the run logic and the entry shapes in one place
+// is what makes a served NDJSON record byte-identical to the same record
+// from a single-shot CLI run — the front ends differ only in where the
+// bytes go.
 package engine
 
 import (

@@ -129,36 +129,12 @@ func (s *Session) CheckAll(f *parser.File, src string, caps map[hexpr.Location]i
 	return res, nil
 }
 
-// AuditInternal returns the message of the first isolated analyzer panic
-// in the audit pass, or "" — budget-cutoff SUSC016 diagnostics ("analysis
-// stopped …") do not count.
-func (r *CheckAllResult) AuditInternal() string {
-	if r.Audit == nil {
-		return ""
-	}
-	return internalIn(r.Audit.Diagnostics)
-}
-
-// AuditFindings counts the audit's warning-or-worse findings, internal
-// errors excluded.
-func (r *CheckAllResult) AuditFindings() int {
-	if r.Audit == nil {
-		return 0
-	}
-	n := 0
-	for _, d := range r.Audit.Diagnostics {
-		if d.Severity >= lint.Warning && d.Code != lint.CodeInternalError {
-			n++
-		}
-	}
-	return n
-}
-
-// Err folds a finished checkall run onto the exit-code protocol: an
-// isolated analyzer panic outranks a budget cutoff, which outranks an
-// invalid network, which outranks audit findings.
+// Err folds a finished checkall run, one whose CheckAll returned no
+// error, onto the exit-code protocol: an isolated analyzer panic
+// outranks a budget cutoff, which outranks an invalid network, which
+// outranks audit findings.
 func (r *CheckAllResult) Err(bud *budget.Budget) error {
-	if msg := r.AuditInternal(); msg != "" {
+	if msg := internalIn(r.Audit.Diagnostics); msg != "" {
 		return &budget.InternalError{Unit: "audit", Value: msg}
 	}
 	if r.Report.Verdict == verify.Unknown {
@@ -173,7 +149,7 @@ func (r *CheckAllResult) Err(bud *budget.Budget) error {
 	if e := bud.Exhausted(); e != nil {
 		return e
 	}
-	if n := r.AuditFindings(); n > 0 {
+	if n := warnings(r.Audit.Diagnostics); n > 0 {
 		return fmt.Errorf("audit: %d finding(s)", n)
 	}
 	return nil
@@ -190,47 +166,32 @@ func internalIn(diags []lint.Diagnostic) string {
 	return ""
 }
 
-// LintErr folds lint diagnostics onto the exit-code protocol: an
-// isolated analyzer panic (exit 2) outranks a budget cutoff (exit 3),
-// which outranks error-severity findings (exit 1).
-func LintErr(diags []lint.Diagnostic, bud *budget.Budget) error {
+// analysisErr folds a finished lint, explain or audit run onto the
+// exit-code protocol: an isolated analyzer panic (exit 2) outranks a
+// budget cutoff (exit 3), which outranks n failing findings (exit 1).
+func analysisErr(unit string, diags []lint.Diagnostic, bud *budget.Budget, n int, findings string) error {
 	if msg := internalIn(diags); msg != "" {
-		return &budget.InternalError{Unit: "lint", Value: msg}
+		return &budget.InternalError{Unit: unit, Value: msg}
 	}
 	if e := bud.Exhausted(); e != nil {
 		return e
 	}
-	errs := 0
-	for _, d := range diags {
-		if d.Severity == lint.Error {
-			errs++
-		}
-	}
-	if errs > 0 {
-		return fmt.Errorf("lint: %d error(s)", errs)
+	if n > 0 {
+		return fmt.Errorf("%s: %d %s", unit, n, findings)
 	}
 	return nil
 }
 
-// AuditErr folds an audit run onto the exit-code protocol, counting
-// warning-or-worse findings.
-func AuditErr(res *lint.AuditResult, bud *budget.Budget) error {
-	if msg := internalIn(res.Diagnostics); msg != "" {
-		return &budget.InternalError{Unit: "audit", Value: msg}
-	}
-	if e := bud.Exhausted(); e != nil {
-		return e
-	}
-	findings := 0
-	for _, d := range res.Diagnostics {
+// warnings counts the warning-or-worse findings, internal errors
+// excluded.
+func warnings(diags []lint.Diagnostic) int {
+	n := 0
+	for _, d := range diags {
 		if d.Severity >= lint.Warning && d.Code != lint.CodeInternalError {
-			findings++
+			n++
 		}
 	}
-	if findings > 0 {
-		return fmt.Errorf("audit: %d finding(s)", findings)
-	}
-	return nil
+	return n
 }
 
 // CheckErr folds a single-plan verdict onto the exit-code protocol.

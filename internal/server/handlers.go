@@ -1,18 +1,19 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
+	"sort"
 
 	"susc/internal/budget"
 	"susc/internal/engine"
 	"susc/internal/faultinject"
-	"susc/internal/hexpr"
-	"susc/internal/lint"
-	"susc/internal/parser"
-	"susc/internal/plans"
 )
 
 // stream writes one NDJSON response: record lines byte-identical to the
@@ -87,25 +88,35 @@ type webhookPayload struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// runRequest owns one admitted request: budget, panic guard, stream,
-// done line, webhook. Every path through it ends the response with a
-// control line, so clients can always distinguish a complete (possibly
-// failed) verification from a torn connection.
-func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, mode string, id int64, src string) {
-	bud, cancel, err := s.reqBudget(r)
+// runRequest owns one admitted request: query, budget, panic guard,
+// stream, done line, webhook. Every path past the query ends the
+// response with a control line, so clients can always distinguish a
+// complete (possibly failed) verification from a torn connection.
+func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, m *engine.Mode, id int64, src string) {
+	fs, q := newQuery(m)
+	vals, err := url.ParseQuery(r.URL.RawQuery)
+	if err == nil {
+		err = fs.Parse(queryArgs(vals))
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	bud, cancel := s.reqBudget(r, q.Params)
 	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	st := newStream(w)
-	unit := fmt.Sprintf("serve/%s#%d", mode, id)
+	file := cmp.Or(q.file, "spec")
+	req := &engine.Request{File: file, Src: src, Budget: bud, Params: *q.Params}
+	out := &engine.Output{Record: st.record, Note: func(kind string, e engine.LintEntry) {
+		st.control(diagLine{Susc: kind, Diag: e})
+	}}
+	unit := fmt.Sprintf("serve/%s#%d", m.Name, id)
 	runErr := budget.Guard(unit, func() error {
 		if faultinject.Enabled() {
-			faultinject.Fire(faultinject.ServeHandler, fmt.Sprintf("%s#%d", mode, id))
+			faultinject.Fire(faultinject.ServeHandler, fmt.Sprintf("%s#%d", m.Name, id))
 		}
-		return s.runMode(mode, r, src, bud, st)
+		return m.Run(s.sess, req, out)
 	})
 	var ie *budget.InternalError
 	if errors.As(runErr, &ie) {
@@ -118,155 +129,56 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, mode string,
 		done.Error = runErr.Error()
 	}
 	st.control(done)
-	if url := r.URL.Query().Get("webhook"); url != "" && s.hooks != nil {
+	if q.webhook != "" && s.hooks != nil {
 		body, _ := json.Marshal(webhookPayload{
-			Mode: mode, ID: id, File: fileName(r), Exit: exit,
+			Mode: m.Name, ID: id, File: file, Exit: exit,
 			Records: st.records, Error: done.Error,
 		})
-		s.hooks.enqueue(url, body)
+		s.hooks.enqueue(q.webhook, body)
 	}
 }
 
-// fileName is the display name diagnostics anchor to, client-chosen.
-func fileName(r *http.Request) string {
-	if f := r.URL.Query().Get("file"); f != "" {
-		return f
-	}
-	return "spec"
+// query is one request's parsed query string.
+type query struct {
+	*engine.Params
+	file, webhook string
 }
 
-// runMode dispatches one mode, writing record lines and returning the
-// error that becomes the exit code — the same epilogue helpers the CLI
-// uses, so exit codes match run for run.
-func (s *Server) runMode(mode string, r *http.Request, src string, bud *budget.Budget, st *stream) error {
-	q := r.URL.Query()
-	switch mode {
-	case "lint":
-		minSev, err := lint.ParseSeverity(severityParam(r))
-		if err != nil {
-			return err
-		}
-		diags := s.sess.Lint(src, lint.Options{MinSeverity: minSev, Budget: bud})
-		for _, d := range diags {
-			if err := st.record(engine.LintEntry{File: fileName(r), Diagnostic: d}); err != nil {
-				return err
-			}
-		}
-		return engine.LintErr(diags, bud)
-
-	case "audit":
-		minSev, err := lint.ParseSeverity(severityParam(r))
-		if err != nil {
-			return err
-		}
-		res := s.sess.Audit(src, lint.Options{
-			MinSeverity:       minSev,
-			Budget:            bud,
-			AuditDeclaredOnly: boolParam(q.Get("plan"), false),
-		})
-		for _, d := range res.Diagnostics {
-			if err := st.record(engine.LintEntry{File: fileName(r), Diagnostic: d}); err != nil {
-				return err
-			}
-		}
-		for _, cc := range res.Coverage {
-			if err := st.record(engine.CoverageEntry{File: fileName(r), Coverage: cc}); err != nil {
-				return err
-			}
-		}
-		return engine.AuditErr(res, bud)
-
-	case "check":
-		f, err := parser.ParseFile(src)
-		if err != nil {
-			return err
-		}
-		c, err := engine.SelectClient(f, q.Get("client"))
-		if err != nil {
-			return err
-		}
-		rep, err := s.sess.CheckPlan(f, c, bud)
-		if err != nil {
-			return err
-		}
-		if err := st.record(rep); err != nil {
-			return err
-		}
-		return engine.CheckErr(rep, bud)
-
-	case "checkall":
-		f, err := parser.ParseFile(src)
-		if err != nil {
-			return err
-		}
-		caps, err := capsParam(q.Get("cap"))
-		if err != nil {
-			return err
-		}
-		res, runErr := s.sess.CheckAll(f, src, caps, bud)
-		for _, d := range res.Lint {
-			st.control(diagLine{Susc: "lint", Diag: engine.LintEntry{File: fileName(r), Diagnostic: d}})
-		}
-		if res.Audit != nil {
-			for _, d := range res.Audit.Diagnostics {
-				st.control(diagLine{Susc: "audit", Diag: engine.LintEntry{File: fileName(r), Diagnostic: d}})
-			}
-		}
-		if runErr != nil {
-			return runErr
-		}
-		if err := st.record(res.Report); err != nil {
-			return err
-		}
-		return res.Err(bud)
-
-	case "plans":
-		f, err := parser.ParseFile(src)
-		if err != nil {
-			return err
-		}
-		c, err := engine.SelectClient(f, q.Get("client"))
-		if err != nil {
-			return err
-		}
-		opts := plans.Options{
-			PruneNonCompliant: boolParam(q.Get("prune"), true),
-			Budget:            bud,
-		}
-		err = s.sess.AssessStream(f, c, opts, func(a plans.Assessment) error {
-			return st.record(engine.ToPlanEntry(a))
-		})
-		if err != nil {
-			return err
-		}
-		if e := bud.Exhausted(); e != nil {
-			return e
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown mode %q", mode)
+// newQuery builds the flag set /v1/<mode> parses its query with: the
+// mode's served parameters, defined as `susc <mode>` defines them, plus
+// the server's own file and webhook. A flag.FlagSet is not safe for
+// concurrent use, so every request builds its own.
+func newQuery(m *engine.Mode) (*flag.FlagSet, *query) {
+	fs := flag.NewFlagSet(m.Name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	q := &query{Params: m.Flags(fs, true)}
+	// A served run always streams JSON records.
+	q.JSON, q.Stream = true, true
+	fs.StringVar(&q.file, "file", "", "the `NAME` findings anchor to (default spec)")
+	fs.StringVar(&q.webhook, "webhook", "", "POST the signed completion summary to `URL`")
+	return fs, q
 }
 
-func severityParam(r *http.Request) string {
-	if v := r.URL.Query().Get("severity"); v != "" {
-		return v
-	}
-	return "info"
+// QueryFlags returns the flag set /v1/<mode>'s query parses with, for
+// the docs drift test that pins the README's endpoint table to it.
+func QueryFlags(m *engine.Mode) *flag.FlagSet {
+	fs, _ := newQuery(m)
+	return fs
 }
 
-func boolParam(v string, dflt bool) bool {
-	switch v {
-	case "":
-		return dflt
-	case "0", "false", "no":
-		return false
+// queryArgs spells a query as the flags `susc <mode>` takes, keys in
+// order, so a malformed or unknown parameter fails as that flag would.
+func queryArgs(q url.Values) []string {
+	keys := make([]string, 0, len(q))
+	for k := range q {
+		keys = append(keys, k)
 	}
-	return true
-}
-
-func capsParam(spec string) (map[hexpr.Location]int, error) {
-	if spec == "" {
-		return nil, nil
+	sort.Strings(keys)
+	var args []string
+	for _, k := range keys {
+		for _, v := range q[k] {
+			args = append(args, "-"+k+"="+v)
+		}
 	}
-	return engine.ParseCaps(spec)
+	return args
 }

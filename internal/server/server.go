@@ -3,15 +3,18 @@
 // answers POSTed specification files with streamed NDJSON results.
 //
 // The protocol is deliberately plain. POST the spec source to
-// /v1/<mode> (lint, audit, check, checkall, plans); record lines come
-// back exactly as the CLI's -json mode prints them for that mode, so a
-// served verdict is byte-identical to a single-shot `susc <mode> -json`
-// run against the same session state. Everything the CLI would print to
-// stderr — progress, findings riding along with a checkall verdict —
-// arrives as control lines, JSON objects whose first key is "susc"
-// (filter them with `grep -v '^{"susc"'`). The final line of every
-// response is {"susc":"done","exit":N} carrying the exit code the CLI
-// would have returned.
+// /v1/<mode>, for each served mode of engine.Modes (lint, audit, plans,
+// check, checkall), with the mode's parameters as the query string:
+// they parse with the flag definitions of `susc <mode>`, so a malformed
+// or unknown parameter is a 400. The run is the CLI's own run function,
+// so record lines come back exactly as the CLI's -json mode prints them
+// and a served verdict is byte-identical to a single-shot
+// `susc <mode> -json` run against the same session state. Everything
+// the CLI would print to stderr — progress, findings riding along with
+// a checkall verdict — arrives as control lines, JSON objects whose
+// first key is "susc" (filter them with `grep -v '^{"susc"'`). The
+// final line of every response is {"susc":"done","exit":N} carrying the
+// exit code the CLI would have returned.
 //
 // Robustness is the point of the design:
 //
@@ -37,7 +40,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -253,28 +255,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.Stats())
 }
 
-// Modes are the servable verification modes, each reachable at
-// /v1/<mode>; every one streams the same record shapes its CLI -json
-// counterpart prints. Exported so the docs drift tests can hold the
-// README's endpoint table to this list.
-var Modes = []string{"lint", "audit", "check", "checkall", "plans"}
-
-var modes = func() map[string]bool {
-	m := map[string]bool{}
-	for _, mode := range Modes {
-		m[mode] = true
-	}
-	return m
-}()
-
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	mode := r.PathValue("mode")
-	if !modes[mode] {
-		http.Error(w, fmt.Sprintf("unknown mode %q", mode), http.StatusNotFound)
+	name := r.PathValue("mode")
+	m := engine.LookupMode(name)
+	if m == nil || !m.Served {
+		http.Error(w, fmt.Sprintf("unknown mode %q", name), http.StatusNotFound)
 		return
 	}
 	if faultinject.Enabled() {
-		faultinject.Fire(faultinject.ServeAccept, mode)
+		faultinject.Fire(faultinject.ServeAccept, name)
 	}
 	if r.URL.Query().Get("webhook") != "" && s.hooks == nil {
 		http.Error(w, "webhook callbacks disabled: the server has no signing secret", http.StatusBadRequest)
@@ -302,59 +291,26 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	s.served.Add(1)
 	id := s.reqID.Add(1)
-	s.runRequest(w, r, mode, id, string(src))
+	s.runRequest(w, r, m, id, string(src))
 }
 
-// reqBudget builds the request's isolated budget: client-requested
-// limits clamped by the server caps, drawing cancellation from both the
-// connection (client gone) and the server's drain context.
-func (s *Server) reqBudget(r *http.Request) (*budget.Budget, context.CancelFunc, error) {
-	q := r.URL.Query()
+// reqBudget builds the request's isolated budget: the limits the query
+// asked for, clamped by the server caps, drawing cancellation from both
+// the connection (client gone) and the server's drain context.
+func (s *Server) reqBudget(r *http.Request, p *engine.Params) (*budget.Budget, context.CancelFunc) {
 	lim := budget.Limits{
-		Timeout:   s.cfg.MaxTimeout,
-		MaxStates: s.cfg.MaxStates,
-		MaxEdges:  s.cfg.MaxEdges,
-	}
-	if v := q.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, nil, fmt.Errorf("timeout: %v", err)
-		}
-		lim.Timeout = clampDuration(d, s.cfg.MaxTimeout)
-	}
-	if v := q.Get("max-states"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("max-states: %v", err)
-		}
-		lim.MaxStates = clampInt64(n, s.cfg.MaxStates)
-	}
-	if v := q.Get("max-edges"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("max-edges: %v", err)
-		}
-		lim.MaxEdges = clampInt64(n, s.cfg.MaxEdges)
+		Timeout:   clamp(p.Timeout, s.cfg.MaxTimeout),
+		MaxStates: clamp(p.MaxStates, s.cfg.MaxStates),
+		MaxEdges:  clamp(p.MaxEdges, s.cfg.MaxEdges),
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	stop := context.AfterFunc(r.Context(), cancel)
-	return budget.New(ctx, lim), func() { stop(); cancel() }, nil
+	return budget.New(ctx, lim), func() { stop(); cancel() }
 }
 
-// clampDuration bounds a requested wall-clock budget by the server cap
-// (0 cap = unlimited, any request honoured; 0 or over-cap request =
-// the cap).
-func clampDuration(req, cap time.Duration) time.Duration {
-	if cap <= 0 {
-		return req
-	}
-	if req <= 0 || req > cap {
-		return cap
-	}
-	return req
-}
-
-func clampInt64(req, cap int64) int64 {
+// clamp bounds a requested budget by the server cap (0 cap = unlimited,
+// any request honoured; 0 or over-cap request = the cap).
+func clamp[T ~int64](req, cap T) T {
 	if cap <= 0 {
 		return req
 	}

@@ -272,8 +272,9 @@ func TestServePanicIsolation(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests: unknown modes, bad budgets and oversized bodies
-// are refused up front with plain HTTP errors.
+// TestServeBadRequests: unknown modes, malformed or unknown query
+// parameters and oversized bodies are refused up front with plain HTTP
+// errors. The query parses as the mode's CLI flags do.
 func TestServeBadRequests(t *testing.T) {
 	_, base := start(t, server.Config{MaxBody: 64})
 	cases := []struct {
@@ -281,7 +282,12 @@ func TestServeBadRequests(t *testing.T) {
 		want      int
 	}{
 		{"/v1/nope", "x", http.StatusNotFound},
+		{"/v1/explain", "x", http.StatusNotFound},
 		{"/v1/lint?timeout=bogus", "x", http.StatusBadRequest},
+		{"/v1/plans?client=c1&prune=banana", "x", http.StatusBadRequest},
+		{"/v1/audit?plan=banana", "x", http.StatusBadRequest},
+		{"/v1/lint?sevrity=error", "x", http.StatusBadRequest},
+		{"/v1/plans?client=c1&severity=error", "x", http.StatusBadRequest},
 		{"/v1/lint?webhook=http://example.com", "x", http.StatusBadRequest},
 		{"/v1/lint", strings.Repeat("x", 100), http.StatusRequestEntityTooLarge},
 	}
