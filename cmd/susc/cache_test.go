@@ -162,6 +162,32 @@ func TestCmdCheckCache(t *testing.T) {
 	}
 }
 
+// TestCmdPlansCacheFeedsCheck: a plans sweep files each plan's verdict
+// under the key a check of that plan reads, so `check -cache` after
+// `plans -cache` on the same file answers c1's declared plan from the
+// store.
+func TestCmdPlansCacheFeedsCheck(t *testing.T) {
+	const booking = "../../examples/specs/booking.susc"
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	if _, stderr, err := captureBoth(t, func() error {
+		return run([]string{"plans", booking, "-client", "c1", "-cache", cacheDir})
+	}); err != nil {
+		t.Fatalf("plans: %v\n%s", err, stderr)
+	}
+	out, stderr, err := captureBoth(t, func() error {
+		return run([]string{"check", booking, "-client", "c1", "-cache", cacheDir, "-stats"})
+	})
+	if err != nil {
+		t.Fatalf("check: %v\n%s", err, stderr)
+	}
+	if !strings.Contains(out, "valid (13 states)") {
+		t.Fatalf("check verdict: %s", out)
+	}
+	if hits, misses := storeKindLine(t, stderr, "plan"); hits != 1 || misses != 0 {
+		t.Fatalf("check after plans: %d plan hits, %d misses; want 1 and 0", hits, misses)
+	}
+}
+
 // TestCmdCheckAllCacheWithCaps: the bounded-availability path persists
 // whole-network verdicts and replays them warm, with identical output.
 func TestCmdCheckAllCacheWithCaps(t *testing.T) {

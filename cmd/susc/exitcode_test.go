@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -69,6 +70,60 @@ func TestRunPlansBudgetExhaustedExit3(t *testing.T) {
 	}
 	if !strings.Contains(out, "plan(s)") {
 		t.Fatalf("partial summary must still print, got %q", out)
+	}
+}
+
+// TestRunPlansCacheBudgetCut: a budget cut in a store-backed plans run
+// degrades like an uncached one — exit 3, and every plan of
+// Chained(12,2) printed, text and JSON, with its 12 bindings and a
+// verdict. The sweep enumerates once and keys the plans it enumerated, so
+// a deadline passing while it keys cannot leave plans unassessed. The
+// state cap makes the cut land in the replays on any machine; the
+// deadline is the one a keying pass over all 4096 plans used to overrun.
+func TestRunPlansCacheBudgetCut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock budget: under the race detector the enumeration itself may overrun it")
+	}
+	const spec = "../../internal/benchgen/testdata/chained-12-2.susc"
+	const plans, bindings = 4096, 12
+	for _, form := range []string{"text", "json"} {
+		args := []string{"plans", spec, "-client", "cl", "-cache", t.TempDir(),
+			"-timeout", "100ms", "-max-states", "500"}
+		if form == "json" {
+			args = append(args, "-json")
+		}
+		out, err := capture(t, func() error { return run(args) })
+		if code := exitCode(err); code != 3 {
+			t.Fatalf("%s: exit %d (%v), want 3", form, code, err)
+		}
+		if form == "text" {
+			lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+			if len(lines) != plans+1 || !strings.HasPrefix(lines[plans], fmt.Sprintf("%d plan(s), ", plans)) {
+				t.Fatalf("text: %d lines, want %d plans and the summary", len(lines), plans)
+			}
+			for _, l := range lines[:plans] {
+				plan, verdict, _ := strings.Cut(l, "} ")
+				if strings.Count(plan, ">") != bindings || strings.TrimSpace(verdict) == "" {
+					t.Fatalf("text: malformed record %q", l)
+				}
+			}
+			continue
+		}
+		var entries []struct {
+			Plan   map[string]string
+			Report *struct{ Verdict string }
+		}
+		if err := json.Unmarshal([]byte(out), &entries); err != nil {
+			t.Fatalf("json: %v", err)
+		}
+		if len(entries) != plans {
+			t.Fatalf("json: %d records, want %d", len(entries), plans)
+		}
+		for _, e := range entries {
+			if len(e.Plan) != bindings || e.Report == nil || e.Report.Verdict == "" {
+				t.Fatalf("json: malformed record %+v", e)
+			}
+		}
 	}
 }
 

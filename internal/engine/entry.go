@@ -2,9 +2,13 @@ package engine
 
 import (
 	"errors"
+	"slices"
+	"strings"
 
 	"susc/internal/budget"
+	"susc/internal/hexpr"
 	"susc/internal/lint"
+	"susc/internal/network"
 	"susc/internal/plans"
 	"susc/internal/verify"
 )
@@ -13,17 +17,46 @@ import (
 // `susc plans -json`, the per-line objects of `-json -stream`, and the
 // server's plans NDJSON records.
 type PlanEntry struct {
-	Plan   map[string]string `json:"plan"`
-	Report *verify.Report    `json:"report"`
+	Plan   network.Plan
+	Report *verify.Report
 }
 
 // ToPlanEntry converts an assessment to its wire shape.
 func ToPlanEntry(a plans.Assessment) PlanEntry {
-	m := map[string]string{}
-	for r, l := range a.Plan {
-		m[string(r)] = string(l)
+	return PlanEntry{Plan: a.Plan, Report: a.Report}
+}
+
+// MarshalJSON writes {"plan":{…},"report":…}: the plan's bindings in
+// sorted request order, then the report (null when there is none) — the
+// bytes encoding/json writes for the plan as a map[string]string.
+func (e PlanEntry) MarshalJSON() ([]byte, error) {
+	type binding struct {
+		req hexpr.RequestID
+		loc hexpr.Location
 	}
-	return PlanEntry{Plan: m, Report: a.Report}
+	var scratch [16]binding
+	bs := scratch[:0]
+	for r, l := range e.Plan {
+		bs = append(bs, binding{r, l})
+	}
+	slices.SortFunc(bs, func(x, y binding) int { return strings.Compare(string(x.req), string(y.req)) })
+	b := make([]byte, 0, 64+24*len(bs))
+	b = append(b, `{"plan":{`...)
+	for i, x := range bs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = verify.AppendJSONString(b, string(x.req))
+		b = append(b, ':')
+		b = verify.AppendJSONString(b, string(x.loc))
+	}
+	b = append(b, `},"report":`...)
+	if e.Report == nil {
+		b = append(b, "null"...)
+	} else {
+		b = e.Report.AppendJSON(b)
+	}
+	return append(b, '}'), nil
 }
 
 // LintEntry is the JSON shape of one diagnostic in NDJSON output — the

@@ -258,8 +258,9 @@ func (o *Output) diagnostics(r *Request, diags []lint.Diagnostic) error {
 }
 
 // printStats reports a run's work counters, in the order CI parses them:
-// the analyzer lines, the memory tier, the fused engine, the disk tier
-// (the overall line, then one per record kind that saw traffic).
+// the analyzer lines, the memory tier, its whole-report verdicts, the
+// fused engine, the disk tier (the overall line, then one per record kind
+// that saw traffic).
 func (s *Session) printStats(w io.Writer, mode string, an *lint.Stats, fused *plans.FusedStats) {
 	if an != nil {
 		for _, a := range an.Analyzers {
@@ -269,6 +270,8 @@ func (s *Session) printStats(w io.Writer, mode string, an *lint.Stats, fused *pl
 	st := s.Cache.Stats()
 	fmt.Fprintf(w, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
 		st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+	fmt.Fprintf(w, "stats: reports %d hits, %d misses, %d entries\n",
+		st.ReportHits, st.ReportMisses, st.ReportEntries)
 	if fused != nil {
 		fmt.Fprintf(w,
 			"stats: fused %d plans assessed, %d states expanded, %d edges, %d replay states, %d memo hits, %d bindings pruned\n",

@@ -7,13 +7,15 @@ import (
 	"strings"
 )
 
-// nounknownpersist: no persistent-store write may be reachable with a
-// budget-degraded result. A call to (*store.Store).Put must be guarded —
-// dominated by a condition that discriminates on an Unknown verdict, a
-// budget Exhausted/Err probe, a persistability predicate, or an
-// error-nil comparison. Without such a guard, a verdict produced under
-// an exhausted budget could be written once and replayed forever: the
-// cache-poisoning failure PR 5 and PR 7 were built to exclude.
+// nounknownpersist: no verdict-tier write may be reachable with a
+// budget-degraded result. A call to (*store.Store).Put (the persistent
+// tier) or (*memo.Cache).PutReport (the session's memory tier of
+// reports) must be guarded — dominated by a condition that discriminates
+// on an Unknown verdict, a budget Exhausted/Err probe, a persistability
+// predicate, or an error-nil comparison. Without such a guard, a verdict
+// produced under an exhausted budget could be written once and replayed
+// forever (or, in memory, for the life of a server): the cache-poisoning
+// failure the budget and the verdict store were built to exclude.
 //
 // Two guard shapes are recognised: the Put sits inside an if whose
 // condition is a guard, or an earlier statement in the same block is an
@@ -44,11 +46,21 @@ func runUnknownPersist(p *Pass) {
 	}
 }
 
-// isStorePut matches method calls named Put whose receiver is the
-// persistent store type (internal/store.Store, behind any pointers).
+// isStorePut matches the writes of the verdict tiers: method calls named
+// Put on the persistent store (internal/store.Store) and PutReport on the
+// memory tier (internal/memo.Cache), behind any pointers.
 func isStorePut(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Put" {
+	if !ok {
+		return false
+	}
+	var pkg, typ string
+	switch sel.Sel.Name {
+	case "Put":
+		pkg, typ = "internal/store", "Store"
+	case "PutReport":
+		pkg, typ = "internal/memo", "Cache"
+	default:
 		return false
 	}
 	f := calleeFunc(info, call)
@@ -59,7 +71,7 @@ func isStorePut(info *types.Info, call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	return isTypeFrom(sig.Recv().Type(), "internal/store", "Store")
+	return isTypeFrom(sig.Recv().Type(), pkg, typ)
 }
 
 // putIsGuarded walks the ancestor chain looking for a dominating guard.

@@ -2,7 +2,10 @@
 // writes with and without the guards the analyzer recognises.
 package verify
 
-import "fixture/internal/store"
+import (
+	"fixture/internal/memo"
+	"fixture/internal/store"
+)
 
 // Verdict mirrors the engine's three-valued outcome.
 type Verdict int
@@ -62,4 +65,18 @@ func PersistNonGuardIf(s *store.Store, sum store.Sum, raw []byte) {
 	if len(raw) > 0 {
 		s.Put(store.KindCompliance, sum, raw) // want `store write is reachable without an Unknown/exhausted guard`
 	}
+}
+
+// FileInMemoryUnguarded files whatever it was handed in the memory tier,
+// which a server keeps for its whole life: a finding like a store write.
+func FileInMemoryUnguarded(c *memo.Cache, sum store.Sum, r result) {
+	c.PutReport(store.KindCompliance, sum, r) // want `store write is reachable without an Unknown/exhausted guard`
+}
+
+// FileInMemoryGuarded leaves Unknown out of the memory tier: clean.
+func FileInMemoryGuarded(c *memo.Cache, sum store.Sum, r result) {
+	if r.verdict == Unknown {
+		return
+	}
+	c.PutReport(store.KindCompliance, sum, r)
 }

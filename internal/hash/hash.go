@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"io"
 
 	"susc/internal/hexpr"
 	"susc/internal/policy"
@@ -57,32 +58,66 @@ func Fingerprint() Sum {
 // (length- or tag-prefixed), so the digest of a field sequence is
 // unambiguous.
 type Hasher struct {
-	h   hash.Hash
+	w   io.Writer
+	h   hash.Hash // nil while recording a Frame
 	buf [binary.MaxVarintLen64]byte
+	// str stages strings for the writer, which takes bytes: converting
+	// each one would allocate a copy per write.
+	str []byte
 }
 
 // New returns an empty Hasher.
-func New() *Hasher { return &Hasher{h: sha256.New()} }
+func New() *Hasher {
+	d := sha256.New()
+	return &Hasher{w: d, h: d}
+}
 
 // Str writes a length-prefixed string.
 func (h *Hasher) Str(s string) {
 	h.Int(len(s))
-	h.h.Write([]byte(s))
+	h.str = append(h.str[:0], s...)
+	h.w.Write(h.str)
 }
 
 // Bytes writes a length-prefixed byte slice.
 func (h *Hasher) Bytes(b []byte) {
 	h.Int(len(b))
-	h.h.Write(b)
+	h.w.Write(b)
 }
 
 // Int writes an integer as a varint (stable across word sizes).
 func (h *Hasher) Int(n int) {
 	k := binary.PutVarint(h.buf[:], int64(n))
-	h.h.Write(h.buf[:k])
+	h.w.Write(h.buf[:k])
 }
 
-// Sum finalises the digest. The Hasher must not be written to afterwards.
+// Raw writes bytes without framing. It replays what Frame recorded: the
+// recorded bytes are already framed, so a digest fed Raw(Frame(f)) equals
+// one fed f directly.
+func (h *Hasher) Raw(b []byte) { h.w.Write(b) }
+
+// Frame returns the bytes write feeds a Hasher. A caller digesting many
+// composites that share parts renders each part once and replays it with
+// Raw.
+func Frame(write func(*Hasher)) []byte {
+	var rec recorder
+	write(&Hasher{w: &rec})
+	return rec
+}
+
+// recorder is the writer of a recording Hasher.
+type recorder []byte
+
+func (r *recorder) Write(b []byte) (int, error) {
+	*r = append(*r, b...)
+	return len(b), nil
+}
+
+// Reset empties the digest, so one Hasher can key many artifacts.
+func (h *Hasher) Reset() { h.h.Reset() }
+
+// Sum finalises the digest. The Hasher must not be written to afterwards,
+// until Reset.
 func (h *Hasher) Sum() Sum {
 	var s Sum
 	h.h.Sum(s[:0])

@@ -182,9 +182,9 @@ var unrealizableAnalyzer = &Analyzer{
 				Cache:             pass.Cache,
 				Budget:            pass.Budget,
 				// The sweep is an existence probe over the whole plan
-				// family; its per-plan verdicts stay in the memory tier
-				// (the lint result itself is persisted whole-file).
-				MemoryTierOnly: true,
+				// family; its per-plan verdicts stay out of the report
+				// tiers (the lint result itself is persisted whole-file).
+				NoReportTier: true,
 			})
 			if err != nil && !pass.reportSweepPanic(i, err) || len(as) == 0 {
 				continue // plan space too large or empty: nothing sound to say

@@ -4,14 +4,19 @@
 // transition sets and built LTSs — keyed by interned expression IDs
 // (internal/intern), so the cost of assessing N plans over a repository
 // grows with the number of *distinct* (request body, service) pairs and
-// distinct expression residuals, not with N.
+// distinct expression residuals, not with N. Above those sits the memory
+// tier of whole-report verdicts (reports.go), keyed by cone hash like the
+// disk tier beneath it, which lets a repeated question skip the work
+// altogether.
 //
 // A Cache is safe for concurrent use: each table is sharded and guarded by
-// per-shard RWMutexes, and every cached artifact is immutable after
-// construction (products, transition slices and LTSs are never mutated by
-// their consumers). Racing goroutines may build the same artifact twice on
-// a cold key; both results are structurally identical and one wins, so
-// callers observe deterministic values regardless of scheduling.
+// per-shard RWMutexes (the report tier, consulted once per verdict rather
+// than once per step, by one RWMutex), and every cached artifact is
+// immutable after construction (products, transition slices and LTSs are
+// never mutated by their consumers). Racing goroutines may build the same
+// artifact twice on a cold key; both results are structurally identical
+// and one wins, so callers observe deterministic values regardless of
+// scheduling.
 package memo
 
 import (
@@ -46,6 +51,12 @@ type Stats struct {
 	// cheaply-maintained gauge of cache pressure, not an accounting of
 	// the Go heap.
 	ApproxBytes uint64
+
+	// ReportHits, ReportMisses and ReportEntries count the memory tier of
+	// whole-report verdicts (Report, PutReport). They stay out of Hits,
+	// Misses, Entries and ApproxBytes: those measure the per-pair work
+	// beneath a verdict, which a report hit skips altogether.
+	ReportHits, ReportMisses, ReportEntries uint64
 }
 
 // Entries returns the total number of cached entries across all tables.
@@ -147,6 +158,7 @@ type Cache struct {
 	ltss     table[ltsEntry]
 	projs    table[hexpr.Expr]
 	compiled table[*autom.Compiled]
+	reports  reportTier
 
 	// disk is the optional persistent second tier (see AttachDisk):
 	// memory miss → disk probe → compute → write-back.
@@ -186,6 +198,10 @@ func (c *Cache) Stats() Stats {
 		ApproxBytes: c.verdicts.bytes.Load() + c.products.bytes.Load() +
 			c.steps.bytes.Load() + c.ltss.bytes.Load() + c.projs.bytes.Load() +
 			c.compiled.bytes.Load(),
+
+		ReportHits:    c.reports.hits.Load(),
+		ReportMisses:  c.reports.misses.Load(),
+		ReportEntries: c.reports.entries.Load(),
 	}
 }
 

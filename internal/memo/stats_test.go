@@ -1,7 +1,11 @@
 package memo
 
 import (
+	"sync"
 	"testing"
+
+	"susc/internal/hash"
+	"susc/internal/store"
 
 	"susc/internal/hexpr"
 	"susc/internal/paperex"
@@ -53,5 +57,40 @@ func TestStatsEntriesAndBytes(t *testing.T) {
 	}
 	if st3.ApproxBytes <= st2.ApproxBytes {
 		t.Fatal("caching an LTS must grow the byte estimate")
+	}
+}
+
+// TestReportTierConcurrent: goroutines filing and reading the report tier
+// at once see every filed report under its own (kind, key) — the kind is
+// part of the address — and count each key's entry once; under -race
+// this is the data-race check for the tier's shards. Its traffic stays
+// out of the per-pair counters.
+func TestReportTierConcurrent(t *testing.T) {
+	c := New()
+	const nGo, nKeys = 8, 64
+	key := func(i int) hash.Sum { return hash.File([]byte{byte(i)}) }
+	var wg sync.WaitGroup
+	for g := 0; g < nGo; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < nKeys; k++ {
+				i := (k*5 + g*11) % nKeys
+				for _, kind := range []store.Kind{store.KindPlanReport, store.KindNetworkReport} {
+					if v, ok := c.Report(kind, key(i)); ok && v != [2]int{int(kind), i} {
+						t.Errorf("report %d/%d reads %v", kind, i, v)
+					}
+					c.PutReport(kind, key(i), [2]int{int(kind), i})
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.ReportEntries != 2*nKeys || st.ReportHits+st.ReportMisses != 2*nGo*nKeys {
+		t.Fatalf("report tier counters %+v, want %d entries and %d lookups", st, 2*nKeys, 2*nGo*nKeys)
+	}
+	if st.Hits()+st.Misses()+st.Entries() != 0 {
+		t.Fatalf("report traffic leaked into the per-pair counters: %+v", st)
 	}
 }

@@ -38,7 +38,8 @@ type FusedStats struct {
 	// ReplayMemoHits is the number of plans whose verdict was recovered
 	// from an earlier replay consulting the same binding decisions.
 	ReplayMemoHits atomic.Uint64
-	// PlansAssessed is the number of complete plans assessed.
+	// PlansAssessed is the number of complete plans the engine assessed:
+	// in a tiered sweep (AssessAll), the report-tier misses it replayed.
 	PlansAssessed atomic.Uint64
 	// BindingsPruned is the number of candidate bindings rejected by the
 	// PruneNonCompliant probe during enumeration.
@@ -57,7 +58,8 @@ func (s *FusedStats) Reset() {
 }
 
 // fusedEngine is the shared-state-space synthesis engine. One engine
-// serves one AssessStream call and runs on the goroutine that made it, so
+// serves one AssessAll, AssessStream or AssessWithFlows call and runs on
+// the goroutine that made it, so
 // its graph, canonical tables and replay memo need no locks; the
 // memo.Cache it draws compliance verdicts and transition sets from may
 // outlive it and is shared, under its own locks, by concurrent calls.
@@ -120,6 +122,7 @@ type fusedEngine struct {
 	locPending    map[hexpr.Location][]pendingReq
 	clientPendIdx []pendEntry
 	locPendIdx    [][]pendEntry
+	nSessions     int
 	// clientReqs/locReqs are the deduplicated per-expression request lists
 	// feeding the call-cycle successor function.
 	clientReqs []hexpr.RequestID
@@ -156,12 +159,15 @@ type fusedEngine struct {
 }
 
 // pendEntry is one pending session of the static compliance walk: the
-// request (for diagnostics), its dense index (to index the plan vector)
-// and its body.
+// request (for diagnostics), its dense index (to index the plan vector),
+// its framing policy and body, and the session's own dense index among
+// all the sessions of the world (planSums keys its bindings on it).
 type pendEntry struct {
-	req    hexpr.RequestID
-	reqIdx int32
-	body   hexpr.Expr
+	req     hexpr.RequestID
+	reqIdx  int32
+	session int32
+	policy  hexpr.PolicyID
+	body    hexpr.Expr
 }
 
 func (eng *fusedEngine) locKey(l hexpr.Location) intern.ID {
@@ -307,7 +313,9 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 	toIdx := func(list []pendingReq) []pendEntry {
 		out := make([]pendEntry, len(list))
 		for i, p := range list {
-			out[i] = pendEntry{req: p.req, reqIdx: eng.reqIdx[p.req], body: p.body}
+			out[i] = pendEntry{req: p.req, reqIdx: eng.reqIdx[p.req],
+				session: int32(eng.nSessions), policy: p.policy, body: p.body}
+			eng.nSessions++
 		}
 		return out
 	}
@@ -1152,18 +1160,27 @@ func (eng *fusedEngine) enumerate() ([]network.Plan, [][]int32, error) {
 // over pending requests, candidates in sorted-location order). A non-nil
 // error from yield stops the stream and is returned. Assessments come from
 // the fused engine: plans are validated against one shared state graph,
-// one after another on the calling goroutine (opts.Workers is not read;
-// only the store's per-plan recompute in AssessAll reads it).
+// one after another on the calling goroutine (opts.Workers is not read).
 //
-// With a persistent store attached to opts.Cache, the stream uses only
-// the compliance and LTS disk tiers (through the cache); per-plan report
-// persistence is the batch assessor's job — AssessAll probes and writes
-// the plan-report tier.
+// The stream reads and files no plan report, in either tier: it serves
+// one-off plan families (a served plans request, -stream), and filing
+// every plan of each novel family would cost a store write per plan and
+// keep every report in memory. The compliance and LTS tiers underneath
+// are used as usual; AssessAll is the tiered sweep.
 func AssessStream(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options,
 	yield func(Assessment) error) error {
 
-	return newFusedEngine(repo, table, loc, client, opts).stream(yield, nil)
+	eng := newFusedEngine(repo, table, loc, client, opts)
+	plans, vecs, err := eng.enumerate()
+	if err != nil {
+		return err
+	}
+	all := make([]int, len(plans))
+	for i := range all {
+		all[i] = i
+	}
+	return eng.run(plans, vecs, all, func(_ int, a Assessment) error { return yield(a) })
 }
 
 // planKeys builds every enumerated plan's network.Plan.Key without
@@ -1212,26 +1229,22 @@ func (eng *fusedEngine) planKeys(vecs [][]int32) []string {
 	return keys
 }
 
-// stream is AssessStream with a side channel: when keys is non-nil it
-// receives the enumerated plans' Plan.Keys (planKeys), aligned with the
-// yield order — every enumerated plan is yielded exactly once, also under
-// budget exhaustion and isolated plan panics. assessAll sorts on them
-// instead of rebuilding each key from its plan map.
-func (eng *fusedEngine) stream(yield func(Assessment) error, keys *[]string) error {
-	plans, vecs, err := eng.enumerate()
-	if err != nil {
-		return err
-	}
-	if keys != nil {
-		*keys = eng.planKeys(vecs)
-	}
+// run assesses plans[i] for every i in idxs, in that order, on the
+// calling goroutine, and yields each assessment with its index. Every
+// listed plan is yielded exactly once, also under budget exhaustion and
+// isolated plan panics; a non-nil error from yield stops the run and is
+// returned. The first isolated panic is returned as a
+// *budget.InternalError once every plan is yielded.
+func (eng *fusedEngine) run(plans []network.Plan, vecs [][]int32, idxs []int,
+	yield func(int, Assessment) error) error {
+
 	// Presize the canonical-pair and node tables now that the workload
 	// scale is known: the explored graph grows with plans × requests, and
 	// letting the tables double their way up instead was a third of the
 	// engine's allocated bytes (see u64map.reserve). The cap keeps a wide
 	// plan space with a small shared graph from over-allocating — beyond
 	// it, organic growth takes over.
-	if n := len(plans) * eng.nReq; n > 0 {
+	if n := len(idxs) * eng.nReq; n > 0 {
 		const maxReserve = 1 << 21
 		eng.pairs.reserve(min(2*n, 2*maxReserve))
 		eng.nodes.reserve(min(n, maxReserve/2))
@@ -1241,8 +1254,8 @@ func (eng *fusedEngine) stream(yield func(Assessment) error, keys *[]string) err
 	}
 	r := eng.newReplayer()
 	var firstInternal *budget.InternalError
-	for i, p := range plans {
-		a, err := eng.assessGuarded(p, vecs[i], r)
+	for _, i := range idxs {
+		a, err := eng.assessGuarded(plans[i], vecs[i], r)
 		if err != nil {
 			var ie *budget.InternalError
 			if !errors.As(err, &ie) {
@@ -1252,7 +1265,7 @@ func (eng *fusedEngine) stream(yield func(Assessment) error, keys *[]string) err
 				firstInternal = ie
 			}
 		}
-		if err := yield(a); err != nil {
+		if err := yield(i, a); err != nil {
 			return err
 		}
 	}

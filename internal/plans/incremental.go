@@ -2,157 +2,151 @@ package plans
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"susc/internal/budget"
 	"susc/internal/faultinject"
 	"susc/internal/hash"
-	"susc/internal/hexpr"
 	"susc/internal/network"
-	"susc/internal/policy"
 	"susc/internal/store"
 	"susc/internal/verify"
 )
 
-// recomputeFraction is the miss-fraction threshold of the incremental
-// assessor: at or below it, misses are recomputed one exploration per
-// plan (the cost is proportional to what actually changed); above it, the
-// shared-graph engine recomputes everything — paying once for the graph
-// beats paying per plan when most of the plan space is cold.
+// recomputeFraction is the miss-fraction threshold of the tiered sweep:
+// at or below it, misses are recomputed one exploration per plan (the
+// cost is proportional to what actually changed); above it, the
+// shared-graph engine replays them — paying once for the graph beats
+// paying per plan when most of the plan space is cold.
 const recomputeFraction = 4 // recompute per-plan while misses ≤ 1/4 of plans
 
-// assessAllIncremental is the persistent-tier plan assessor: enumerate
-// the candidate plans, probe the store for each plan's cone hash, decode
-// the hits, and recompute only the misses. On an unchanged repository
-// every probe hits and assessment costs no exploration at all; after an
-// edit, the only misses are the plans whose dependency cone contains the
-// edited declaration.
-func assessAllIncremental(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
-
-	cache := opts.Cache
-	disk := cache.Disk()
-	complete, err := enumerate(repo, client, opts, cache)
+// assessAll enumerates the plans once and assesses them in deterministic
+// order (lexicographic in the plan keys). With tiered set, each plan's
+// verdict is read through the cache's report tiers under its cone key
+// (verify.LookupReport): on an unchanged repository every plan hits and
+// the sweep costs its enumeration, its keys and its lookups; after an
+// edit, the only misses are the plans whose cone contains the edited
+// declaration. Misses are assessed and filed in both tiers. An isolated
+// plan panic comes back as a *budget.InternalError alongside the
+// assessments: the poisoned plan is Unknown, the rest are intact.
+func (eng *fusedEngine) assessAll(tiered bool) ([]Assessment, error) {
+	plans, vecs, err := eng.enumerate()
 	if err != nil {
 		return nil, err
 	}
-
-	// Probe the store once per plan. Plan assessment is capacity-free
-	// (capacities are a whole-network concern), so the cone key carries no
-	// capacity component.
-	out := make([]Assessment, len(complete))
-	sums := make([]hash.Sum, len(complete))
-	var misses []int
-	for i, plan := range complete {
-		sum, err := verify.PlanKey(repo, table, loc, client, plan, nil)
-		if err != nil {
-			return nil, err
-		}
-		sums[i] = sum
-		if raw, ok := disk.Get(store.KindPlanReport, sum); ok {
-			if r, derr := verify.DecodeReport(raw); derr == nil {
-				out[i] = Assessment{Plan: plan, Report: r}
+	out := make([]Assessment, len(plans))
+	misses := make([]int, 0, len(plans))
+	var sums []hash.Sum
+	if tiered {
+		sums = eng.planSums(vecs)
+		for i, sum := range sums {
+			if r, ok := verify.LookupReport(eng.cache, store.KindPlanReport, sum); ok {
+				out[i] = Assessment{Plan: plans[i], Report: r}
 				continue
 			}
+			misses = append(misses, i)
 		}
-		misses = append(misses, i)
+	} else {
+		for i := range plans {
+			misses = append(misses, i)
+		}
 	}
 
 	var firstInternal *budget.InternalError
 	switch {
 	case len(misses) == 0:
-		// Warm store, unchanged repository: nothing to compute.
-	case len(misses)*recomputeFraction <= len(complete):
-		// A small edit: recompute exactly the invalidated cones, one
-		// exploration per plan, under singleflight so concurrent callers
-		// sharing the store compute a cone once.
-		firstInternal, err = recomputeMisses(repo, table, loc, client, opts, complete, sums, misses, out)
-		if err != nil {
-			return nil, err
-		}
+		// Every verdict was filed: nothing to assess.
+	case tiered && len(misses)*recomputeFraction <= len(plans):
+		firstInternal, err = eng.recomputeEach(plans, sums, misses, out)
 	default:
-		// A cold or mostly-invalidated store: the shared-graph engine
-		// amortises the exploration across all plans, and the misses are
-		// written back from its output.
-		all, aerr := newFusedEngine(repo, table, loc, client, opts).assessAll()
-		if aerr != nil && !errors.As(aerr, &firstInternal) {
-			return nil, aerr
-		}
-		byPlanKey := make(map[string]*verify.Report, len(all))
-		for _, a := range all {
-			byPlanKey[a.Plan.Key()] = a.Report
-		}
-		for _, i := range misses {
-			r := byPlanKey[complete[i].Key()]
-			if r == nil {
-				continue
+		err = eng.run(plans, vecs, misses, func(i int, a Assessment) error {
+			out[i] = a
+			if tiered {
+				return verify.FileReport(eng.cache, store.KindPlanReport, sums[i], a.Report)
 			}
-			out[i] = Assessment{Plan: complete[i], Report: r}
-			if r.Verdict != verify.Unknown {
-				enc, eerr := verify.EncodeReport(r)
-				if eerr != nil {
-					return nil, eerr
-				}
-				if perr := disk.Put(store.KindPlanReport, sums[i], enc); perr != nil {
-					return nil, perr
-				}
-			}
+			return nil
+		})
+		if errors.As(err, &firstInternal) {
+			err = nil
 		}
 	}
-
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = out[i].Plan.Key()
+	if err != nil {
+		return nil, err
 	}
-	sort.Sort(&byKey{keys: keys, out: out})
+	sort.Sort(&byKey{keys: eng.planKeys(vecs), out: out})
 	if firstInternal != nil {
 		return out, firstInternal
 	}
 	return out, nil
 }
 
-// recomputeMisses validates the missed plans one exploration each —
+// recomputeEach validates the missed plans one kernel exploration each —
 // panic-guarded, on assessEach's pool of opts.Workers goroutines — and
-// writes decided verdicts back to the store. Unknown verdicts (budget
-// cutoffs) are never persisted.
-func recomputeMisses(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options,
-	complete []network.Plan, sums []hash.Sum, misses []int, out []Assessment) (*budget.InternalError, error) {
+// files them through verify.FillReport, under the store's singleflight
+// when one is attached.
+func (eng *fusedEngine) recomputeEach(plans []network.Plan, sums []hash.Sum,
+	misses []int, out []Assessment) (*budget.InternalError, error) {
 
-	cache := opts.Cache
-	disk := cache.Disk()
-	vopts := verify.Options{Cache: cache, Budget: opts.Budget, SkipDiskProbe: true}
-	return assessEach(opts.Workers, complete, misses, out,
+	vopts := verify.Options{Cache: eng.cache, Budget: eng.opts.Budget, NoReportTier: true}
+	return assessEach(eng.opts.Workers, plans, misses, out,
 		func(i int, key string) (*verify.Report, error) {
-			got, err := disk.Once(store.KindPlanReport, sums[i], func() (any, error) {
-				// A concurrent assessor may have written the cone while we
-				// queued behind the flight.
-				if raw, ok := disk.Peek(store.KindPlanReport, sums[i]); ok {
-					if r, derr := verify.DecodeReport(raw); derr == nil {
-						return r, nil
-					}
-				}
+			return verify.FillReport(eng.cache, store.KindPlanReport, sums[i], func() (*verify.Report, error) {
 				if faultinject.Enabled() {
 					faultinject.Fire(faultinject.PlansWorker, key)
 				}
-				r, err := verify.CheckPlanOpts(repo, table, loc, client, complete[i], vopts)
-				if err != nil {
-					return nil, err
-				}
-				if r.Verdict != verify.Unknown {
-					enc, eerr := verify.EncodeReport(r)
-					if eerr != nil {
-						return nil, eerr
-					}
-					if perr := disk.Put(store.KindPlanReport, sums[i], enc); perr != nil {
-						return nil, perr
-					}
-				}
-				return r, nil
+				return verify.CheckPlanOpts(eng.repo, eng.table, eng.loc, eng.client, plans[i], vopts)
 			})
-			if err != nil {
-				return nil, err
-			}
-			return got.(*verify.Report), nil
 		})
+}
+
+// planSums keys every enumerated plan as verify.PlanKey does (with no
+// capacities). A plan's planned requests are the sessions the depth-first
+// walk of verify.PlannedRequests reaches — the session of a repeated
+// request ID is its first one on that walk — so the sweep walks the
+// engine's session lists the same way; an enumerated plan binds every
+// session the walk reaches to a repository location. Each (session,
+// location) cell renders its binding's part once; a plan's key replays
+// the parts of its cells in sorted request order (dense request indices
+// are in sorted order).
+func (eng *fusedEngine) planSums(vecs [][]int32) []hash.Sum {
+	k := verify.NewPlanKeyer(eng.table, eng.loc, eng.client)
+	nLoc := len(eng.locations)
+	cells := make([]*verify.Binding, eng.nSessions*nLoc)
+	at := make([]*verify.Binding, eng.nReq)
+	mark := make([]uint32, eng.nReq)
+	var epoch uint32
+	var touched []int32
+	var vec []int32
+	var walk func(list []pendEntry)
+	walk = func(list []pendEntry) {
+		for _, s := range list {
+			if mark[s.reqIdx] == epoch {
+				continue
+			}
+			mark[s.reqIdx] = epoch
+			touched = append(touched, s.reqIdx)
+			li := vec[s.reqIdx]
+			c := &cells[int(s.session)*nLoc+int(li)]
+			if *c == nil {
+				*c = k.Binding(verify.PlannedRequest{Req: s.req, Policy: s.policy, Body: s.body,
+					Loc: eng.locations[li], Service: eng.services[li], Bound: true})
+			}
+			at[s.reqIdx] = *c
+			walk(eng.locPendIdx[li])
+		}
+	}
+	sums := make([]hash.Sum, len(vecs))
+	var bs []*verify.Binding
+	for i, v := range vecs {
+		epoch++
+		vec, touched = v, touched[:0]
+		walk(eng.clientPendIdx)
+		slices.Sort(touched)
+		bs = bs[:0]
+		for _, ri := range touched {
+			bs = append(bs, at[ri])
+		}
+		sums[i] = k.Sum(bs)
+	}
+	return sums
 }

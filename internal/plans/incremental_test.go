@@ -3,6 +3,9 @@ package plans_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -13,7 +16,9 @@ import (
 	"susc/internal/memo"
 	"susc/internal/network"
 	"susc/internal/paperex"
+	"susc/internal/parser"
 	"susc/internal/plans"
+	"susc/internal/policy"
 	"susc/internal/store"
 	"susc/internal/verify"
 )
@@ -340,5 +345,139 @@ func TestIncrementalNeverPersistsUnknown(t *testing.T) {
 	}
 	if got := s.Stats().PerKind[store.KindPlanReport].Entries; got != uint64(len(full)) {
 		t.Fatalf("store holds %d entries after completion, want %d", got, len(full))
+	}
+}
+
+// TestSweepKeysMatchPlanKey: the sweep files every plan's verdict under
+// verify.PlanKey of that plan — the key a check of the same plan, a
+// parent-written store and the cone-invalidation gates read. The sweep
+// folds each key from binding parts rendered once per (session,
+// location) cell, in PlannedRequests' walk order, so a repeated request
+// ID keys on the session that walk reaches first. Inputs: the checked-in
+// specs, with pruning on and, where the family stays small, off; the
+// random worlds of TestFusedEquivalenceRandom; and a world whose repeated
+// request ID carries a different body and policy in each service.
+func TestSweepKeysMatchPlanKey(t *testing.T) {
+	check := func(label string, repo network.Repository, table *policy.Table,
+		loc hexpr.Location, client hexpr.Expr) {
+		t.Helper()
+		for _, prune := range []bool{true, false} {
+			opts := plans.Options{PruneNonCompliant: prune, MaxPlans: 5000}
+			ps, sums, err := plans.SweepKeys(repo, table, loc, client, opts)
+			if err != nil {
+				if !prune {
+					continue // too many plans without pruning
+				}
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i, p := range ps {
+				want, err := verify.PlanKey(repo, table, loc, client, p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sums[i] != want {
+					t.Fatalf("%s (prune=%v): plan %s keyed %s, PlanKey %s", label, prune, p, sums[i], want)
+				}
+			}
+		}
+	}
+
+	var files []string
+	for _, pattern := range []string{"../benchgen/testdata/*.susc", "../../testdata/*.susc", "../../examples/specs/*.susc"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) < 6 {
+		t.Fatalf("found only %d specs: %v", len(files), files)
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, c := range f.Clients {
+			check(filepath.Base(path)+" "+c.Name, f.Repo, f.Table, c.Loc, c.Expr)
+		}
+	}
+
+	for seed := 0; seed < 40; seed++ {
+		g := &worldGen{r: rand.New(rand.NewSource(int64(seed)))}
+		opens := 2
+		nLocs := 2 + g.r.Intn(3)
+		repo := network.Repository{}
+		for i := 0; i < nLocs; i++ {
+			repo[hexpr.Location(fmt.Sprintf("s%d", i))] = g.decorate(g.protocol(3), &opens, 3)
+		}
+		clientOpens := 1
+		client := hexpr.Cat(
+			hexpr.Open(g.req(), g.policyID(), g.protocol(3)),
+			g.decorate(hexpr.Eps(), &clientOpens, 2),
+		)
+		check(fmt.Sprintf("seed=%d", seed), repo, paperex.Policies(), "cl", client)
+	}
+
+	// r2 is opened by the client after r1, and again — with another body
+	// and policy — by each service r1 can bind: PlannedRequests keys r2 on
+	// the service's session, which its depth-first walk reaches first.
+	r2 := func(ch string, pol hexpr.PolicyID) hexpr.Expr {
+		return hexpr.Open("r2", pol, hexpr.SendThen(ch, hexpr.Eps()))
+	}
+	repo := network.Repository{
+		"sa": hexpr.Cat(hexpr.RecvThen("m", hexpr.Eps()), r2("a", paperex.Phi1().ID())),
+		"sb": hexpr.Cat(hexpr.RecvThen("m", hexpr.Eps()), r2("b", hexpr.NoPolicy)),
+		"ta": hexpr.RecvThen("a", hexpr.Eps()),
+		"tb": hexpr.RecvThen("b", hexpr.Eps()),
+		"tc": hexpr.RecvThen("c", hexpr.Eps()),
+	}
+	client := hexpr.Cat(hexpr.Open("r1", hexpr.NoPolicy, hexpr.SendThen("m", hexpr.Eps())), r2("c", paperex.Phi2().ID()))
+	check("repeated request", repo, paperex.Policies(), "cl", client)
+}
+
+// TestMemoryTierNeverHoldsUnknown: TestIncrementalNeverPersistsUnknown
+// for a memory-only session. A budget cut mid-sweep leaves only decided
+// cones in the report tier, and a roomy rerun on the same session
+// answers what a fresh session does.
+func TestMemoryTierNeverHoldsUnknown(t *testing.T) {
+	w := benchgen.Chained(3, 2)
+	cache := memo.New()
+	b := budget.New(context.Background(), budget.Limits{MaxStates: 40})
+	as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true, Cache: cache, Budget: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := 0
+	for _, a := range as {
+		if a.Report.Verdict == verify.Unknown {
+			unknown++
+		}
+	}
+	if unknown == 0 || unknown == len(as) {
+		t.Fatalf("%d of %d plans unknown: the budget must cut the sweep midway", unknown, len(as))
+	}
+	if got := cache.Stats().ReportEntries; got != uint64(len(as)-unknown) {
+		t.Fatalf("memory tier holds %d reports, want %d (the decided verdicts only)", got, len(as)-unknown)
+	}
+
+	again, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true, Cache: memo.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAssessments(t, "roomy rerun", again, fresh)
+	if got := cache.Stats().ReportEntries; got != uint64(len(as)) {
+		t.Fatalf("memory tier holds %d reports after the rerun, want %d", got, len(as))
 	}
 }

@@ -10,7 +10,6 @@ package plans
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"susc/internal/budget"
@@ -32,12 +31,12 @@ type Options struct {
 	// MaxPlans bounds the number of complete plans examined (0 = no
 	// bound). Synthesis fails with an error when the bound is hit.
 	MaxPlans int
-	// Workers sizes the goroutine pool that re-checks store misses (0 or
-	// 1 = sequential): with a persistent store attached to Cache, AssessAll
-	// reads it when an edit invalidated at most a quarter of the plans,
-	// which it then recomputes one exploration each. Every other path —
-	// AssessStream, AssessWithFlows, AssessAll without a store — runs the
-	// fused engine on the calling goroutine and ignores it.
+	// Workers sizes the goroutine pool of AssessAll's small-edit branch
+	// (0 or 1 = sequential): when at most a quarter of the plans miss the
+	// report tiers, AssessAll recomputes the misses one kernel
+	// exploration each, on this many goroutines. Every other path — the
+	// sweep's enumeration and replays, AssessStream, AssessWithFlows —
+	// runs the fused engine on the calling goroutine and ignores it.
 	Workers int
 	// Cache memoises compliance verdicts, product automata and one-step
 	// transition sets across the whole synthesis: the enumeration probe
@@ -48,14 +47,15 @@ type Options struct {
 	Cache *memo.Cache
 	// Stats, when non-nil, receives the fused engine's work counters.
 	Stats *FusedStats
-	// MemoryTierOnly keeps per-plan verdicts out of the persistent store
-	// even when the cache has one attached. Analyzer sweeps (the lint
-	// plan-space emptiness check) assess whole plan families as an
-	// existence probe; persisting fanout^depth sweep verdicts would bloat
-	// the store and muddy the per-plan hit/miss counters the CLI stats and
-	// CI gates key on. The compliance and LTS tiers underneath still use
-	// the disk — those are shared with real verification runs.
-	MemoryTierOnly bool
+	// NoReportTier keeps AssessAll's per-plan verdicts out of both report
+	// tiers of Cache: they are neither looked up nor filed, in memory or
+	// in the store. Analyzer sweeps (the lint plan-space emptiness check)
+	// assess whole plan families as an existence probe; filing
+	// fanout^depth sweep verdicts would bloat both tiers and muddy the
+	// per-plan hit/miss counters the CLI stats and CI gates key on. The
+	// compliance and LTS tiers underneath still serve it — those are
+	// shared with real verification runs.
+	NoReportTier bool
 	// Budget meters the whole synthesis (nil = unbounded): enumeration,
 	// graph expansion and every plan's exploration charge the same
 	// budget. Exhaustion or cancellation degrades gracefully — plans
@@ -77,20 +77,20 @@ func (a Assessment) String() string {
 
 // AssessAll enumerates every complete plan for the client and validates
 // each, returning the assessments in deterministic order (lexicographic in
-// the plan keys). The plans are validated against one shared state graph
-// (the fused engine); with a persistent store attached to opts.Cache, the
-// store's plan verdicts are read first and only the misses are recomputed.
+// the plan keys). Verdicts are read through the report tiers of
+// opts.Cache — its memory, then its store — under each plan's cone key
+// (verify.PlanKey), and only the misses are validated, against one shared
+// state graph (the fused engine), and filed. A nil opts.Cache (a private
+// cache) or opts.NoReportTier skips the tiers.
 func AssessAll(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
 
-	if opts.Cache != nil && opts.Cache.Disk() != nil && !opts.MemoryTierOnly {
-		return assessAllIncremental(repo, table, loc, client, opts)
-	}
-	return newFusedEngine(repo, table, loc, client, opts).assessAll()
+	tiered := opts.Cache != nil && !opts.NoReportTier
+	return newFusedEngine(repo, table, loc, client, opts).assessAll(tiered)
 }
 
 // AssessWithFlows is the audit's plan sweep: AssessAll on the fused
-// engine in the memory tier only (opts.MemoryTierOnly is ignored),
+// engine without the report tiers (opts.NoReportTier is implied),
 // returning with the assessments a flow reader over the graph the sweep
 // built. Given a plan the sweep assessed
 // Valid, the reader replays it over that graph into a verify.FlowRecorder
@@ -104,7 +104,7 @@ func AssessWithFlows(repo network.Repository, table *policy.Table,
 ) ([]Assessment, func(network.Plan) (*verify.PlanFlow, error), error) {
 
 	eng := newFusedEngine(repo, table, loc, client, opts)
-	as, err := eng.assessAll()
+	as, err := eng.assessAll(false)
 	if err != nil && !errors.As(err, new(*budget.InternalError)) {
 		return nil, nil, err
 	}
@@ -119,33 +119,6 @@ func AssessWithFlows(repo network.Repository, table *policy.Table,
 		return r.flow.Flow(rep, opts.Budget), nil
 	}
 	return as, read, err
-}
-
-// assessAll runs the shared-graph engine and collects the stream into
-// deterministically ordered assessments.
-func (eng *fusedEngine) assessAll() ([]Assessment, error) {
-	var out []Assessment
-	var keys []string
-	err := eng.stream(func(a Assessment) error {
-		out = append(out, a)
-		return nil
-	}, &keys)
-	if err != nil && !errors.As(err, new(*budget.InternalError)) {
-		return nil, err
-	}
-	if len(keys) != len(out) {
-		// Defensive only: the stream yields one assessment per enumerated
-		// plan on every surviving path, so the precomputed keys align with
-		// out. Rebuild from the plan maps if that ever stops holding.
-		keys = make([]string, len(out))
-		for i := range out {
-			keys[i] = out[i].Plan.Key()
-		}
-	}
-	sort.Sort(&byKey{keys: keys, out: out})
-	// An internal error (isolated plan panic) is returned alongside the
-	// assessments: the poisoned plan is Unknown, the rest are intact.
-	return out, err
 }
 
 // assessEach validates complete[i] for every i in idxs through check,
@@ -263,71 +236,17 @@ func Synthesize(repo network.Repository, table *policy.Table,
 // returned with a nil error, and assessment degrades them to Unknown.
 var errStopEnumeration = errors.New("plans: enumeration stopped by budget")
 
-// enumerate produces every complete binding of the requests reachable
-// under the binding itself (selecting a service adds its requests). The
-// PruneNonCompliant probe decides compliance through the shared cache:
-// backtracking re-asks the same (body, service) pair on every branch, and
-// the memoised verdict turns the repeats into lookups.
-func enumerate(repo network.Repository, client hexpr.Expr, opts Options, cache *memo.Cache) ([]network.Plan, error) {
-	locations := repo.Locations()
-	var out []network.Plan
-	var expand func(plan network.Plan, pending []pendingReq) error
-	expand = func(plan network.Plan, pending []pendingReq) error {
-		// drop already-bound requests (cycles in the service graph)
-		for len(pending) > 0 {
-			if _, ok := plan[pending[0].req]; ok {
-				pending = pending[1:]
-				continue
-			}
-			break
-		}
-		if len(pending) == 0 {
-			if opts.MaxPlans > 0 && len(out) >= opts.MaxPlans {
-				return fmt.Errorf("plans: more than %d complete plans", opts.MaxPlans)
-			}
-			if opts.Budget.Exhausted() != nil {
-				return errStopEnumeration
-			}
-			out = append(out, plan.Clone())
-			return nil
-		}
-		head, rest := pending[0], pending[1:]
-		for _, l := range locations {
-			service := repo[l]
-			if opts.PruneNonCompliant {
-				ok, err := cache.Compliant(head.body, service)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			plan[head.req] = l
-			newPending := append(append([]pendingReq(nil), rest...), requestsOf(service)...)
-			if err := expand(plan, newPending); err != nil {
-				return err
-			}
-			delete(plan, head.req)
-		}
-		return nil
-	}
-	if err := expand(network.Plan{}, requestsOf(client)); err != nil && err != errStopEnumeration {
-		return nil, err
-	}
-	return out, nil
-}
-
 type pendingReq struct {
-	req  hexpr.RequestID
-	body hexpr.Expr
+	req    hexpr.RequestID
+	policy hexpr.PolicyID
+	body   hexpr.Expr
 }
 
 func requestsOf(e hexpr.Expr) []pendingReq {
 	var out []pendingReq
 	hexpr.Walk(e, func(x hexpr.Expr) {
 		if s, ok := x.(hexpr.Session); ok {
-			out = append(out, pendingReq{req: s.Req, body: s.Body})
+			out = append(out, pendingReq{req: s.Req, policy: s.Policy, body: s.Body})
 		}
 	})
 	return out

@@ -166,7 +166,7 @@ func TestAssessmentString(t *testing.T) {
 }
 
 // TestParallelAssessmentMatchesSequential: the worker pool (assessEach,
-// which the store's per-plan recompute runs on, here driven through the
+// which the sweep's small-edit recompute runs on, here driven through the
 // legacy oracle) returns the same assessments as the sequential path.
 func TestParallelAssessmentMatchesSequential(t *testing.T) {
 	seq, err := plans.AssessAll(paperex.Repository(), paperex.Policies(),

@@ -32,6 +32,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -258,8 +259,10 @@ func (s *Store) replay(fingerprint hash.Sum) error {
 		return s.resetFile(header)
 	}
 
-	// Replay records. good tracks the end of the last intact record.
-	r := &countingReader{r: s.f, n: int64(headerSize)}
+	// Replay records. good tracks the end of the last intact record: the
+	// bytes the record reader consumed, not the ones the buffer read
+	// ahead.
+	r := &countingReader{r: bufio.NewReaderSize(s.f, 64<<10), n: int64(headerSize)}
 	good := int64(headerSize)
 	br := newRecordReader(r)
 	for {

@@ -9,7 +9,6 @@ import (
 
 	"susc/internal/budget"
 	"susc/internal/faultinject"
-	"susc/internal/hash"
 	"susc/internal/hexpr"
 	"susc/internal/history"
 	"susc/internal/intern"
@@ -17,7 +16,6 @@ import (
 	"susc/internal/network"
 	"susc/internal/policy"
 	"susc/internal/ring"
-	"susc/internal/store"
 )
 
 // This file is the one exploration kernel: a breadth-first search of the
@@ -300,54 +298,4 @@ func treeKeys(comps []component) string {
 		parts[i] = c.tree.Key()
 	}
 	return strings.Join(parts, " || ")
-}
-
-// cachedReport is the persistent tier of whole-report verdicts: with a
-// store attached to the cache (and the caller not opting out), it probes
-// the store under the content hash of the verdict's dependency cone; on a
-// miss it computes under singleflight (so concurrent workers explore a
-// cone once) and writes the report back. Unknown reports — budget
-// cutoffs, cancellations — are never persisted: they describe this run's
-// limits, not the cone's content.
-func cachedReport(cache *memo.Cache, opts Options, kind store.Kind,
-	key func() (hash.Sum, error), compute func() (*Report, error)) (*Report, error) {
-
-	disk := cache.Disk()
-	if disk == nil || opts.SkipDiskProbe {
-		return compute()
-	}
-	sum, err := key()
-	if err != nil {
-		return nil, err
-	}
-	if raw, ok := disk.Get(kind, sum); ok {
-		if r, err := DecodeReport(raw); err == nil {
-			return r, nil
-		}
-	}
-	got, err := disk.Once(kind, sum, func() (any, error) {
-		if raw, ok := disk.Peek(kind, sum); ok {
-			if r, err := DecodeReport(raw); err == nil {
-				return r, nil
-			}
-		}
-		r, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		if r.Verdict != Unknown {
-			enc, eerr := EncodeReport(r)
-			if eerr != nil {
-				return nil, eerr
-			}
-			if perr := disk.Put(kind, sum, enc); perr != nil {
-				return nil, perr
-			}
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return got.(*Report), nil
 }

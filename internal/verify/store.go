@@ -3,159 +3,114 @@ package verify
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"susc/internal/hash"
 	"susc/internal/hexpr"
-	"susc/internal/network"
-	"susc/internal/policy"
+	"susc/internal/memo"
+	"susc/internal/store"
 )
 
-// This file is the persistence boundary of plan validation: content keys
-// for plan and network reports (the digest of the verdict's full
-// dependency cone) and a faithful Report round-trip through the existing
-// JSON wire form, so a report decoded from the store renders — as text
-// and as JSON — byte-identically to one computed fresh.
+// This file is the persistence boundary of plan validation: one
+// read-through over the report tiers — the session's memory, then the
+// disk store, then the computation — addressed by (record kind, cone key)
+// (key.go), and a faithful Report round-trip through the existing JSON
+// wire form, so a report decoded from the store renders — as text and as
+// JSON — byte-identically to one computed fresh.
 
-// PlanKey is the content hash of the dependency cone of one (client, plan)
-// verdict: the client's canonical form, every planned request with the
-// service the plan binds it to, every policy instance any of those
-// expressions activate, and the capacity bounds of the cone's locations.
-// A declaration edit outside this cone leaves the key unchanged, which is
-// exactly what makes re-verification incremental.
-func PlanKey(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, plan network.Plan,
-	caps map[hexpr.Location]int) (hash.Sum, error) {
+// LookupReport returns the report filed under (kind, sum): from the
+// cache's memory tier, else from its disk tier, promoting a disk hit
+// into memory. The report is shared: callers must not mutate it.
+func LookupReport(cache *memo.Cache, kind store.Kind, sum hash.Sum) (*Report, bool) {
+	if v, ok := cache.Report(kind, sum); ok {
+		return v.(*Report), true
+	}
+	disk := cache.Disk()
+	if disk == nil {
+		return nil, false
+	}
+	raw, ok := disk.Get(kind, sum)
+	if !ok {
+		return nil, false
+	}
+	r, err := DecodeReport(raw)
+	if err != nil || r.Verdict == Unknown {
+		return nil, false
+	}
+	cache.PutReport(kind, sum, r)
+	return r, true
+}
 
-	h := hash.New()
-	h.Str("plan-report")
-	h.Str(string(loc))
-	h.Str(client.Key())
-
-	reqs, err := PlannedRequests(repo, client, plan)
+// FileReport writes a freshly computed report under (kind, sum) to both
+// tiers. An Unknown report — a budget cutoff, a cancellation — goes to
+// neither: it describes this run's limits, not the cone's content.
+func FileReport(cache *memo.Cache, kind store.Kind, sum hash.Sum, r *Report) error {
+	if r.Verdict == Unknown {
+		return nil
+	}
+	cache.PutReport(kind, sum, r)
+	disk := cache.Disk()
+	if disk == nil {
+		return nil
+	}
+	enc, err := EncodeReport(r)
 	if err != nil {
-		return hash.Sum{}, err
+		return err
 	}
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
-	h.Int(len(reqs))
-	coneLocs := map[hexpr.Location]bool{loc: true}
-	policyIDs := map[hexpr.PolicyID]bool{}
-	for _, id := range hexpr.Policies(client) {
-		policyIDs[id] = true
-	}
-	for _, pr := range reqs {
-		h.Str(string(pr.Req))
-		h.Str(string(pr.Policy))
-		h.Str(pr.Body.Key())
-		h.Str(string(pr.Loc))
-		if pr.Loc != "" {
-			coneLocs[pr.Loc] = true
-		}
-		for _, id := range hexpr.Policies(pr.Body) {
-			policyIDs[id] = true
-		}
-		if pr.Bound {
-			h.Int(1)
-			h.Str(pr.Service.Key())
-			for _, id := range hexpr.Policies(pr.Service) {
-				policyIDs[id] = true
-			}
-		} else {
-			h.Int(0)
-		}
-	}
-
-	writePolicies(h, table, policyIDs)
-	writeCaps(h, caps, coneLocs)
-	return h.Sum(), nil
+	return disk.Put(kind, sum, enc)
 }
 
-// NetworkKey is the content hash of a whole-network verdict under bounded
-// availability: the ordered client vector (each with its planned cone),
-// the activated policies, and the full capacity map — components share
-// limited replicas, so every capacity is in every component's cone.
-func NetworkKey(repo network.Repository, table *policy.Table,
-	specs []ClientSpec, caps map[hexpr.Location]int) (hash.Sum, error) {
+// FillReport computes the report of a cone LookupReport missed and files
+// it (FileReport). With a disk tier, the computation runs under the
+// store's singleflight, so concurrent callers explore a cone once.
+func FillReport(cache *memo.Cache, kind store.Kind, sum hash.Sum,
+	compute func() (*Report, error)) (*Report, error) {
 
-	h := hash.New()
-	h.Str("network-report")
-	h.Int(len(specs))
-	policyIDs := map[hexpr.PolicyID]bool{}
-	for _, sp := range specs {
-		h.Str(string(sp.Loc))
-		h.Str(sp.Client.Key())
-		for _, id := range hexpr.Policies(sp.Client) {
-			policyIDs[id] = true
-		}
-		reqs, err := PlannedRequests(repo, sp.Client, sp.Plan)
+	fill := func() (any, error) {
+		r, err := compute()
 		if err != nil {
-			return hash.Sum{}, err
+			return nil, err
 		}
-		sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
-		h.Int(len(reqs))
-		for _, pr := range reqs {
-			h.Str(string(pr.Req))
-			h.Str(string(pr.Policy))
-			h.Str(pr.Body.Key())
-			h.Str(string(pr.Loc))
-			for _, id := range hexpr.Policies(pr.Body) {
-				policyIDs[id] = true
-			}
-			if pr.Bound {
-				h.Int(1)
-				h.Str(pr.Service.Key())
-				for _, id := range hexpr.Policies(pr.Service) {
-					policyIDs[id] = true
+		return r, FileReport(cache, kind, sum, r)
+	}
+	var got any
+	var err error
+	if disk := cache.Disk(); disk != nil {
+		got, err = disk.Once(kind, sum, func() (any, error) {
+			// A concurrent caller may have filed the cone while this one
+			// queued behind the flight.
+			if raw, ok := disk.Peek(kind, sum); ok {
+				if r, err := DecodeReport(raw); err == nil {
+					return r, nil
 				}
-			} else {
-				h.Int(0)
 			}
-		}
+			return fill()
+		})
+	} else {
+		got, err = fill()
 	}
-	writePolicies(h, table, policyIDs)
-	writeCaps(h, caps, nil)
-	return h.Sum(), nil
+	if err != nil {
+		return nil, err
+	}
+	return got.(*Report), nil
 }
 
-// writePolicies digests the referenced policy instances in sorted ID
-// order: the full automaton structure, so editing a policy invalidates
-// exactly the verdicts whose cone activates it. An ID missing from the
-// table still contributes its name (the dangling reference is part of the
-// content).
-func writePolicies(h *hash.Hasher, table *policy.Table, ids map[hexpr.PolicyID]bool) {
-	sorted := make([]hexpr.PolicyID, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	h.Int(len(sorted))
-	for _, id := range sorted {
-		if table != nil {
-			if in, err := table.Get(id); err == nil {
-				hash.WritePolicy(h, in)
-				continue
-			}
-		}
-		h.Str(string(id))
-	}
-}
+// cachedReport is the read-through of this package's checks: a report
+// filed under the cone key, else the computation, filed. A private cache
+// (opts.Cache nil) or opts.NoReportTier skips the tiers, and the key.
+func cachedReport(cache *memo.Cache, opts Options, kind store.Kind,
+	key func() (hash.Sum, error), compute func() (*Report, error)) (*Report, error) {
 
-// writeCaps digests the capacity bounds, restricted to cone when non-nil
-// — capacities of locations the verdict's exploration can never open are
-// not part of its cone.
-func writeCaps(h *hash.Hasher, caps map[hexpr.Location]int, cone map[hexpr.Location]bool) {
-	var locs []hexpr.Location
-	for l := range caps {
-		if cone == nil || cone[l] {
-			locs = append(locs, l)
-		}
+	if opts.Cache == nil || opts.NoReportTier {
+		return compute()
 	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	h.Int(len(locs))
-	for _, l := range locs {
-		h.Str(string(l))
-		h.Int(caps[l])
+	sum, err := key()
+	if err != nil {
+		return nil, err
 	}
+	if r, ok := LookupReport(cache, kind, sum); ok {
+		return r, nil
+	}
+	return FillReport(cache, kind, sum, compute)
 }
 
 // ParseVerdict is the inverse of Verdict.String.
@@ -171,7 +126,7 @@ func ParseVerdict(s string) (Verdict, error) {
 // EncodeReport serialises a report for the persistent store using the
 // same wire form as the CLI's -json output.
 func EncodeReport(r *Report) ([]byte, error) {
-	return json.Marshal(r)
+	return r.AppendJSON(nil), nil
 }
 
 // DecodeReport is the inverse of EncodeReport. The decoded report carries

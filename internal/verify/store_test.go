@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"susc/internal/budget"
@@ -164,6 +165,81 @@ func TestUnknownNeverPersisted(t *testing.T) {
 	}
 	if st := s.Stats().PerKind[store.KindPlanReport]; st.Entries != 1 {
 		t.Fatalf("decided verdict not persisted: stats %+v", st)
+	}
+}
+
+// TestUnknownNeverInMemoryTier: TestUnknownNeverPersisted for a
+// memory-only cache. A budget-cut check leaves the report tier empty, so
+// a roomy rerun on the same cache recomputes and answers what a fresh
+// cache does — and files that decided verdict.
+func TestUnknownNeverInMemoryTier(t *testing.T) {
+	cache := memo.New()
+	plan := network.Plan{"r1": paperex.LocBr, "r3": paperex.LocS3}
+	check := func(c *memo.Cache, b *budget.Budget) *verify.Report {
+		t.Helper()
+		r, err := verify.CheckPlanOpts(paperex.Repository(), paperex.Policies(),
+			paperex.LocC1, paperex.C1(), plan, verify.Options{Cache: c, Budget: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	if r := check(cache, budget.New(context.Background(), budget.Limits{MaxStates: 2})); r.Verdict != verify.Unknown {
+		t.Fatalf("verdict = %s, want unknown (the premise of the test)", r.Verdict)
+	}
+	if st := cache.Stats(); st.ReportEntries != 0 {
+		t.Fatalf("unknown verdict filed in memory: %d report entries", st.ReportEntries)
+	}
+	again, fresh := check(cache, nil), check(memo.New(), nil)
+	if again.Verdict != verify.Valid || again.String() != fresh.String() {
+		t.Fatalf("roomy rerun = %s, fresh cache = %s; want the same valid report", again, fresh)
+	}
+	if st := cache.Stats(); st.ReportEntries != 1 || st.ReportHits != 0 {
+		t.Fatalf("decided verdict not filed once: %+v", st)
+	}
+	if check(cache, nil) != again {
+		t.Fatal("a third check must read the filed report")
+	}
+}
+
+// TestPlanKeyerMatchesPlanKey: a key folded from binding parts rendered
+// once equals PlanKey's, over every plan of the paper's repository —
+// bound, unbound and bound outside the repository — and over
+// policy-free and policy-laden cones.
+func TestPlanKeyerMatchesPlanKey(t *testing.T) {
+	repo, table := paperex.Repository(), paperex.Policies()
+	locs := []hexpr.Location{"", "nowhere"}
+	for l := range repo {
+		locs = append(locs, l)
+	}
+	k := verify.NewPlanKeyer(table, paperex.LocC1, paperex.C1())
+	for _, l1 := range locs {
+		for _, l3 := range locs {
+			plan := network.Plan{}
+			if l1 != "" {
+				plan["r1"] = l1
+			}
+			if l3 != "" {
+				plan["r3"] = l3
+			}
+			want, err := verify.PlanKey(repo, table, paperex.LocC1, paperex.C1(), plan, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs, err := verify.PlannedRequests(repo, paperex.C1(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
+			var bs []*verify.Binding
+			for _, pr := range reqs {
+				bs = append(bs, k.Binding(pr))
+			}
+			if got := k.Sum(bs); got != want {
+				t.Errorf("plan %s: keyer %s, PlanKey %s", plan, got, want)
+			}
+		}
 	}
 }
 
