@@ -188,6 +188,42 @@ func TestCmdPlansCacheFeedsCheck(t *testing.T) {
 	}
 }
 
+// TestCmdAuditSharesStoreKeys: the audit reads and files its records
+// under the keys the other modes use. After `plans -cache`, the audit's
+// sweep answers every verdict of Chained(12,2) from the store; after
+// `audit -cache`, `checkall -cache` answers every declared-plan flow of
+// hotel.susc from it.
+func TestCmdAuditSharesStoreKeys(t *testing.T) {
+	const chained = "../../internal/benchgen/testdata/chained-12-2.susc"
+	dir := t.TempDir()
+	steps := []struct {
+		first, second []string
+		kind          string
+		hits          int
+	}{
+		{[]string{"plans", chained, "-client", "cl"}, []string{"audit", chained, "-json"}, "plan", 4096},
+		{[]string{"audit", hotelFile}, []string{"checkall", hotelFile}, "audit", 2},
+	}
+	for i, st := range steps {
+		cacheDir := filepath.Join(dir, strconv.Itoa(i))
+		if _, stderr, err := captureBoth(t, func() error {
+			return run(append(st.first, "-cache", cacheDir))
+		}); err != nil {
+			t.Fatalf("%s: %v\n%s", st.first[0], err, stderr)
+		}
+		_, stderr, err := captureBoth(t, func() error {
+			return run(append(st.second, "-cache", cacheDir, "-stats"))
+		})
+		if err != nil {
+			t.Fatalf("%s after %s: %v\n%s", st.second[0], st.first[0], err, stderr)
+		}
+		if hits, misses := storeKindLine(t, stderr, st.kind); hits != st.hits || misses != 0 {
+			t.Errorf("%s after %s: store/%s %d hits, %d misses; want %d and 0",
+				st.second[0], st.first[0], st.kind, hits, misses, st.hits)
+		}
+	}
+}
+
 // TestCmdCheckAllCacheWithCaps: the bounded-availability path persists
 // whole-network verdicts and replays them warm, with identical output.
 func TestCmdCheckAllCacheWithCaps(t *testing.T) {

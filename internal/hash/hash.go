@@ -21,6 +21,7 @@ package hash
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
@@ -115,6 +116,26 @@ func (r *recorder) Write(b []byte) (int, error) {
 
 // Reset empties the digest, so one Hasher can key many artifacts.
 func (h *Hasher) Reset() { h.h.Reset() }
+
+// AppendState appends the digest's internal state — what has been
+// written since the last Reset — to b. A caller keying many composites
+// that share a prefix saves the state after the prefix and resumes from
+// it with SetState instead of rewriting it.
+func (h *Hasher) AppendState(b []byte) ([]byte, error) {
+	// encoding.BinaryAppender, which SHA-256 implements from Go 1.24 on;
+	// the module's go line predates it, so older toolchains marshal a copy.
+	if a, ok := h.h.(interface{ AppendBinary([]byte) ([]byte, error) }); ok {
+		return a.AppendBinary(b)
+	}
+	st, err := h.h.(encoding.BinaryMarshaler).MarshalBinary()
+	return append(b, st...), err
+}
+
+// SetState restores a state AppendState saved: the digest continues as if
+// the writes before the save had just been made.
+func (h *Hasher) SetState(b []byte) error {
+	return h.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(b)
+}
 
 // Sum finalises the digest. The Hasher must not be written to afterwards,
 // until Reset.

@@ -19,6 +19,32 @@ func TestFramingPreventsConcatenationCollisions(t *testing.T) {
 	}
 }
 
+// TestStateResumes: a digest restored from a saved state continues as if
+// the writes before the save had just been made, whatever the Hasher
+// wrote in between — including a finalised Sum.
+func TestStateResumes(t *testing.T) {
+	h := New()
+	h.Str("a prefix longer than one 64-byte block of SHA-256, so the state carries both a chained value and a partial block")
+	st, err := h.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Str("one suffix")
+	h.Sum()
+	h.Reset()
+	h.Str("unrelated")
+	if err := h.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	h.Str("another suffix")
+	want := New()
+	want.Str("a prefix longer than one 64-byte block of SHA-256, so the state carries both a chained value and a partial block")
+	want.Str("another suffix")
+	if h.Sum() != want.Sum() {
+		t.Fatal("resumed digest differs from a fresh one over the same writes")
+	}
+}
+
 func TestExprStableAcrossRebuilds(t *testing.T) {
 	mk := func() hexpr.Expr {
 		return hexpr.Open("r1", hexpr.NoPolicy,

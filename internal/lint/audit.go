@@ -11,7 +11,6 @@ import (
 	"susc/internal/parser"
 	"susc/internal/plans"
 	"susc/internal/policy"
-	"susc/internal/store"
 	"susc/internal/verify"
 )
 
@@ -23,7 +22,7 @@ import (
 // policies are dead, which scopes leak — with the autom language ops. A
 // family's flows are read off the graph of the plan sweep that found the
 // valid plans (plans.AssessWithFlows); a declared plan is explored on the
-// kernel (verify.ExploreFlow).
+// kernel (verify.ExploreFlow). Both go through the report tiers.
 
 const (
 	// maxAuditPlans bounds the plan families the audit enumerates; larger
@@ -66,9 +65,13 @@ type auditState struct {
 
 // auditData computes (once) the per-client flow audit: the valid-plan
 // family (or just the declared plan, under AuditDeclaredOnly) and one
-// PlanFlow per audited plan, drawn from the cone-keyed persistent tier
-// when a store is attached. An isolated panic in the family's sweep is
-// reported as SUSC016; the poisoned plan is Unknown, the rest stand.
+// PlanFlow per audited plan. Verdicts and flows are read through the
+// session's report tiers — memory, then store — under each plan's cone
+// key: the family's sweep files its verdicts where `plans` does
+// (store.KindPlanReport) and its flows under store.KindAudit, so a
+// repeated audit costs its lookups. An isolated panic in the family's
+// sweep is reported as SUSC016; the poisoned plan is Unknown, the rest
+// stand.
 func (p *Pass) auditData() *auditState {
 	if p.audit != nil {
 		return p.audit
@@ -82,10 +85,27 @@ func (p *Pass) auditData() *auditState {
 			return st
 		}
 		ca := clientAudit{idx: i, name: c.Name}
-		var candidates []network.Plan
-		explore := func(plan network.Plan) (*verify.PlanFlow, error) {
-			return verify.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan,
-				verify.Options{Cache: p.Cache, Budget: p.Budget})
+		// add records one audited plan's flow; false stops the client.
+		add := func(plan network.Plan, flow *verify.PlanFlow, hit bool, err error) bool {
+			if err != nil {
+				ca.skipped = fmt.Sprintf("flow analysis failed: %v", err)
+				st.complete = false
+				return false
+			}
+			if !flow.Valid() {
+				// Declared plans may be invalid (checkall's verification
+				// loop reports that); unknown means a budget cutoff.
+				if flow.Verdict == verify.Unknown.String() {
+					st.complete = false
+				}
+				return true
+			}
+			// A tier hit is cached — read from the store, not explored by
+			// this run — only when the session has a store: a memory hit
+			// on a store-backed session implies the store holds the flow.
+			cached := hit && p.Cache.Disk() != nil
+			ca.plans = append(ca.plans, planAudit{plan: plan, flow: flow, cached: cached})
+			return true
 		}
 		if p.AuditDeclaredOnly {
 			if len(c.Plan) == 0 && len(hexpr.Requests(c.Expr)) > 0 {
@@ -94,58 +114,44 @@ func (p *Pass) auditData() *auditState {
 				st.clients = append(st.clients, ca)
 				continue
 			}
-			candidates = []network.Plan{c.Plan}
-		} else {
-			// The sweep only classifies plans; per-plan verdicts stay in
-			// the memory tier. The audit's own records persist under
-			// KindAudit (flowFor).
-			as, read, err := plans.AssessWithFlows(p.File.Repo, p.File.Table, c.Loc, c.Expr, plans.Options{
-				PruneNonCompliant: true,
-				MaxPlans:          maxAuditPlans,
-				Cache:             p.Cache,
-				Budget:            p.Budget,
-			})
-			if !p.reportSweepPanic(i, err) && err != nil {
-				ca.skipped = fmt.Sprintf("plan family not enumerable: %v", err)
-				st.complete = false
-				st.clients = append(st.clients, ca)
-				continue
-			}
-			explore = read
-			for _, a := range as {
-				switch a.Report.Verdict {
-				case verify.Valid:
-					candidates = append(candidates, a.Plan)
-				case verify.Unknown:
-					st.complete = false
-				}
-			}
-			ca.totalValid = len(candidates)
-			if len(candidates) > maxAuditFlows {
-				candidates = candidates[:maxAuditFlows]
-				ca.capped = true
+			flow, hit, err := p.flowFor(c)
+			add(c.Plan, flow, hit, err)
+			ca.totalValid = len(ca.plans)
+			st.clients = append(st.clients, ca)
+			continue
+		}
+		fam, err := plans.AssessWithFlows(p.File.Repo, p.File.Table, c.Loc, c.Expr, plans.Options{
+			PruneNonCompliant: true,
+			MaxPlans:          maxAuditPlans,
+			Cache:             p.Cache,
+			Budget:            p.Budget,
+		})
+		if !p.reportSweepPanic(i, err) && err != nil {
+			ca.skipped = fmt.Sprintf("plan family not enumerable: %v", err)
+			st.complete = false
+			st.clients = append(st.clients, ca)
+			continue
+		}
+		var valid []int
+		for k := 0; k < fam.Len(); k++ {
+			switch fam.Report(k).Verdict {
+			case verify.Valid:
+				valid = append(valid, k)
+			case verify.Unknown:
 				st.complete = false
 			}
 		}
-		for _, plan := range candidates {
-			flow, cached, err := p.flowFor(c, plan, explore)
-			if err != nil {
-				ca.skipped = fmt.Sprintf("flow analysis failed: %v", err)
-				st.complete = false
+		ca.totalValid = len(valid)
+		if len(valid) > maxAuditFlows {
+			valid = valid[:maxAuditFlows]
+			ca.capped = true
+			st.complete = false
+		}
+		for _, k := range valid {
+			flow, hit, err := fam.Flow(k)
+			if !add(fam.Plan(k), flow, hit, err) {
 				break
 			}
-			if !flow.Valid() {
-				// Declared plans may be invalid (checkall's verification
-				// loop reports that); unknown means a budget cutoff.
-				if flow.Verdict == verify.Unknown.String() {
-					st.complete = false
-				}
-				continue
-			}
-			ca.plans = append(ca.plans, planAudit{plan: plan, flow: flow, cached: cached})
-		}
-		if p.AuditDeclaredOnly {
-			ca.totalValid = len(ca.plans)
 		}
 		st.clients = append(st.clients, ca)
 	}
@@ -155,52 +161,19 @@ func (p *Pass) auditData() *auditState {
 	return st
 }
 
-// flowFor computes one (client, plan) flow with explore, through the
-// persistent tier keyed on the content hash of the verdict's dependency
-// cone (verify.PlanKey) when a store is attached. Unknown flows — budget
-// cutoffs — are never persisted.
-func (p *Pass) flowFor(c parser.ClientDecl, plan network.Plan,
-	explore func(network.Plan) (*verify.PlanFlow, error)) (*verify.PlanFlow, bool, error) {
-
-	disk := p.Cache.Disk()
-	if disk == nil {
-		f, err := explore(plan)
-		return f, false, err
-	}
-	sum, err := verify.PlanKey(p.File.Repo, p.File.Table, c.Loc, c.Expr, plan, nil)
+// flowFor explores client c's declared plan on the kernel
+// (verify.ExploreFlow), read through the session's report tiers under the
+// plan's cone key (verify.PlanKey) — the key a family sweep files the
+// same plan's flow under. hit reports a read from either tier.
+func (p *Pass) flowFor(c parser.ClientDecl) (flow *verify.PlanFlow, hit bool, err error) {
+	sum, err := verify.PlanKey(p.File.Repo, p.File.Table, c.Loc, c.Expr, c.Plan, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	if raw, ok := disk.Get(store.KindAudit, sum); ok {
-		if f, derr := verify.DecodeFlow(raw); derr == nil {
-			return f, true, nil
-		}
-	}
-	got, err := disk.Once(store.KindAudit, sum, func() (any, error) {
-		if raw, ok := disk.Peek(store.KindAudit, sum); ok {
-			if f, derr := verify.DecodeFlow(raw); derr == nil {
-				return f, nil
-			}
-		}
-		f, ferr := explore(plan)
-		if ferr != nil {
-			return nil, ferr
-		}
-		if f.Verdict != verify.Unknown.String() {
-			enc, eerr := verify.EncodeFlow(f)
-			if eerr != nil {
-				return nil, eerr
-			}
-			if perr := disk.Put(store.KindAudit, sum, enc); perr != nil {
-				return nil, perr
-			}
-		}
-		return f, nil
+	return verify.ReadFlow(p.Cache, sum, func() (*verify.PlanFlow, error) {
+		return verify.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, c.Plan,
+			verify.Options{Cache: p.Cache, Budget: p.Budget})
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	return got.(*verify.PlanFlow), false, nil
 }
 
 // --- shared helpers --------------------------------------------------------
@@ -738,7 +711,11 @@ type CoverageRow struct {
 	Unwatched   bool     `json:"unwatched,omitempty"`
 }
 
-// PlanCoverage is the coverage table of one audited valid plan.
+// PlanCoverage is the coverage table of one audited valid plan. Cached
+// means the plan's flow was read from the store, not explored by this
+// run: a hit in either report tier of a store-backed session (a memory
+// hit there implies the store holds the flow). A memory-only session
+// never marks a plan cached.
 type PlanCoverage struct {
 	Plan   map[string]string `json:"plan"`
 	States int               `json:"states"`

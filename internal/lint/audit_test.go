@@ -3,9 +3,12 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"susc/internal/benchgen"
 	"susc/internal/hash"
 	"susc/internal/hexpr"
 	"susc/internal/history"
@@ -364,21 +367,26 @@ func TestAuditDeclaredOnly(t *testing.T) {
 }
 
 // TestAuditDiskTier: flows persist under KindAudit and replay on the next
-// run; the second audit is all disk hits.
+// run; the second audit is all disk hits. Within one session, flows are
+// also read from the memory tier, and `cached` keeps its meaning — read
+// from the store, not explored by this run: a memory-only session never
+// marks a plan cached, a store-backed one marks every plan cached from
+// its second audit on. Concurrent audits on one session share the flows
+// the memory tier holds, so none may write to them.
 func TestAuditDiskTier(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "audit", "clean.susc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	open := func() *store.Store {
-		st, err := store.Open(filepath.Join(dir, "susc.store"), hash.Fingerprint())
+	open := func(name string) *store.Store {
+		st, err := store.Open(filepath.Join(dir, name), hash.Fingerprint())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
-	disk := open()
+	disk := open("susc.store")
 	cache := memo.New()
 	cache.AttachDisk(disk)
 	res := AuditSource(string(src), Options{Cache: cache})
@@ -390,7 +398,7 @@ func TestAuditDiskTier(t *testing.T) {
 	}
 	disk.Close()
 
-	disk = open()
+	disk = open("susc.store")
 	cache = memo.New()
 	cache.AttachDisk(disk)
 	res = AuditSource(string(src), Options{Cache: cache})
@@ -402,4 +410,80 @@ func TestAuditDiskTier(t *testing.T) {
 		t.Errorf("replayed coverage must be marked cached, got %+v", res.Coverage)
 	}
 	disk.Close()
+
+	chain := benchgen.ChainedSource(4, 2)
+	plans := func(res *AuditResult) []PlanCoverage {
+		t.Helper()
+		if len(res.Coverage) != 1 || len(res.Coverage[0].Plans) != 16 {
+			t.Fatalf("want one client with 16 audited plans, got %+v", res.Coverage)
+		}
+		return res.Coverage[0].Plans
+	}
+	cachedPlans := func(res *AuditResult) (n int) {
+		for _, pc := range plans(res) {
+			if pc.Cached {
+				n++
+			}
+		}
+		return n
+	}
+
+	// One memory-only session: the second audit reads every flow from
+	// memory and marks none cached.
+	mem := memo.New()
+	first := AuditSource(chain, Options{Cache: mem})
+	hits := mem.Stats().ReportHits
+	second := AuditSource(chain, Options{Cache: mem})
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("memory-only session: second audit differs:\n%s\nfirst:\n%s", renderAudit(second), renderAudit(first))
+	}
+	if n := cachedPlans(second); n != 0 {
+		t.Errorf("memory-only session: %d plans cached, want 0", n)
+	}
+	if got := mem.Stats().ReportHits - hits; got != 16+16 {
+		t.Errorf("memory-only session: second audit made %d report hits, want 32 (16 verdicts, 16 flows)", got)
+	}
+
+	// One store-backed session: every plan is cached from the second
+	// audit on, and the coverage is otherwise unchanged.
+	disk = open("session.store")
+	defer disk.Close()
+	cache = memo.New()
+	cache.AttachDisk(disk)
+	first = AuditSource(chain, Options{Cache: cache})
+	second = AuditSource(chain, Options{Cache: cache})
+	if n := cachedPlans(first); n != 0 {
+		t.Errorf("store-backed session: first audit cached %d plans, want 0", n)
+	}
+	if n := cachedPlans(second); n != 16 {
+		t.Errorf("store-backed session: second audit cached %d plans, want 16", n)
+	}
+	for i := range second.Coverage[0].Plans {
+		second.Coverage[0].Plans[i].Cached = false
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("store-backed session: second audit differs beyond cached:\n%s\nfirst:\n%s",
+			renderAudit(second), renderAudit(first))
+	}
+
+	// Eight concurrent audits on one session, each equal to a fresh
+	// session's: run under -race, a write to a shared flow is a race.
+	wide := benchgen.ChainedSource(6, 2)
+	want := AuditSource(wide, Options{Cache: memo.New()})
+	shared := memo.New()
+	got := make([]*AuditResult, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = AuditSource(wide, Options{Cache: shared})
+		}()
+	}
+	wg.Wait()
+	for i, res := range got {
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("concurrent audit %d differs from a fresh session's:\n%s\nwant:\n%s", i, renderAudit(res), renderAudit(want))
+		}
+	}
 }

@@ -32,28 +32,33 @@ func AssessAllLegacy(repo network.Repository, table *policy.Table,
 	}
 	vopts := verify.Options{Cache: cache, Budget: opts.Budget,
 		NoReportTier: opts.NoReportTier}
-	out := make([]Assessment, len(complete))
+	reports := make([]*verify.Report, len(complete))
 	all := make([]int, len(complete))
 	for i := range all {
 		all[i] = i
 	}
-	firstInternal, err := assessEach(opts.Workers, complete, all, out,
-		func(i int, key string) (*verify.Report, error) {
+	firstInternal, err := assessEach(opts.Workers, complete, all, reports,
+		func(_ int, plan network.Plan, key string) (*verify.Report, error) {
 			if faultinject.Enabled() {
 				faultinject.Fire(faultinject.PlansWorker, key)
 			}
-			return verify.CheckPlanOpts(repo, table, loc, client, complete[i], vopts)
+			return verify.CheckPlanOpts(repo, table, loc, client, plan, vopts)
 		})
 	if err != nil {
 		return nil, err
 	}
 	// sort on precomputed keys: Plan.Key() rebuilds its string per call,
 	// so computing it once per plan beats recomputing per comparison
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = out[i].Plan.Key()
+	keys := make([]string, len(complete))
+	order := make([]int, len(complete))
+	for i, plan := range complete {
+		keys[i], order[i] = plan.Key(), i
 	}
-	sort.Sort(&byKey{keys: keys, out: out})
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	out := make([]Assessment, len(complete))
+	for k, i := range order {
+		out[k] = Assessment{Plan: complete[i], Report: reports[i]}
+	}
 	if firstInternal != nil {
 		return out, firstInternal
 	}
@@ -61,16 +66,23 @@ func AssessAllLegacy(repo network.Repository, table *policy.Table,
 }
 
 // SweepKeys returns the plans AssessAll's sweep enumerates and the cone
-// keys it reads and files their verdicts under.
+// keys it reads and files their verdicts under, in the sweep's key order.
 func SweepKeys(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) ([]network.Plan, []hash.Sum, error) {
 
 	eng := newFusedEngine(repo, table, loc, client, opts)
-	plans, vecs, err := eng.enumerate()
+	vecs, err := eng.enumerate()
 	if err != nil {
 		return nil, nil, err
 	}
-	return plans, eng.planSums(vecs), nil
+	order := eng.keyOrder(vecs)
+	sums := eng.planSums(vecs, order)
+	ps := make([]network.Plan, len(order))
+	ordered := make([]hash.Sum, len(order))
+	for k, i := range order {
+		ps[k], ordered[k] = eng.planOf(vecs[i]), sums[i]
+	}
+	return ps, ordered, nil
 }
 
 // enumerate is the oracle's enumerator: every complete binding of the

@@ -9,7 +9,6 @@ import (
 	"susc/internal/benchgen"
 	"susc/internal/budget"
 	"susc/internal/memo"
-	"susc/internal/network"
 	"susc/internal/parser"
 	"susc/internal/plans"
 	"susc/internal/verify"
@@ -73,35 +72,56 @@ func encodeFlow(t *testing.T, f *verify.PlanFlow) string {
 
 // TestGraphFlowsAgree pins the flows read off the fused sweep's graph to
 // the kernel's: for every client and each of the first 256 valid plans of
-// its pruned family (the audit's cap), the reader's flow encodes to the
+// its pruned family (the audit's cap), the family's flow encodes to the
 // bytes verify.ExploreFlow's does.
 func TestGraphFlowsAgree(t *testing.T) {
+	checkGraphFlows(t, false)
+}
+
+// TestGraphFlowsAgreeWarm is TestGraphFlowsAgree on a session whose
+// verdict tier a plain sweep filled first: the audit's sweep assesses
+// nothing, so every flow is replayed on a graph the sweep never built.
+func TestGraphFlowsAgreeWarm(t *testing.T) {
+	checkGraphFlows(t, true)
+}
+
+func checkGraphFlows(t *testing.T, warm bool) {
 	flows := 0
 	for name, f := range flowSources(t) {
 		cache := memo.New()
 		for _, c := range f.Clients {
-			as, read, err := plans.AssessWithFlows(f.Repo, f.Table, c.Loc, c.Expr,
-				plans.Options{PruneNonCompliant: true, Cache: cache})
+			opts := plans.Options{PruneNonCompliant: true, Cache: cache}
+			if warm {
+				if _, err := plans.AssessAll(f.Repo, f.Table, c.Loc, c.Expr, opts); err != nil {
+					t.Fatalf("%s/%s: %v", name, c.Name, err)
+				}
+				opts.Stats = &plans.FusedStats{}
+			}
+			fam, err := plans.AssessWithFlows(f.Repo, f.Table, c.Loc, c.Expr, opts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, c.Name, err)
 			}
+			if warm && opts.Stats.PlansAssessed.Load() != 0 {
+				t.Fatalf("%s/%s: warm sweep assessed %d plans", name, c.Name, opts.Stats.PlansAssessed.Load())
+			}
 			valid := 0
-			for _, a := range as {
-				if a.Report.Verdict != verify.Valid || valid == 256 {
+			for i := 0; i < fam.Len(); i++ {
+				if fam.Report(i).Verdict != verify.Valid || valid == 256 {
 					continue
 				}
 				valid++
-				got, err := read(a.Plan)
+				plan := fam.Plan(i)
+				got, _, err := fam.Flow(i)
 				if err != nil {
-					t.Fatalf("%s/%s %s: graph flow: %v", name, c.Name, a.Plan, err)
+					t.Fatalf("%s/%s %s: graph flow: %v", name, c.Name, plan, err)
 				}
-				want, err := verify.ExploreFlow(f.Repo, f.Table, c.Loc, c.Expr, a.Plan,
+				want, err := verify.ExploreFlow(f.Repo, f.Table, c.Loc, c.Expr, plan,
 					verify.Options{Cache: cache})
 				if err != nil {
-					t.Fatalf("%s/%s %s: kernel flow: %v", name, c.Name, a.Plan, err)
+					t.Fatalf("%s/%s %s: kernel flow: %v", name, c.Name, plan, err)
 				}
 				if g, w := encodeFlow(t, got), encodeFlow(t, want); g != w {
-					t.Errorf("%s/%s %s:\ngraph  %s\nkernel %s", name, c.Name, a.Plan, g, w)
+					t.Errorf("%s/%s %s:\ngraph  %s\nkernel %s", name, c.Name, plan, g, w)
 				}
 				flows++
 			}
@@ -128,26 +148,27 @@ func TestGraphFlowsBudgetAgree(t *testing.T) {
 		b := budget.New(context.Background(), lim)
 		cache := memo.New()
 		opts := plans.Options{PruneNonCompliant: true, Cache: cache, Budget: b}
-		as, read, err := plans.AssessWithFlows(f.Repo, f.Table, c.Loc, c.Expr, opts)
+		fam, err := plans.AssessWithFlows(f.Repo, f.Table, c.Loc, c.Expr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kernel {
-			read = func(p network.Plan) (*verify.PlanFlow, error) {
-				return verify.ExploreFlow(f.Repo, f.Table, c.Loc, c.Expr, p,
-					verify.Options{Cache: cache, Budget: b})
-			}
-		}
 		var out []string
-		for _, a := range as {
-			if a.Report.Verdict != verify.Valid {
+		for i := 0; i < fam.Len(); i++ {
+			if fam.Report(i).Verdict != verify.Valid {
 				continue
 			}
-			flow, err := read(a.Plan)
+			plan := fam.Plan(i)
+			var flow *verify.PlanFlow
+			if kernel {
+				flow, err = verify.ExploreFlow(f.Repo, f.Table, c.Loc, c.Expr, plan,
+					verify.Options{Cache: cache, Budget: b})
+			} else {
+				flow, _, err = fam.Flow(i)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, a.Plan.Key()+" "+encodeFlow(t, flow))
+			out = append(out, plan.Key()+" "+encodeFlow(t, flow))
 		}
 		return out
 	}

@@ -3,7 +3,9 @@ package plans
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"susc/internal/budget"
@@ -107,19 +109,17 @@ type fusedEngine struct {
 	services  []hexpr.Expr
 	// bodies maps each request of the world to its body (request
 	// identifiers are unique across a composition, Definition 1). reqIdx
-	// assigns every request a dense index (sorted-request order); nReq is
-	// the size of that index space.
+	// assigns every request a dense index (sorted-request order), reqs
+	// is its inverse and nReq the size of that index space.
 	bodies map[hexpr.RequestID]hexpr.Expr
 	reqIdx map[hexpr.RequestID]int32
+	reqs   []hexpr.RequestID
 	nReq   int
-	// clientPending/locPending hold the sessions of the client and of
-	// every service, in hexpr.Walk pre-order — computed once and shared by
-	// plan enumeration and the per-plan static compliance walk, which
-	// would otherwise re-walk the expressions for every plan. The pendIdx
-	// variants carry the dense request index alongside (locPendIdx is
-	// indexed by locIdx).
-	clientPending []pendingReq
-	locPending    map[hexpr.Location][]pendingReq
+	// clientPendIdx/locPendIdx hold the sessions of the client and of
+	// every service (locPendIdx is indexed by locIdx), in hexpr.Walk
+	// pre-order — computed once and shared by plan enumeration, keying
+	// and the per-plan static compliance walk, which would otherwise
+	// re-walk the expressions for every plan.
 	clientPendIdx []pendEntry
 	locPendIdx    [][]pendEntry
 	nSessions     int
@@ -288,26 +288,28 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 			}
 		}
 	}
-	eng.clientPending = requestsOf(client)
+	clientPending := requestsOf(client)
 	eng.clientReqs = hexpr.Requests(client)
-	eng.locPending = make(map[hexpr.Location][]pendingReq, len(eng.locations))
+	locPending := make([][]pendingReq, len(eng.locations))
 	eng.locReqs = make(map[hexpr.Location][]hexpr.RequestID, len(eng.locations))
-	record(eng.clientPending)
-	for _, l := range eng.locations {
-		eng.locPending[l] = requestsOf(repo[l])
+	record(clientPending)
+	for i, l := range eng.locations {
+		locPending[i] = requestsOf(repo[l])
 		eng.locReqs[l] = hexpr.Requests(repo[l])
-		record(eng.locPending[l])
+		record(locPending[i])
 	}
 	// Dense request index space: every request of the world, in sorted
-	// order, so plan maps compile to int32 vectors (planVec).
+	// order, so a plan is an int32 vector (planOf maps it back).
 	reqs := make([]string, 0, len(eng.bodies))
 	for r := range eng.bodies {
 		reqs = append(reqs, string(r))
 	}
 	sort.Strings(reqs)
 	eng.reqIdx = make(map[hexpr.RequestID]int32, len(reqs))
+	eng.reqs = make([]hexpr.RequestID, len(reqs))
 	for i, r := range reqs {
 		eng.reqIdx[hexpr.RequestID(r)] = int32(i)
+		eng.reqs[i] = hexpr.RequestID(r)
 	}
 	eng.nReq = len(reqs)
 	toIdx := func(list []pendingReq) []pendEntry {
@@ -319,10 +321,10 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 		}
 		return out
 	}
-	eng.clientPendIdx = toIdx(eng.clientPending)
+	eng.clientPendIdx = toIdx(clientPending)
 	eng.locPendIdx = make([][]pendEntry, len(eng.locations))
-	for i, l := range eng.locations {
-		eng.locPendIdx[i] = toIdx(eng.locPending[l])
+	for i, list := range locPending {
+		eng.locPendIdx[i] = toIdx(list)
 	}
 	mon := history.NewMonitor(table)
 	eng.start = eng.node(eng.leaf(loc, eng.locIDs[loc], client), mon, eng.tab.Key(mon.Signature()))
@@ -599,18 +601,16 @@ type pmove struct {
 
 // replayer holds the engine's reusable replay scratch: the epoch-stamped
 // visited array (indexed by fnode.idx — a slot access instead of a map
-// operation per visit), BFS ring, projected-move buffer, the dense plan
-// vector, decision accumulators and compliance matrix persist across
-// plans, so assessing the n-th plan of a large family allocates almost
-// nothing.
+// operation per visit), BFS ring, projected-move buffer, decision
+// accumulators and compliance matrix persist across plans, so assessing
+// the n-th plan of a large family allocates almost nothing. A plan is
+// its dense vector: vec[reqIdx] = locIdx, or -1 when the request is
+// unbound.
 type replayer struct {
 	visited []rvis
 	epoch   uint32
 	queue   ring.Queue[*fnode]
 	moves   []pmove
-	// vec is the dense plan vector: vec[reqIdx] = locIdx, or -1 when the
-	// request is unbound (or bound outside the world — same behaviour).
-	vec []int32
 	// used accumulates the binding decisions the replay consulted, in
 	// consultation order; usedMark dedups them per replay epoch.
 	used     []decision
@@ -634,33 +634,29 @@ type replayer struct {
 
 func (eng *fusedEngine) newReplayer() *replayer {
 	return &replayer{
-		vec:      make([]int32, eng.nReq),
 		usedMark: make([]uint32, eng.nReq),
 		seenMark: make([]uint32, eng.nReq),
 		compl:    make([]int8, eng.nReq*len(eng.locations)),
 	}
 }
 
-// planVec compiles the plan map into the replayer's dense vector:
-// vec[reqIdx] = locIdx of the bound location, -1 when unbound or bound
-// outside the repository (both make opens not enabled and the compliance
-// walk skip, exactly as in the map-based walk).
-func (eng *fusedEngine) planVec(plan network.Plan, vec []int32) []int32 {
-	for i := range vec {
-		vec[i] = -1
-	}
-	for req, loc := range plan {
-		ri, ok := eng.reqIdx[req]
-		if !ok {
-			continue
+// planOf builds the plan map of a dense plan vector, for the readers of
+// one: a sweep's results, the kernel's recomputation, a panic's label
+// and the per-plan cycle check. The sweep itself never builds one.
+func (eng *fusedEngine) planOf(vec []int32) network.Plan {
+	n := 0
+	for _, li := range vec {
+		if li >= 0 {
+			n++
 		}
-		li, ok := eng.locIdx[loc]
-		if !ok {
-			continue
-		}
-		vec[ri] = li
 	}
-	return vec
+	plan := make(network.Plan, n)
+	for ri, li := range vec {
+		if li >= 0 {
+			plan[eng.reqs[ri]] = eng.locations[li]
+		}
+	}
+	return plan
 }
 
 // slot returns the visited slot of n, growing the array when expansion has
@@ -893,8 +889,9 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 // dense matrix (the shared cache is consulted once per distinct cell, and
 // again only on the failure path, to fetch the witness string). The
 // equivalence property test pins the parity.
-func (eng *fusedEngine) staticCheck(plan network.Plan, vec []int32, r *replayer) (*verify.Report, error) {
+func (eng *fusedEngine) staticCheck(vec []int32, r *replayer) (*verify.Report, error) {
 	if !eng.cycleFree {
+		plan := eng.planOf(vec)
 		succ := func(n hexpr.Location) []hexpr.Location {
 			reqs := eng.locReqs[n]
 			if n == verify.ClientNode {
@@ -1014,77 +1011,62 @@ func (eng *fusedEngine) computeCycleSkip() error {
 	return nil
 }
 
-// assess produces one plan's assessment: the static prechecks (mirroring
+// assess produces one plan's report: the static prechecks (mirroring
 // verify.CheckPlanOpts, so witnesses are identical by construction), then
-// the memoised replay. The plan is compiled to its dense vector once and
-// both phases index it.
-func (eng *fusedEngine) assess(plan network.Plan, vec []int32, r *replayer) (Assessment, error) {
+// the memoised replay, both indexing the plan's dense vector.
+func (eng *fusedEngine) assess(vec []int32, r *replayer) (*verify.Report, error) {
 	eng.stats.PlansAssessed.Add(1)
-	if vec == nil {
-		vec = eng.planVec(plan, r.vec)
+	if rep, err := eng.staticCheck(vec, r); err != nil || rep != nil {
+		return rep, err
 	}
-	if rep, err := eng.staticCheck(plan, vec, r); err != nil {
-		return Assessment{}, err
-	} else if rep != nil {
-		return Assessment{Plan: plan, Report: rep}, nil
-	}
-	report, err := eng.assessReplay(vec, r)
-	if err != nil {
-		return Assessment{}, err
-	}
-	return Assessment{Plan: plan, Report: report}, nil
+	return eng.assessReplay(vec, r)
 }
 
 // assessGuarded is assess inside a panic guard: a panic anywhere in the
 // plan's assessment (expansion, replay, static walk — injected or
 // genuine) becomes a typed *budget.InternalError whose Unit is the plan
 // key, the plan's verdict degrades to Unknown, and the error is returned
-// alongside the assessment so the caller can report it after the
-// remaining plans are assessed. The plan key is rendered lazily — only
-// fault injection and the panic path pay the map-sort-format cost. The
-// replayer stays reusable: replay and staticCheck reset every piece of
-// scratch state at entry.
-func (eng *fusedEngine) assessGuarded(plan network.Plan, vec []int32, r *replayer) (Assessment, error) {
-	var a Assessment
-	err := budget.GuardLazy(func() string { return "plan " + plan.Key() }, func() error {
+// alongside the report so the caller can report it after the remaining
+// plans are assessed. The plan key is rendered lazily — only fault
+// injection and the panic path build the plan. The replayer stays
+// reusable: replay and staticCheck reset every piece of scratch state at
+// entry.
+func (eng *fusedEngine) assessGuarded(vec []int32, r *replayer) (*verify.Report, error) {
+	var rep *verify.Report
+	err := budget.GuardLazy(func() string { return "plan " + eng.planOf(vec).Key() }, func() error {
 		if faultinject.Enabled() {
-			faultinject.Fire(faultinject.PlansWorker, plan.Key())
+			faultinject.Fire(faultinject.PlansWorker, eng.planOf(vec).Key())
 		}
 		var err error
-		a, err = eng.assess(plan, vec, r)
+		rep, err = eng.assess(vec, r)
 		return err
 	})
 	if err != nil {
 		var ie *budget.InternalError
 		if errors.As(err, &ie) {
-			return Assessment{Plan: plan,
-				Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}, err
+			return &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}, err
 		}
-		return Assessment{}, err
+		return nil, err
 	}
-	return a, nil
+	return rep, nil
 }
 
 // enumerate mirrors the legacy enumerator exactly — same candidate order,
 // same pruning, same MaxPlans semantics — so both engines assess the same
-// plans. The pending lists of every recursion level share one growing
-// buffer: a child appends its service's sessions at the tail and the
-// parent truncates on backtrack, so the traversal order matches the
-// rest-then-locPending concatenation of the legacy enumerator while
-// enumeration allocates only the returned plans. Pruned bindings are
-// counted in the stats.
-// Alongside each plan map it emits the plan's dense vector (the planVec
-// compilation, built incrementally during the walk), so assessment never
-// iterates the plan maps.
-func (eng *fusedEngine) enumerate() ([]network.Plan, [][]int32, error) {
-	var out []network.Plan
+// plans. It emits each plan as its dense vector, never as a map (planOf
+// builds one where a reader needs it). The pending lists of every
+// recursion level share one growing buffer: a child appends its
+// service's sessions at the tail and the parent truncates on backtrack,
+// so the traversal order matches the rest-then-locPending concatenation
+// of the legacy enumerator while enumeration allocates only the returned
+// vectors. Pruned bindings are counted in the stats.
+func (eng *fusedEngine) enumerate() ([][]int32, error) {
 	var vecs [][]int32
-	plan := network.Plan{}
 	cur := make([]int32, eng.nReq)
 	for i := range cur {
 		cur[i] = -1
 	}
-	buf := append([]pendingReq(nil), eng.clientPending...)
+	buf := append([]pendEntry(nil), eng.clientPendIdx...)
 	// Local memo of the compliance probe, indexed (request, candidate):
 	// backtracking re-asks the same pair on every branch — millions of
 	// times on deep workloads — and even a memo.Cache hit pays interning
@@ -1096,26 +1078,21 @@ func (eng *fusedEngine) enumerate() ([]network.Plan, [][]int32, error) {
 	}
 	var expand func(start int) error
 	expand = func(start int) error {
-		for start < len(buf) {
-			if _, ok := plan[buf[start].req]; ok {
-				start++ // already bound (repeated request in scope)
-				continue
-			}
-			break
+		for start < len(buf) && cur[buf[start].reqIdx] >= 0 {
+			start++ // already bound (repeated request in scope)
 		}
 		if start == len(buf) {
-			if eng.opts.MaxPlans > 0 && len(out) >= eng.opts.MaxPlans {
+			if eng.opts.MaxPlans > 0 && len(vecs) >= eng.opts.MaxPlans {
 				return fmt.Errorf("plans: more than %d complete plans", eng.opts.MaxPlans)
 			}
 			if eng.opts.Budget.Exhausted() != nil {
 				return errStopEnumeration
 			}
-			out = append(out, plan.Clone())
-			vecs = append(vecs, append([]int32(nil), cur...))
+			vecs = append(vecs, slices.Clone(cur))
 			return nil
 		}
 		head := buf[start]
-		ri := eng.reqIdx[head.req]
+		ri := head.reqIdx
 		for li, l := range eng.locations {
 			if eng.opts.PruneNonCompliant {
 				p := &probe[int(ri)*len(eng.locations)+li]
@@ -1135,13 +1112,11 @@ func (eng *fusedEngine) enumerate() ([]network.Plan, [][]int32, error) {
 					continue
 				}
 			}
-			plan[head.req] = l
 			cur[ri] = int32(li)
 			mark := len(buf)
-			buf = append(buf, eng.locPending[l]...)
+			buf = append(buf, eng.locPendIdx[li]...)
 			err := expand(start + 1)
 			buf = buf[:mark]
-			delete(plan, head.req)
 			cur[ri] = -1
 			if err != nil {
 				return err
@@ -1150,9 +1125,9 @@ func (eng *fusedEngine) enumerate() ([]network.Plan, [][]int32, error) {
 		return nil
 	}
 	if err := expand(0); err != nil && err != errStopEnumeration {
-		return nil, nil, err
+		return nil, err
 	}
-	return out, vecs, nil
+	return vecs, nil
 }
 
 // AssessStream enumerates every complete plan for the client and streams
@@ -1172,48 +1147,42 @@ func AssessStream(repo network.Repository, table *policy.Table,
 	yield func(Assessment) error) error {
 
 	eng := newFusedEngine(repo, table, loc, client, opts)
-	plans, vecs, err := eng.enumerate()
+	vecs, err := eng.enumerate()
 	if err != nil {
 		return err
 	}
-	all := make([]int, len(plans))
+	all := make([]int, len(vecs))
 	for i := range all {
 		all[i] = i
 	}
-	return eng.run(plans, vecs, all, func(_ int, a Assessment) error { return yield(a) })
+	return eng.run(vecs, all, func(i int, r *verify.Report) error {
+		return yield(Assessment{Plan: eng.planOf(vecs[i]), Report: r})
+	})
 }
 
-// planKeys builds every enumerated plan's network.Plan.Key without
-// touching the plan maps: the "req>loc" fragments are precomputed per
-// (request, candidate) pair and concatenated in sorted-request order,
-// skipping unbound requests. Byte-identical to Plan.Key — the
-// cross-engine equivalence tests pin the resulting sort order against
-// the legacy engine, which sorts on the map-built keys.
-func (eng *fusedEngine) planKeys(vecs [][]int32) []string {
-	names := make([]string, eng.nReq)
-	for r, i := range eng.reqIdx {
-		names[i] = string(r)
-	}
-	order := make([]int32, eng.nReq)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
+// keyOrder returns the enumeration indices of vecs in the order of their
+// plans' network.Plan.Key, the order a sweep reports in. The keys are
+// built without plan maps: the "req>loc" fragments are precomputed per
+// (request, candidate) pair and concatenated in sorted-request order
+// (the dense order), skipping unbound requests — byte-identical to
+// Plan.Key, as the cross-engine equivalence tests pin against the legacy
+// engine, which sorts on the map-built keys.
+func (eng *fusedEngine) keyOrder(vecs [][]int32) []int32 {
 	frags := make([][]string, eng.nReq)
 	for ri := range frags {
 		fs := make([]string, len(eng.locations))
 		for li, l := range eng.locations {
-			fs[li] = names[ri] + ">" + string(l)
+			fs[li] = string(eng.reqs[ri]) + ">" + string(l)
 		}
 		frags[ri] = fs
 	}
 	keys := make([]string, len(vecs))
+	order := make([]int32, len(vecs))
 	var buf []byte
 	for vi, vec := range vecs {
 		buf = append(buf[:0], '{')
 		first := true
-		for _, ri := range order {
-			li := vec[ri]
+		for ri, li := range vec {
 			if li < 0 {
 				continue
 			}
@@ -1225,18 +1194,20 @@ func (eng *fusedEngine) planKeys(vecs [][]int32) []string {
 		}
 		buf = append(buf, '}')
 		keys[vi] = string(buf)
+		order[vi] = int32(vi)
 	}
-	return keys
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	return order
 }
 
-// run assesses plans[i] for every i in idxs, in that order, on the
-// calling goroutine, and yields each assessment with its index. Every
+// run assesses the plan of vecs[i] for every i in idxs, in that order,
+// on the calling goroutine, and yields each report with its index. Every
 // listed plan is yielded exactly once, also under budget exhaustion and
 // isolated plan panics; a non-nil error from yield stops the run and is
 // returned. The first isolated panic is returned as a
 // *budget.InternalError once every plan is yielded.
-func (eng *fusedEngine) run(plans []network.Plan, vecs [][]int32, idxs []int,
-	yield func(int, Assessment) error) error {
+func (eng *fusedEngine) run(vecs [][]int32, idxs []int,
+	yield func(int, *verify.Report) error) error {
 
 	// Presize the canonical-pair and node tables now that the workload
 	// scale is known: the explored graph grows with plans × requests, and
@@ -1255,7 +1226,7 @@ func (eng *fusedEngine) run(plans []network.Plan, vecs [][]int32, idxs []int,
 	r := eng.newReplayer()
 	var firstInternal *budget.InternalError
 	for _, i := range idxs {
-		a, err := eng.assessGuarded(plans[i], vecs[i], r)
+		rep, err := eng.assessGuarded(vecs[i], r)
 		if err != nil {
 			var ie *budget.InternalError
 			if !errors.As(err, &ie) {
@@ -1265,7 +1236,7 @@ func (eng *fusedEngine) run(plans []network.Plan, vecs [][]int32, idxs []int,
 				firstInternal = ie
 			}
 		}
-		if err := yield(i, a); err != nil {
+		if err := yield(i, rep); err != nil {
 			return err
 		}
 	}

@@ -3,7 +3,6 @@ package plans
 import (
 	"errors"
 	"slices"
-	"sort"
 
 	"susc/internal/budget"
 	"susc/internal/faultinject"
@@ -20,34 +19,35 @@ import (
 // paying per plan when most of the plan space is cold.
 const recomputeFraction = 4 // recompute per-plan while misses ≤ 1/4 of plans
 
-// assessAll enumerates the plans once and assesses them in deterministic
-// order (lexicographic in the plan keys). With tiered set, each plan's
-// verdict is read through the cache's report tiers under its cone key
-// (verify.LookupReport): on an unchanged repository every plan hits and
-// the sweep costs its enumeration, its keys and its lookups; after an
-// edit, the only misses are the plans whose cone contains the edited
-// declaration. Misses are assessed and filed in both tiers. An isolated
-// plan panic comes back as a *budget.InternalError alongside the
-// assessments: the poisoned plan is Unknown, the rest are intact.
-func (eng *fusedEngine) assessAll(tiered bool) ([]Assessment, error) {
-	plans, vecs, err := eng.enumerate()
+// sweep enumerates the plans once and assesses them. With tiered set,
+// each plan's verdict is read through the cache's report tiers under its
+// cone key (verify.LookupReport): on an unchanged repository every plan
+// hits and the sweep costs its enumeration, its keys and its lookups;
+// after an edit, the only misses are the plans whose cone contains the
+// edited declaration. Misses are assessed and filed in both tiers. The
+// plans are sorted once, by key, and keyed in that order, so consecutive
+// keys share their binding prefixes (verify.PlanKeyer). An isolated plan
+// panic comes back as a *budget.InternalError alongside the family: the
+// poisoned plan is Unknown, the rest are intact.
+func (eng *fusedEngine) sweep(tiered bool) (*Family, error) {
+	vecs, err := eng.enumerate()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Assessment, len(plans))
-	misses := make([]int, 0, len(plans))
-	var sums []hash.Sum
+	fam := &Family{eng: eng, vecs: vecs, order: eng.keyOrder(vecs),
+		reports: make([]*verify.Report, len(vecs))}
+	misses := make([]int, 0, len(vecs))
 	if tiered {
-		sums = eng.planSums(vecs)
-		for i, sum := range sums {
+		fam.sums = eng.planSums(vecs, fam.order)
+		for i, sum := range fam.sums {
 			if r, ok := verify.LookupReport(eng.cache, store.KindPlanReport, sum); ok {
-				out[i] = Assessment{Plan: plans[i], Report: r}
+				fam.reports[i] = r
 				continue
 			}
 			misses = append(misses, i)
 		}
 	} else {
-		for i := range plans {
+		for i := range vecs {
 			misses = append(misses, i)
 		}
 	}
@@ -56,13 +56,13 @@ func (eng *fusedEngine) assessAll(tiered bool) ([]Assessment, error) {
 	switch {
 	case len(misses) == 0:
 		// Every verdict was filed: nothing to assess.
-	case tiered && len(misses)*recomputeFraction <= len(plans):
-		firstInternal, err = eng.recomputeEach(plans, sums, misses, out)
+	case tiered && len(misses)*recomputeFraction <= len(vecs):
+		firstInternal, err = eng.recomputeEach(fam, misses)
 	default:
-		err = eng.run(plans, vecs, misses, func(i int, a Assessment) error {
-			out[i] = a
+		err = eng.run(vecs, misses, func(i int, r *verify.Report) error {
+			fam.reports[i] = r
 			if tiered {
-				return verify.FileReport(eng.cache, store.KindPlanReport, sums[i], a.Report)
+				return verify.FileReport(eng.cache, store.KindPlanReport, fam.sums[i], r)
 			}
 			return nil
 		})
@@ -73,42 +73,45 @@ func (eng *fusedEngine) assessAll(tiered bool) ([]Assessment, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Sort(&byKey{keys: eng.planKeys(vecs), out: out})
 	if firstInternal != nil {
-		return out, firstInternal
+		return fam, firstInternal
 	}
-	return out, nil
+	return fam, nil
 }
 
 // recomputeEach validates the missed plans one kernel exploration each —
 // panic-guarded, on assessEach's pool of opts.Workers goroutines — and
 // files them through verify.FillReport, under the store's singleflight
 // when one is attached.
-func (eng *fusedEngine) recomputeEach(plans []network.Plan, sums []hash.Sum,
-	misses []int, out []Assessment) (*budget.InternalError, error) {
-
+func (eng *fusedEngine) recomputeEach(fam *Family, misses []int) (*budget.InternalError, error) {
 	vopts := verify.Options{Cache: eng.cache, Budget: eng.opts.Budget, NoReportTier: true}
-	return assessEach(eng.opts.Workers, plans, misses, out,
-		func(i int, key string) (*verify.Report, error) {
-			return verify.FillReport(eng.cache, store.KindPlanReport, sums[i], func() (*verify.Report, error) {
+	missed := make([]network.Plan, len(misses))
+	for j, i := range misses {
+		missed[j] = eng.planOf(fam.vecs[i])
+	}
+	return assessEach(eng.opts.Workers, missed, misses, fam.reports,
+		func(i int, plan network.Plan, key string) (*verify.Report, error) {
+			return verify.FillReport(eng.cache, store.KindPlanReport, fam.sums[i], func() (*verify.Report, error) {
 				if faultinject.Enabled() {
 					faultinject.Fire(faultinject.PlansWorker, key)
 				}
-				return verify.CheckPlanOpts(eng.repo, eng.table, eng.loc, eng.client, plans[i], vopts)
+				return verify.CheckPlanOpts(eng.repo, eng.table, eng.loc, eng.client, plan, vopts)
 			})
 		})
 }
 
 // planSums keys every enumerated plan as verify.PlanKey does (with no
-// capacities). A plan's planned requests are the sessions the depth-first
-// walk of verify.PlannedRequests reaches — the session of a repeated
-// request ID is its first one on that walk — so the sweep walks the
-// engine's session lists the same way; an enumerated plan binds every
-// session the walk reaches to a repository location. Each (session,
-// location) cell renders its binding's part once; a plan's key replays
-// the parts of its cells in sorted request order (dense request indices
-// are in sorted order).
-func (eng *fusedEngine) planSums(vecs [][]int32) []hash.Sum {
+// capacities), visiting the plans in order (key order, where consecutive
+// plans share the longest binding prefixes the keyer resumes from) and
+// filing each key at its enumeration index. A plan's planned requests
+// are the sessions the depth-first walk of verify.PlannedRequests
+// reaches — the session of a repeated request ID is its first one on
+// that walk — so the sweep walks the engine's session lists the same
+// way; an enumerated plan binds every session the walk reaches to a
+// repository location. Each (session, location) cell renders its
+// binding's part once; a plan's key replays the parts of its cells in
+// sorted request order (dense request indices are in sorted order).
+func (eng *fusedEngine) planSums(vecs [][]int32, order []int32) []hash.Sum {
 	k := verify.NewPlanKeyer(eng.table, eng.loc, eng.client)
 	nLoc := len(eng.locations)
 	cells := make([]*verify.Binding, eng.nSessions*nLoc)
@@ -137,9 +140,9 @@ func (eng *fusedEngine) planSums(vecs [][]int32) []hash.Sum {
 	}
 	sums := make([]hash.Sum, len(vecs))
 	var bs []*verify.Binding
-	for i, v := range vecs {
+	for _, i := range order {
 		epoch++
-		vec, touched = v, touched[:0]
+		vec, touched = vecs[i], touched[:0]
 		walk(eng.clientPendIdx)
 		slices.Sort(touched)
 		bs = bs[:0]

@@ -481,3 +481,73 @@ func TestMemoryTierNeverHoldsUnknown(t *testing.T) {
 		t.Fatalf("memory tier holds %d reports after the rerun, want %d", got, len(as))
 	}
 }
+
+// TestMemoryTierNeverHoldsUnknownFlow: TestMemoryTierNeverHoldsUnknown
+// for the audit's flows. A budget that cuts the audit's sequence — the
+// sweep, then each valid plan's flow — between two flows leaves only
+// decided verdicts and flows in a memory-only session's report tier, and
+// a roomy rerun on that session answers what a fresh session does.
+func TestMemoryTierNeverHoldsUnknownFlow(t *testing.T) {
+	w := benchgen.Chained(3, 2)
+	// audit renders every verdict and every valid plan's flow, and counts
+	// the decided ones.
+	audit := func(cache *memo.Cache, b *budget.Budget) (out []string, decided, cut int) {
+		fam, err := plans.AssessWithFlows(w.Repo, w.Table, w.Loc, w.Client,
+			plans.Options{PruneNonCompliant: true, Cache: cache, Budget: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < fam.Len(); i++ {
+			r := fam.Report(i)
+			out = append(out, fam.Plan(i).Key()+" "+string(r.AppendJSON(nil)))
+			if r.Verdict == verify.Unknown {
+				continue
+			}
+			decided++
+			if r.Verdict != verify.Valid {
+				continue
+			}
+			f, _, err := fam.Flow(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, encodeFlow(t, f))
+			if f.Verdict == verify.Unknown.String() {
+				cut++
+			} else {
+				decided++
+			}
+		}
+		return out, decided, cut
+	}
+	fresh, decided, cut := audit(memo.New(), nil)
+	if cut != 0 || decided != 2*w.PlanCount {
+		t.Fatalf("roomy audit: %d decided, %d cut; want %d and 0", decided, cut, 2*w.PlanCount)
+	}
+	for n := int64(1); n <= 2000; n++ {
+		cache := memo.New()
+		b := budget.New(context.Background(), budget.Limits{MaxStates: n})
+		_, decided, cut := audit(cache, b)
+		if cut == 0 || decided <= w.PlanCount {
+			continue // no flow cut, or none decided
+		}
+		if got := cache.Stats().ReportEntries; got != uint64(decided) {
+			t.Fatalf("MaxStates %d: memory tier holds %d records, want %d (the decided verdicts and flows only)",
+				n, got, decided)
+		}
+		again, _, _ := audit(cache, nil)
+		if len(again) != len(fresh) {
+			t.Fatalf("MaxStates %d: roomy rerun gave %d records, fresh %d", n, len(again), len(fresh))
+		}
+		for i := range again {
+			if again[i] != fresh[i] {
+				t.Fatalf("MaxStates %d: roomy rerun record %d:\ngot  %s\nwant %s", n, i, again[i], fresh[i])
+			}
+		}
+		if got := cache.Stats().ReportEntries; got != uint64(2*w.PlanCount) {
+			t.Fatalf("MaxStates %d: memory tier holds %d records after the rerun, want %d", n, got, 2*w.PlanCount)
+		}
+		return
+	}
+	t.Fatal("no budget cut the flows between two decided ones")
+}

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"susc/internal/budget"
+	"susc/internal/hash"
 	"susc/internal/hexpr"
 	"susc/internal/memo"
 	"susc/internal/network"
@@ -31,12 +32,13 @@ type Options struct {
 	// MaxPlans bounds the number of complete plans examined (0 = no
 	// bound). Synthesis fails with an error when the bound is hit.
 	MaxPlans int
-	// Workers sizes the goroutine pool of AssessAll's small-edit branch
-	// (0 or 1 = sequential): when at most a quarter of the plans miss the
-	// report tiers, AssessAll recomputes the misses one kernel
-	// exploration each, on this many goroutines. Every other path — the
-	// sweep's enumeration and replays, AssessStream, AssessWithFlows —
-	// runs the fused engine on the calling goroutine and ignores it.
+	// Workers sizes the goroutine pool of the tiered sweep's small-edit
+	// branch (0 or 1 = sequential): when at most a quarter of the plans
+	// miss the report tiers, AssessAll and AssessWithFlows recompute the
+	// misses one kernel exploration each, on this many goroutines. Every
+	// other path — the sweep's enumeration and replays, its flows,
+	// AssessStream — runs the fused engine on the calling goroutine and
+	// ignores it.
 	Workers int
 	// Cache memoises compliance verdicts, product automata and one-step
 	// transition sets across the whole synthesis: the enumeration probe
@@ -47,13 +49,13 @@ type Options struct {
 	Cache *memo.Cache
 	// Stats, when non-nil, receives the fused engine's work counters.
 	Stats *FusedStats
-	// NoReportTier keeps AssessAll's per-plan verdicts out of both report
-	// tiers of Cache: they are neither looked up nor filed, in memory or
-	// in the store. Analyzer sweeps (the lint plan-space emptiness check)
-	// assess whole plan families as an existence probe; filing
-	// fanout^depth sweep verdicts would bloat both tiers and muddy the
-	// per-plan hit/miss counters the CLI stats and CI gates key on. The
-	// compliance and LTS tiers underneath still serve it — those are
+	// NoReportTier keeps a sweep's per-plan verdicts and flows out of both
+	// report tiers of Cache: they are neither looked up nor filed, in
+	// memory or in the store. Analyzer sweeps (the lint plan-space
+	// emptiness check) assess whole plan families as an existence probe;
+	// filing fanout^depth sweep verdicts would bloat both tiers and muddy
+	// the per-plan hit/miss counters the CLI stats and CI gates key on.
+	// The compliance and LTS tiers underneath still serve it — those are
 	// shared with real verification runs.
 	NoReportTier bool
 	// Budget meters the whole synthesis (nil = unbounded): enumeration,
@@ -77,77 +79,119 @@ func (a Assessment) String() string {
 
 // AssessAll enumerates every complete plan for the client and validates
 // each, returning the assessments in deterministic order (lexicographic in
-// the plan keys). Verdicts are read through the report tiers of
-// opts.Cache — its memory, then its store — under each plan's cone key
-// (verify.PlanKey), and only the misses are validated, against one shared
-// state graph (the fused engine), and filed. A nil opts.Cache (a private
-// cache) or opts.NoReportTier skips the tiers.
+// the plan keys): AssessWithFlows's sweep, with every plan's map built.
 func AssessAll(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
 
-	tiered := opts.Cache != nil && !opts.NoReportTier
-	return newFusedEngine(repo, table, loc, client, opts).assessAll(tiered)
+	fam, err := AssessWithFlows(repo, table, loc, client, opts)
+	if fam == nil {
+		return nil, err
+	}
+	out := make([]Assessment, fam.Len())
+	for i := range out {
+		out[i] = Assessment{Plan: fam.Plan(i), Report: fam.Report(i)}
+	}
+	return out, err
 }
 
-// AssessWithFlows is the audit's plan sweep: AssessAll on the fused
-// engine without the report tiers (opts.NoReportTier is implied),
-// returning with the assessments a flow reader over the graph the sweep
-// built. Given a plan the sweep assessed
-// Valid, the reader replays it over that graph into a verify.FlowRecorder
-// and returns the flow verify.ExploreFlow records for the plan, with the
-// same budget charges: one state per visit, the projected moves as edges
-// and one check per leak-analysis step. The reader is not safe for
-// concurrent use. As with AssessAll, an isolated plan panic comes back
-// as a *budget.InternalError alongside the assessments.
+// AssessWithFlows is the plan sweep behind AssessAll and the audit: it
+// enumerates every complete plan for the client once and validates each.
+// Verdicts are read through the report tiers of opts.Cache — its memory,
+// then its store — under each plan's cone key (verify.PlanKey), and only
+// the misses are validated, against one shared state graph (the fused
+// engine), and filed. A nil opts.Cache (a private cache) or
+// opts.NoReportTier skips the tiers. The swept family comes back in
+// plan-key order with a flow reader over the same tiers (Family.Flow).
+// An isolated plan panic comes back as a *budget.InternalError alongside
+// the family; any other error fails the sweep, with a nil family.
 func AssessWithFlows(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options,
-) ([]Assessment, func(network.Plan) (*verify.PlanFlow, error), error) {
+	loc hexpr.Location, client hexpr.Expr, opts Options) (*Family, error) {
 
-	eng := newFusedEngine(repo, table, loc, client, opts)
-	as, err := eng.assessAll(false)
-	if err != nil && !errors.As(err, new(*budget.InternalError)) {
-		return nil, nil, err
-	}
-	r := eng.newReplayer()
-	r.flow = &verify.FlowRecorder{}
-	read := func(plan network.Plan) (*verify.PlanFlow, error) {
-		r.flow.Reset(table)
-		rep, err := eng.replay(eng.planVec(plan, r.vec), r)
+	tiered := opts.Cache != nil && !opts.NoReportTier
+	return newFusedEngine(repo, table, loc, client, opts).sweep(tiered)
+}
+
+// Family is a swept plan family in plan-key order: plan i's verdict, its
+// plan and its flow. Plans are held as dense vectors, and a plan's map is
+// built only when Plan asks for it. Reports and flows may be shared with
+// the report tiers: callers must not mutate them. A Family is not safe for
+// concurrent use.
+type Family struct {
+	eng   *fusedEngine
+	vecs  [][]int32 // in enumeration order
+	order []int32   // order[i]: the enumeration index of the i-th plan by key
+	// reports and sums (the cone keys; nil when the sweep is untiered)
+	// are by enumeration index.
+	reports []*verify.Report
+	sums    []hash.Sum
+	flows   *replayer // Flow's replayer, built on first use
+}
+
+// Len is the number of plans in the family.
+func (f *Family) Len() int { return len(f.order) }
+
+// Report is plan i's verdict.
+func (f *Family) Report(i int) *verify.Report { return f.reports[f.order[i]] }
+
+// Plan builds plan i's map.
+func (f *Family) Plan(i int) network.Plan { return f.eng.planOf(f.vecs[f.order[i]]) }
+
+// Flow returns plan i's flow, for a plan the sweep assessed Valid: the
+// record verify.ExploreFlow makes for it. A tiered sweep reads it through
+// the report tiers under the plan's cone key — the key its verdict is
+// filed under — with verify.ReadFlow, and hit reports a read from either
+// tier. A miss replays the plan over the sweep's graph (expanding what
+// the sweep did not build) into a verify.FlowRecorder, with the kernel's
+// budget charges: one state per visit, the projected moves as edges and
+// one check per leak-analysis step.
+func (f *Family) Flow(i int) (flow *verify.PlanFlow, hit bool, err error) {
+	e := f.order[i]
+	replay := func() (*verify.PlanFlow, error) {
+		if f.flows == nil {
+			f.flows = f.eng.newReplayer()
+			f.flows.flow = &verify.FlowRecorder{}
+		}
+		r := f.flows
+		r.flow.Reset(f.eng.table)
+		rep, err := f.eng.replay(f.vecs[e], r)
 		if err != nil {
 			return nil, err
 		}
-		return r.flow.Flow(rep, opts.Budget), nil
+		return r.flow.Flow(rep, f.eng.opts.Budget), nil
 	}
-	return as, read, err
+	if f.sums == nil {
+		flow, err = replay()
+		return flow, false, err
+	}
+	return verify.ReadFlow(f.eng.cache, f.sums[e], replay)
 }
 
-// assessEach validates complete[i] for every i in idxs through check,
-// which receives i and the plan key, and stores the assessment in out[i]:
-// on `workers` goroutines when there is more than one index, serially
-// otherwise. Each plan runs inside a panic guard: a worker panic becomes a
-// typed *budget.InternalError carrying the plan key as a repro bundle, the
-// plan's verdict degrades to Unknown, and the other workers finish
-// undisturbed. The first such error is returned; any other error fails
-// the whole call.
-func assessEach(workers int, complete []network.Plan, idxs []int, out []Assessment,
-	check func(i int, key string) (*verify.Report, error)) (*budget.InternalError, error) {
+// assessEach validates plans[j], the plan of idxs[j], for every j through
+// check, which receives idxs[j], the plan and its key, and stores the
+// report in out[idxs[j]]: on `workers` goroutines when there is more than
+// one plan, serially otherwise. Each plan runs inside a panic guard: a
+// worker panic becomes a typed *budget.InternalError carrying the plan
+// key as a repro bundle, the plan's verdict degrades to Unknown, and the
+// other workers finish undisturbed. The first such error is returned; any
+// other error fails the whole call.
+func assessEach(workers int, plans []network.Plan, idxs []int, out []*verify.Report,
+	check func(i int, plan network.Plan, key string) (*verify.Report, error)) (*budget.InternalError, error) {
 
-	one := func(i int) error {
-		plan := complete[i]
+	one := func(j int) error {
+		i, plan := idxs[j], plans[j]
 		key := plan.Key()
 		var report *verify.Report
 		err := budget.Guard("plan "+key, func() error {
 			var err error
-			report, err = check(i, key)
+			report, err = check(i, plan, key)
 			return err
 		})
 		var ie *budget.InternalError
 		switch {
 		case err == nil:
-			out[i] = Assessment{Plan: plan, Report: report}
+			out[i] = report
 		case errors.As(err, &ie):
-			out[i] = Assessment{Plan: plan,
-				Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}
+			out[i] = &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}
 		}
 		return err
 	}
@@ -171,8 +215,8 @@ func assessEach(workers int, complete []network.Plan, idxs []int, out []Assessme
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := range jobs {
-					if err := one(i); err != nil {
+				for j := range jobs {
+					if err := one(j); err != nil {
 						mu.Lock()
 						record(err)
 						mu.Unlock()
@@ -180,14 +224,14 @@ func assessEach(workers int, complete []network.Plan, idxs []int, out []Assessme
 				}
 			}()
 		}
-		for _, i := range idxs {
-			jobs <- i
+		for j := range idxs {
+			jobs <- j
 		}
 		close(jobs)
 		wg.Wait()
 	} else {
-		for _, i := range idxs {
-			if err := one(i); err != nil {
+		for j := range idxs {
+			if err := one(j); err != nil {
 				record(err)
 				if firstErr != nil {
 					break
@@ -199,18 +243,6 @@ func assessEach(workers int, complete []network.Plan, idxs []int, out []Assessme
 		return nil, firstErr
 	}
 	return firstInternal, nil
-}
-
-type byKey struct {
-	keys []string
-	out  []Assessment
-}
-
-func (s *byKey) Len() int           { return len(s.out) }
-func (s *byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *byKey) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.out[i], s.out[j] = s.out[j], s.out[i]
 }
 
 // Synthesize returns exactly the valid plans for the client, in

@@ -176,15 +176,27 @@ func writeCaps(h *hash.Hasher, caps map[hexpr.Location]int, cone map[hexpr.Locat
 // PlanKeyer keys many plans of one client, as a plan sweep does: the
 // head, each binding's part and each policy's serialisation are rendered
 // once, and a plan's key replays them. Sum(bindings) equals PlanKey of
-// the plan with no capacities. A PlanKeyer is not safe for concurrent
-// use.
+// the plan with no capacities. Sum resumes each digest from the state
+// saved after the longest binding prefix the plan shares with the
+// previous Sum's, so a sweep that keys its plans in key order (sorted
+// bindings, sorted plans) writes about one binding part per plan. A
+// PlanKeyer is not safe for concurrent use.
 type PlanKeyer struct {
 	table    *policy.Table
 	h        *hash.Hasher
 	head     []byte
-	client   []hexpr.PolicyID
+	client   int // union[:client] are the client's own policies
 	policies map[hexpr.PolicyID][]byte
-	union    []hexpr.PolicyID // Sum's scratch
+	bindings map[string]*Binding // by part bytes
+	// prev is the previous Sum's binding list. states[j] is the digest
+	// state after its head, its count and its first j parts, and
+	// union[:unionAt[j]] the policies those bring into the cone, in
+	// first-sighting order.
+	prev    []*Binding
+	states  [][]byte
+	union   []hexpr.PolicyID
+	unionAt []int
+	sorted  []hexpr.PolicyID // Sum's scratch
 }
 
 // Binding is one planned request's part of a plan key, rendered once by
@@ -196,46 +208,76 @@ type Binding struct {
 
 // NewPlanKeyer returns a keyer for the plans of client at loc.
 func NewPlanKeyer(table *policy.Table, loc hexpr.Location, client hexpr.Expr) *PlanKeyer {
+	union := hexpr.Policies(client)
 	return &PlanKeyer{
 		table:    table,
 		h:        hash.New(),
 		head:     hash.Frame(func(h *hash.Hasher) { writePlanHead(h, loc, client) }),
-		client:   hexpr.Policies(client),
+		client:   len(union),
 		policies: map[hexpr.PolicyID][]byte{},
+		bindings: map[string]*Binding{},
+		union:    union,
 	}
 }
 
 // Binding renders the part pr adds to the key of every plan it is
-// planned in — pr as verify.PlannedRequests reports it.
+// planned in — pr as verify.PlannedRequests reports it. Requests whose
+// parts are byte-identical share one Binding, so Sum can tell a shared
+// prefix by pointer.
 func (k *PlanKeyer) Binding(pr PlannedRequest) *Binding {
-	return &Binding{
-		part:     hash.Frame(func(h *hash.Hasher) { writeBinding(h, pr) }),
-		policies: bindingPolicies(pr),
+	part := hash.Frame(func(h *hash.Hasher) { writeBinding(h, pr) })
+	if b, ok := k.bindings[string(part)]; ok {
+		return b
 	}
+	b := &Binding{part: part, policies: bindingPolicies(pr)}
+	k.bindings[string(part)] = b
+	return b
 }
 
 // Sum is the key of the plan whose planned requests are bs, given in
 // sorted request order.
 func (k *PlanKeyer) Sum(bs []*Binding) hash.Sum {
 	h := k.h
-	h.Reset()
-	h.Raw(k.head)
-	h.Int(len(bs))
-	union := append(k.union[:0], k.client...)
-	for _, b := range bs {
+	// Resume after the longest prefix bs shares with the previous list.
+	// The count precedes the parts, so only a list as long can.
+	j := -1
+	if len(bs) == len(k.prev) && len(k.states) > 0 {
+		j = 0
+		for j < len(bs) && bs[j] == k.prev[j] {
+			j++
+		}
+		if h.SetState(k.states[j]) != nil {
+			j = -1
+		}
+	}
+	if j < 0 {
+		h.Reset()
+		h.Raw(k.head)
+		h.Int(len(bs))
+		j = 0
+		k.save(0, k.client)
+	}
+	union := k.union[:k.unionAt[j]]
+	for i := j; i < len(bs); i++ {
+		b := bs[i]
 		h.Raw(b.part)
 		for _, id := range b.policies {
 			if !slices.Contains(union, id) {
 				union = append(union, id)
 			}
 		}
+		k.save(i+1, len(union))
 	}
 	k.union = union
-	h.Int(len(union))
-	if len(union) > 1 {
-		slices.Sort(union)
+	k.prev = append(k.prev[:0], bs...)
+
+	sorted := append(k.sorted[:0], union...)
+	k.sorted = sorted
+	h.Int(len(sorted))
+	if len(sorted) > 1 {
+		slices.Sort(sorted)
 	}
-	for _, id := range union {
+	for _, id := range sorted {
 		p, ok := k.policies[id]
 		if !ok {
 			p = hash.Frame(func(h *hash.Hasher) { writePolicy(h, k.table, id) })
@@ -245,4 +287,20 @@ func (k *PlanKeyer) Sum(bs []*Binding) hash.Sum {
 	}
 	h.Int(0) // a sweep is capacity-free: no capacity in the cone
 	return h.Sum()
+}
+
+// save records the digest state after the first i parts of the current
+// list, and the length of their policy union. Sum saves in order, from
+// an index it has already saved, so the slices grow by at most one.
+func (k *PlanKeyer) save(i, unionLen int) {
+	if i == len(k.states) {
+		k.states = append(k.states, nil)
+		k.unionAt = append(k.unionAt, 0)
+	}
+	st, err := k.h.AppendState(k.states[i][:0])
+	if err != nil {
+		st = nil // no state to resume from: the next Sum starts afresh
+	}
+	k.states[i] = st
+	k.unionAt[i] = unionLen
 }

@@ -3,16 +3,20 @@ package verify_test
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
+	"susc/internal/benchgen"
 	"susc/internal/budget"
 	"susc/internal/hash"
 	"susc/internal/hexpr"
 	"susc/internal/memo"
 	"susc/internal/network"
 	"susc/internal/paperex"
+	"susc/internal/policy"
 	"susc/internal/store"
 	"susc/internal/verify"
 )
@@ -240,6 +244,103 @@ func TestPlanKeyerMatchesPlanKey(t *testing.T) {
 				t.Errorf("plan %s: keyer %s, PlanKey %s", plan, got, want)
 			}
 		}
+	}
+}
+
+// TestPlanKeyerResumes: Sum resumes each digest from the binding prefix
+// it shares with the previous call, so its keys must not depend on what
+// came before. Plans drawn at random — lists of varying lengths (a
+// request bound off its level opens a different tail, an unbound or
+// dangling one none), with equal and differing prefixes and repeats —
+// are keyed on one keyer and must equal a fresh keyer's sum and PlanKey,
+// over the paper's policy-laden repository, a policy-free chain, and the
+// chain with two services framed, so plans sharing a prefix differ in
+// the policies their tails bring.
+func TestPlanKeyerResumes(t *testing.T) {
+	chain := benchgen.Chained(3, 3)
+	framed := network.Repository{}
+	for l, e := range chain.Repo {
+		framed[l] = e
+	}
+	framed["s2_0"] = hexpr.Frame(paperex.Phi1().ID(), framed["s2_0"])
+	framed["s3_1"] = hexpr.Frame(paperex.Phi2().ID(), framed["s3_1"])
+	worlds := []struct {
+		name   string
+		repo   network.Repository
+		table  *policy.Table
+		loc    hexpr.Location
+		client hexpr.Expr
+		reqs   []hexpr.RequestID
+	}{
+		{"paper", paperex.Repository(), paperex.Policies(), paperex.LocC1, paperex.C1(),
+			[]hexpr.RequestID{"r1", "r3"}},
+		{"chained(3,3)", chain.Repo, chain.Table, chain.Loc, chain.Client, chain.Requests},
+		{"framed chained(3,3)", framed, paperex.Policies(), chain.Loc, chain.Client, chain.Requests},
+	}
+	lengths := map[int]bool{}
+	for _, w := range worlds {
+		locs := []hexpr.Location{"", "nowhere"}
+		for l := range w.repo {
+			locs = append(locs, l)
+		}
+		slices.Sort(locs)
+		plans := []network.Plan{{}}
+		for _, req := range w.reqs {
+			var next []network.Plan
+			for _, p := range plans {
+				for _, l := range locs {
+					q := p.Clone()
+					if l != "" {
+						q[req] = l
+					}
+					next = append(next, q)
+				}
+			}
+			plans = next
+		}
+		sorted := func(p network.Plan) []verify.PlannedRequest {
+			reqs, err := verify.PlannedRequests(w.repo, w.client, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
+			return reqs
+		}
+		k := verify.NewPlanKeyer(w.table, w.loc, w.client)
+		rng := rand.New(rand.NewSource(1))
+		prev := 0
+		for n := 0; n < 2000; n++ {
+			i := rng.Intn(len(plans))
+			switch rng.Intn(4) {
+			case 0:
+				i = prev // a repeat
+			case 1:
+				i = (prev + 1) % len(plans) // a neighbour: a long shared prefix
+			}
+			prev = i
+			p := plans[i]
+			reqs := sorted(p)
+			lengths[len(reqs)] = true
+			var bs, fresh []*verify.Binding
+			f := verify.NewPlanKeyer(w.table, w.loc, w.client)
+			for _, pr := range reqs {
+				bs = append(bs, k.Binding(pr))
+				fresh = append(fresh, f.Binding(pr))
+			}
+			want, err := verify.PlanKey(w.repo, w.table, w.loc, w.client, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := k.Sum(bs); got != want {
+				t.Fatalf("%s, call %d, plan %s: resumed keyer %s, PlanKey %s", w.name, n, p, got, want)
+			}
+			if got := f.Sum(fresh); got != want {
+				t.Fatalf("%s, plan %s: fresh keyer %s, PlanKey %s", w.name, p, got, want)
+			}
+		}
+	}
+	if len(lengths) < 3 {
+		t.Fatalf("binding lists of %d lengths only", len(lengths))
 	}
 }
 
