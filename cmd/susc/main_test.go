@@ -285,6 +285,7 @@ func TestCmdErrors(t *testing.T) {
 		{"fmt", hotelFile, "-cache", t.TempDir()},
 		{"explain", hotelFile, "-cache", t.TempDir()},
 		{"plans", hotelFile, "-client", "c1", "-severity", "error"},
+		{"plans", hotelFile, "-client", "c1", "-workers", "2"},
 	}
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {
@@ -491,7 +492,7 @@ func TestCmdCheckAll(t *testing.T) {
 		t.Error("checkall with no brokers should fail")
 	}
 	// malformed -cap
-	for _, bad := range []string{"br", "br=x"} {
+	for _, bad := range []string{"br", "br=x", "br=1.5", "br=-1"} {
 		if _, err := capture(t, func() error {
 			return run([]string{"checkall", hotelFile, "-cap", bad})
 		}); err == nil {

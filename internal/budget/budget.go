@@ -251,8 +251,9 @@ func (e *InternalError) Error() string {
 }
 
 // Guard runs fn, converting a panic into a typed *InternalError naming
-// the unit. Worker pools wrap each unit of work in a Guard so a poisoned
-// unit fails alone instead of crashing the process.
+// the unit. Callers wrap each unit of work (a served request, an
+// analyzer, a plan) in a Guard so a poisoned unit fails alone instead of
+// crashing the process.
 func Guard(unit string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -183,7 +183,9 @@ func TestParseCaps(t *testing.T) {
 	if caps["br"] != 2 || caps["s3"] != 1 {
 		t.Fatalf("caps = %v", caps)
 	}
-	if _, err := engine.ParseCaps("nope"); err == nil {
-		t.Fatal("malformed spec accepted")
+	for _, bad := range []string{"nope", "br=1.5", "br=2x", "=1", "br=-1"} {
+		if caps, err := engine.ParseCaps(bad); err == nil {
+			t.Fatalf("malformed spec %q accepted as %v", bad, caps)
+		}
 	}
 }

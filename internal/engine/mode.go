@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"susc/internal/budget"
@@ -44,7 +43,7 @@ var Modes = []*Mode{
 		Params:   withBudget(planParam, severityParam, jsonParam, statsParam, wdotParam, cacheParam)},
 	{Name: "plans", Served: true, Run: runPlans,
 		Synopsis: "enumerate and classify every plan of one client",
-		Params:   withBudget(ClientParam, pruneParam, jsonParam, streamParam, statsParam, cacheParam, workersParam)},
+		Params:   withBudget(ClientParam, pruneParam, jsonParam, streamParam, statsParam, cacheParam)},
 	{Name: "check", Served: true, Run: runCheck,
 		Synopsis: "validate one client's declared plan",
 		Params:   withBudget(ClientParam, jsonParam, statsParam, cacheParam)},
@@ -88,7 +87,6 @@ type Params struct {
 	WDot      bool
 	Stats     bool
 	Cache     string
-	Workers   int
 	Timeout   time.Duration
 	MaxStates int64
 	MaxEdges  int64
@@ -96,7 +94,7 @@ type Params struct {
 
 // NewParams returns every parameter at its default.
 func NewParams() *Params {
-	return &Params{Prune: true, Severity: "info", Workers: runtime.GOMAXPROCS(0)}
+	return &Params{Prune: true, Severity: "info"}
 }
 
 // Limits is the budget the trio asks for.
@@ -163,8 +161,6 @@ var (
 		Help: "print per-engine work counters on stderr"}
 	cacheParam = &Param{Name: "cache", field: func(p *Params) any { return &p.Cache },
 		Help: "persist verdicts in `DIR`/susc.store and reuse them across runs (incremental re-verification)"}
-	workersParam = &Param{Name: "workers", field: func(p *Params) any { return &p.Workers },
-		Help: "with -cache, re-check the plans an edit invalidated on `N` goroutines"}
 )
 
 // withBudget appends the budget trio every mode reads.
@@ -420,7 +416,7 @@ func runPlans(s *Session, r *Request, out *Output) error {
 	if err != nil {
 		return err
 	}
-	opts := plans.Options{PruneNonCompliant: r.Prune, Workers: r.Workers, Budget: r.Budget}
+	opts := plans.Options{PruneNonCompliant: r.Prune, Budget: r.Budget}
 	if r.Stats {
 		opts.Stats = &plans.FusedStats{}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"susc/internal/budget"
@@ -220,17 +221,18 @@ func SelectClient(f *parser.File, name string) (parser.ClientDecl, error) {
 	return f.Client(name)
 }
 
-// ParseCaps parses "loc=n,loc=n" availability specs.
+// ParseCaps parses "loc=n,loc=n" availability specs: each location is
+// non-empty and each count a whole decimal number of replicas, n >= 0.
 func ParseCaps(spec string) (map[hexpr.Location]int, error) {
 	out := map[hexpr.Location]int{}
 	for _, part := range strings.Split(spec, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
+		if !ok || name == "" {
 			return nil, fmt.Errorf("-cap wants loc=n pairs, got %q", part)
 		}
-		n := 0
-		if _, err := fmt.Sscanf(val, "%d", &n); err != nil {
-			return nil, fmt.Errorf("-cap %q: %v", part, err)
+		n, err := strconv.Atoi(strings.TrimSpace(val))
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("-cap %q: the replica count must be a whole number n >= 0", part)
 		}
 		out[hexpr.Location(name)] = n
 	}

@@ -30,9 +30,9 @@ import (
 type Point string
 
 const (
-	// PlansWorker fires before a plan-synthesis worker assesses one plan
-	// (legacy and fused engines, sequential and parallel); the unit is
-	// the plan key.
+	// PlansWorker fires before plan synthesis assesses one plan (the
+	// fused engine and the tests' legacy oracle); the unit is the plan
+	// key.
 	PlansWorker Point = "plans.worker"
 	// FusedExpand fires when the fused engine expands a shared graph
 	// node (inside the node lock, before the move relation is computed);

@@ -176,7 +176,7 @@ var unrealizableAnalyzer = &Analyzer{
 			if !allMatched {
 				continue
 			}
-			as, err := plans.AssessAll(pass.File.Repo, pass.File.Table, c.Loc, c.Expr, plans.Options{
+			fam, err := plans.AssessWithFlows(pass.File.Repo, pass.File.Table, c.Loc, c.Expr, plans.Options{
 				PruneNonCompliant: true,
 				MaxPlans:          maxSemanticPlans,
 				Cache:             pass.Cache,
@@ -186,13 +186,12 @@ var unrealizableAnalyzer = &Analyzer{
 				// tiers (the lint result itself is persisted whole-file).
 				NoReportTier: true,
 			})
-			if err != nil && !pass.reportSweepPanic(i, err) || len(as) == 0 {
+			if err != nil && !pass.reportSweepPanic(i, err) || fam.Len() == 0 {
 				continue // plan space too large or empty: nothing sound to say
 			}
-			rep := as[0]
 			anyValid, anyUnknown := false, false
-			for _, a := range as {
-				switch a.Report.Verdict {
+			for k := 0; k < fam.Len(); k++ {
+				switch fam.Report(k).Verdict {
 				case verify.Valid:
 					anyValid = true
 				case verify.Unknown:
@@ -207,17 +206,18 @@ var unrealizableAnalyzer = &Analyzer{
 				continue
 			}
 			w := &Witness{Kind: WitnessNoPlan}
-			for _, r := range sortedRequests(rep.Plan) {
+			rep := fam.Plan(0)
+			for _, r := range sortedRequests(rep) {
 				w.Steps = append(w.Steps, WitnessStep{
-					Label: fmt.Sprintf("%s -> %s", r, rep.Plan[r]),
+					Label: fmt.Sprintf("%s -> %s", r, rep[r]),
 					Span:  pass.planTargetSpan(i, r),
 				})
 			}
-			w.Note = fmt.Sprintf("representative plan fails: %s (%d plans examined, none valid)", rep.Report, len(as))
+			w.Note = fmt.Sprintf("representative plan fails: %s (%d plans examined, none valid)", fam.Report(0), fam.Len())
 			pass.Report(Diagnostic{
 				Code: CodeUnrealizableRequest, Severity: Error, Span: pass.clientSpan(i),
 				Message: fmt.Sprintf("client %s is unrealizable: every request complies with some service, yet none of its %d complete plans is valid",
-					c.Name, len(as)),
+					c.Name, fam.Len()),
 				Witness: w,
 			})
 		}

@@ -1,9 +1,11 @@
 package plans
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
+	"susc/internal/budget"
 	"susc/internal/faultinject"
 	"susc/internal/hash"
 	"susc/internal/hexpr"
@@ -17,8 +19,12 @@ import (
 // one-exploration-per-plan strategy. It enumerates every complete plan,
 // then verifies each independently with verify.CheckPlanOpts (which
 // carries its own persistent tier when the cache has a store attached),
-// on opts.Workers goroutines. Its output — assessments, order, errors —
-// is what AssessAll must reproduce.
+// one after another on the calling goroutine. Each plan runs under its
+// own panic guard: a panic becomes a *budget.InternalError carrying the
+// plan key, that plan's verdict degrades to Unknown, and the other plans
+// are still assessed; the first such error is returned after all plans,
+// and any other error fails the call. Its output — assessments, order,
+// errors — is what AssessAll must reproduce.
 func AssessAllLegacy(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
 
@@ -30,29 +36,33 @@ func AssessAllLegacy(repo network.Repository, table *policy.Table,
 	if err != nil {
 		return nil, err
 	}
-	vopts := verify.Options{Cache: cache, Budget: opts.Budget,
-		NoReportTier: opts.NoReportTier}
-	reports := make([]*verify.Report, len(complete))
-	all := make([]int, len(complete))
-	for i := range all {
-		all[i] = i
-	}
-	firstInternal, err := assessEach(opts.Workers, complete, all, reports,
-		func(_ int, plan network.Plan, key string) (*verify.Report, error) {
-			if faultinject.Enabled() {
-				faultinject.Fire(faultinject.PlansWorker, key)
-			}
-			return verify.CheckPlanOpts(repo, table, loc, client, plan, vopts)
-		})
-	if err != nil {
-		return nil, err
-	}
-	// sort on precomputed keys: Plan.Key() rebuilds its string per call,
-	// so computing it once per plan beats recomputing per comparison
+	vopts := verify.Options{Cache: cache, Budget: opts.Budget}
+	// Plan.Key() rebuilds its string per call: key each plan once, for
+	// its guard and for the sort.
 	keys := make([]string, len(complete))
 	order := make([]int, len(complete))
+	reports := make([]*verify.Report, len(complete))
+	var firstInternal *budget.InternalError
 	for i, plan := range complete {
 		keys[i], order[i] = plan.Key(), i
+		err := budget.Guard("plan "+keys[i], func() error {
+			if faultinject.Enabled() {
+				faultinject.Fire(faultinject.PlansWorker, keys[i])
+			}
+			var err error
+			reports[i], err = verify.CheckPlanOpts(repo, table, loc, client, plan, vopts)
+			return err
+		})
+		var ie *budget.InternalError
+		switch {
+		case errors.As(err, &ie):
+			reports[i] = &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}
+			if firstInternal == nil {
+				firstInternal = ie
+			}
+		case err != nil:
+			return nil, err
+		}
 	}
 	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 	out := make([]Assessment, len(complete))

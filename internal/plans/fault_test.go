@@ -22,10 +22,11 @@ import (
 // hook of the engines and asserts the isolation contract: the poisoned
 // unit surfaces as a typed *budget.InternalError carrying a repro key,
 // every sibling plan is still assessed with its true verdict, and the
-// process never crashes. Each case runs twice: the legacy oracle on 1 and
-// on 4 workers (its assessEach pool, which the store's recompute shares),
-// the fused engine through AssessAll and through AssessStream. Runs under
-// -race in CI, so the pool's recovery path is also checked for races.
+// process never crashes. Each case runs twice: the legacy oracle with
+// Workers 1 and 4 (which it ignores: it checks one plan after another on
+// the calling goroutine), the fused engine through AssessAll and through
+// AssessStream. Runs under -race in CI, so the recovery paths are also
+// checked for races.
 func TestFaultInjectionPanicIsolated(t *testing.T) {
 	w := benchgen.Chained(3, 2) // 8 plans, all valid
 	legacy := func(workers int) assessFunc {

@@ -1135,7 +1135,7 @@ func (eng *fusedEngine) enumerate() ([][]int32, error) {
 // over pending requests, candidates in sorted-location order). A non-nil
 // error from yield stops the stream and is returned. Assessments come from
 // the fused engine: plans are validated against one shared state graph,
-// one after another on the calling goroutine (opts.Workers is not read).
+// one after another on the calling goroutine.
 //
 // The stream reads and files no plan report, in either tier: it serves
 // one-off plan families (a served plans request, -stream), and filing

@@ -80,8 +80,8 @@ func TestFusedEquivalenceDeterministic(t *testing.T) {
 // large worlds, Chained(8,2) (256 plans) and Chained(4,3) (81 plans),
 // where one sweep shares a union graph across many plans: the fused
 // engine must reproduce the legacy engine's assessments byte for byte,
-// whatever Workers says — the sweep runs on the calling goroutine, so a
-// pool size must never change an answer. The worlds run pruned only:
+// whatever Workers says — no code reads it, and the sweep runs on the
+// calling goroutine. The worlds run pruned only:
 // unpruned, every request may bind any of their services and the plan
 // space explodes.
 func TestFusedEquivalenceSharded(t *testing.T) {

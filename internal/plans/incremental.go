@@ -5,30 +5,22 @@ import (
 	"slices"
 
 	"susc/internal/budget"
-	"susc/internal/faultinject"
 	"susc/internal/hash"
-	"susc/internal/network"
 	"susc/internal/store"
 	"susc/internal/verify"
 )
-
-// recomputeFraction is the miss-fraction threshold of the tiered sweep:
-// at or below it, misses are recomputed one exploration per plan (the
-// cost is proportional to what actually changed); above it, the
-// shared-graph engine replays them — paying once for the graph beats
-// paying per plan when most of the plan space is cold.
-const recomputeFraction = 4 // recompute per-plan while misses ≤ 1/4 of plans
 
 // sweep enumerates the plans once and assesses them. With tiered set,
 // each plan's verdict is read through the cache's report tiers under its
 // cone key (verify.LookupReport): on an unchanged repository every plan
 // hits and the sweep costs its enumeration, its keys and its lookups;
 // after an edit, the only misses are the plans whose cone contains the
-// edited declaration. Misses are assessed and filed in both tiers. The
-// plans are sorted once, by key, and keyed in that order, so consecutive
-// keys share their binding prefixes (verify.PlanKeyer). An isolated plan
-// panic comes back as a *budget.InternalError alongside the family: the
-// poisoned plan is Unknown, the rest are intact.
+// edited declaration. Misses are replayed on the fused engine's shared
+// graph and filed in both tiers (verify.FileReport). The plans are sorted
+// once, by key, and keyed in that order, so consecutive keys share their
+// binding prefixes (verify.PlanKeyer). An isolated plan panic comes back
+// as a *budget.InternalError alongside the family: the poisoned plan is
+// Unknown, the rest are intact.
 func (eng *fusedEngine) sweep(tiered bool) (*Family, error) {
 	vecs, err := eng.enumerate()
 	if err != nil {
@@ -51,53 +43,20 @@ func (eng *fusedEngine) sweep(tiered bool) (*Family, error) {
 			misses = append(misses, i)
 		}
 	}
-
-	var firstInternal *budget.InternalError
-	switch {
-	case len(misses) == 0:
-		// Every verdict was filed: nothing to assess.
-	case tiered && len(misses)*recomputeFraction <= len(vecs):
-		firstInternal, err = eng.recomputeEach(fam, misses)
-	default:
-		err = eng.run(vecs, misses, func(i int, r *verify.Report) error {
-			fam.reports[i] = r
-			if tiered {
-				return verify.FileReport(eng.cache, store.KindPlanReport, fam.sums[i], r)
-			}
-			return nil
-		})
-		if errors.As(err, &firstInternal) {
-			err = nil
-		}
+	if len(misses) == 0 {
+		return fam, nil // every verdict was filed: nothing to assess
 	}
-	if err != nil {
+	err = eng.run(vecs, misses, func(i int, r *verify.Report) error {
+		fam.reports[i] = r
+		if tiered {
+			return verify.FileReport(eng.cache, store.KindPlanReport, fam.sums[i], r)
+		}
+		return nil
+	})
+	if err != nil && !errors.As(err, new(*budget.InternalError)) {
 		return nil, err
 	}
-	if firstInternal != nil {
-		return fam, firstInternal
-	}
-	return fam, nil
-}
-
-// recomputeEach validates the missed plans one kernel exploration each —
-// panic-guarded, on assessEach's pool of opts.Workers goroutines — and
-// files them through verify.FillReport, under the store's singleflight
-// when one is attached.
-func (eng *fusedEngine) recomputeEach(fam *Family, misses []int) (*budget.InternalError, error) {
-	vopts := verify.Options{Cache: eng.cache, Budget: eng.opts.Budget, NoReportTier: true}
-	missed := make([]network.Plan, len(misses))
-	for j, i := range misses {
-		missed[j] = eng.planOf(fam.vecs[i])
-	}
-	return assessEach(eng.opts.Workers, missed, misses, fam.reports,
-		func(i int, plan network.Plan, key string) (*verify.Report, error) {
-			return verify.FillReport(eng.cache, store.KindPlanReport, fam.sums[i], func() (*verify.Report, error) {
-				if faultinject.Enabled() {
-					faultinject.Fire(faultinject.PlansWorker, key)
-				}
-				return verify.CheckPlanOpts(eng.repo, eng.table, eng.loc, eng.client, plan, vopts)
-			})
-		})
+	return fam, err
 }
 
 // planSums keys every enumerated plan as verify.PlanKey does (with no

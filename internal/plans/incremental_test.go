@@ -109,12 +109,13 @@ func TestIncrementalWarmStoreMatches(t *testing.T) {
 }
 
 // TestIncrementalConeEditRecomputesOnlyCone is the incremental headline:
-// after a one-declaration edit, the assessor recomputes exactly the plans
+// after a one-declaration edit, the sweep recomputes exactly the plans
 // whose dependency cone contains the edited service — counted by store
-// misses AND by write-backs (each recomputed cone writes back once) — and
-// replays everything else.
+// misses, by write-backs (each recomputed cone writes back once) AND by
+// the fused engine's assessed plans (every miss is replayed there) — and
+// reads everything else from the store.
 func TestIncrementalConeEditRecomputesOnlyCone(t *testing.T) {
-	const depth, fanout = 2, 4 // 16 plans; editing one leaf invalidates 4 = 1/4 → per-plan recompute path
+	const depth, fanout = 2, 4 // 16 plans; editing one leaf invalidates 4
 	w := benchgen.Chained(depth, fanout)
 	opts := plans.Options{PruneNonCompliant: true}
 
@@ -159,8 +160,9 @@ func TestIncrementalConeEditRecomputesOnlyCone(t *testing.T) {
 	defer s2.Close()
 	warm := memo.New()
 	warm.AttachDisk(s2)
+	var fused plans.FusedStats
 	got, err := plans.AssessAll(edited, w.Table, w.Loc, w.Client,
-		plans.Options{PruneNonCompliant: true, Workers: 4, Cache: warm})
+		plans.Options{PruneNonCompliant: true, Workers: 4, Cache: warm, Stats: &fused})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +180,17 @@ func TestIncrementalConeEditRecomputesOnlyCone(t *testing.T) {
 	if st.Writebacks != wantMisses {
 		t.Fatalf("recomputed (wrote back) %d plans, want exactly %d", st.Writebacks, wantMisses)
 	}
+	if n := fused.PlansAssessed.Load(); n != wantMisses {
+		t.Fatalf("fused engine assessed %d plans, want exactly the %d misses", n, wantMisses)
+	}
 }
 
-// TestIncrementalLargeEditFallsBackToFused: when an edit invalidates more
-// than a quarter of the plan space, the assessor switches to the shared-
-// graph engine — results stay identical, and exactly the misses are
+// TestIncrementalLargeEditFallsBackToFused: an edit that invalidates half
+// of the plan space replays the misses on the shared-graph engine, as
+// every edit does — results stay identical, and exactly the misses are
 // written back.
 func TestIncrementalLargeEditFallsBackToFused(t *testing.T) {
-	const depth, fanout = 2, 2 // 4 plans; editing s2_1 invalidates 2 > 1/4
+	const depth, fanout = 2, 2 // 4 plans; editing s2_1 invalidates 2
 	w := benchgen.Chained(depth, fanout)
 
 	path := filepath.Join(t.TempDir(), "susc.store")

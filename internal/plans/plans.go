@@ -10,7 +10,6 @@ package plans
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"susc/internal/budget"
 	"susc/internal/hash"
@@ -32,13 +31,10 @@ type Options struct {
 	// MaxPlans bounds the number of complete plans examined (0 = no
 	// bound). Synthesis fails with an error when the bound is hit.
 	MaxPlans int
-	// Workers sizes the goroutine pool of the tiered sweep's small-edit
-	// branch (0 or 1 = sequential): when at most a quarter of the plans
-	// miss the report tiers, AssessAll and AssessWithFlows recompute the
-	// misses one kernel exploration each, on this many goroutines. Every
-	// other path — the sweep's enumeration and replays, its flows,
-	// AssessStream — runs the fused engine on the calling goroutine and
-	// ignores it.
+	// Workers is read by no code: every sweep and stream runs on the
+	// calling goroutine. It stays only because the benchmark harness
+	// (bench/) still sets it, and goes with the next change to the
+	// benchmark.
 	Workers int
 	// Cache memoises compliance verdicts, product automata and one-step
 	// transition sets across the whole synthesis: the enumeration probe
@@ -164,85 +160,6 @@ func (f *Family) Flow(i int) (flow *verify.PlanFlow, hit bool, err error) {
 		return flow, false, err
 	}
 	return verify.ReadFlow(f.eng.cache, f.sums[e], replay)
-}
-
-// assessEach validates plans[j], the plan of idxs[j], for every j through
-// check, which receives idxs[j], the plan and its key, and stores the
-// report in out[idxs[j]]: on `workers` goroutines when there is more than
-// one plan, serially otherwise. Each plan runs inside a panic guard: a
-// worker panic becomes a typed *budget.InternalError carrying the plan
-// key as a repro bundle, the plan's verdict degrades to Unknown, and the
-// other workers finish undisturbed. The first such error is returned; any
-// other error fails the whole call.
-func assessEach(workers int, plans []network.Plan, idxs []int, out []*verify.Report,
-	check func(i int, plan network.Plan, key string) (*verify.Report, error)) (*budget.InternalError, error) {
-
-	one := func(j int) error {
-		i, plan := idxs[j], plans[j]
-		key := plan.Key()
-		var report *verify.Report
-		err := budget.Guard("plan "+key, func() error {
-			var err error
-			report, err = check(i, plan, key)
-			return err
-		})
-		var ie *budget.InternalError
-		switch {
-		case err == nil:
-			out[i] = report
-		case errors.As(err, &ie):
-			out[i] = &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}
-		}
-		return err
-	}
-	var mu sync.Mutex
-	var firstInternal *budget.InternalError
-	var firstErr error
-	record := func(err error) {
-		var ie *budget.InternalError
-		if errors.As(err, &ie) {
-			if firstInternal == nil {
-				firstInternal = ie
-			}
-		} else if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if workers > 1 && len(idxs) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					if err := one(j); err != nil {
-						mu.Lock()
-						record(err)
-						mu.Unlock()
-					}
-				}
-			}()
-		}
-		for j := range idxs {
-			jobs <- j
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for j := range idxs {
-			if err := one(j); err != nil {
-				record(err)
-				if firstErr != nil {
-					break
-				}
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return firstInternal, nil
 }
 
 // Synthesize returns exactly the valid plans for the client, in

@@ -165,9 +165,10 @@ func TestAssessmentString(t *testing.T) {
 	}
 }
 
-// TestParallelAssessmentMatchesSequential: the worker pool (assessEach,
-// which the sweep's small-edit recompute runs on, here driven through the
-// legacy oracle) returns the same assessments as the sequential path.
+// TestParallelAssessmentMatchesSequential: the legacy oracle, given
+// Workers: 4 (which no code reads: it checks one plan after another on
+// the calling goroutine), returns the same assessments as the fused
+// sweep.
 func TestParallelAssessmentMatchesSequential(t *testing.T) {
 	seq, err := plans.AssessAll(paperex.Repository(), paperex.Policies(),
 		paperex.LocC1, paperex.C1(), plans.Options{})

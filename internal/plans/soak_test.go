@@ -61,8 +61,8 @@ func TestSoakCancellationSound(t *testing.T) {
 			}
 			b := budget.New(ctx, lim)
 			for _, assess := range []assessFunc{plans.AssessAllLegacy, plans.AssessAll} {
-				// Only the legacy oracle's pool reads Workers; drawing it for
-				// both runs keeps every seed's trial sequence.
+				// No code reads Workers; drawing it for both runs keeps
+				// every seed's trial sequence.
 				as, err := assess(repo, paperex.Policies(), "cl", client, plans.Options{
 					Workers: 1 + g.r.Intn(4), Budget: b,
 				})

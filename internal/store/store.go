@@ -27,7 +27,7 @@
 // A Store is safe for concurrent use: reads take a shared lock over the
 // in-memory index, appends serialise on a writer lock, and each record is
 // written with a single Write call. The Once method provides singleflight
-// deduplication so concurrent workers missing on the same key compute the
+// deduplication so concurrent callers missing on the same key compute the
 // artifact once.
 package store
 
@@ -336,8 +336,9 @@ func (s *Store) Get(kind Kind, sum hash.Sum) ([]byte, bool) {
 }
 
 // Peek is Get without touching the hit/miss counters, for callers probing
-// speculatively (the incremental plan assessor pre-probes every plan and
-// would otherwise double-count the misses it immediately recomputes).
+// again after a counted miss (the report tiers re-read a cone under its
+// singleflight, in case a concurrent caller filed it meanwhile), which
+// would otherwise count the miss twice.
 func (s *Store) Peek(kind Kind, sum hash.Sum) ([]byte, bool) {
 	s.mu.RLock()
 	v, ok := s.index[ikey{kind: kind, sum: sum}]

@@ -128,14 +128,6 @@ func FileReport(cache *memo.Cache, kind store.Kind, sum hash.Sum, r *Report) err
 	return file(reportCodec, cache, kind, sum, r)
 }
 
-// FillReport computes the report of a cone LookupReport missed and files
-// it (fill), under the store's singleflight when one is attached.
-func FillReport(cache *memo.Cache, kind store.Kind, sum hash.Sum,
-	compute func() (*Report, error)) (*Report, error) {
-
-	return fill(reportCodec, cache, kind, sum, compute)
-}
-
 // ReadFlow is the flow audit's read-through: the flow filed under
 // (store.KindAudit, sum) — sum the cone key of the flow's plan, the key
 // its verdict is filed under — from memory, then the store, else
@@ -153,11 +145,11 @@ func ReadFlow(cache *memo.Cache, sum hash.Sum,
 
 // cachedReport is the read-through of this package's checks: a report
 // filed under the cone key, else the computation, filed. A private cache
-// (opts.Cache nil) or opts.NoReportTier skips the tiers, and the key.
+// (opts.Cache nil) skips the tiers, and the key.
 func cachedReport(cache *memo.Cache, opts Options, kind store.Kind,
 	key func() (hash.Sum, error), compute func() (*Report, error)) (*Report, error) {
 
-	if opts.Cache == nil || opts.NoReportTier {
+	if opts.Cache == nil {
 		return compute()
 	}
 	sum, err := key()
@@ -167,7 +159,7 @@ func cachedReport(cache *memo.Cache, opts Options, kind store.Kind,
 	if r, ok := LookupReport(cache, kind, sum); ok {
 		return r, nil
 	}
-	return FillReport(cache, kind, sum, compute)
+	return fill(reportCodec, cache, kind, sum, compute)
 }
 
 // ParseVerdict is the inverse of Verdict.String.

@@ -170,13 +170,6 @@ type Options struct {
 	// search with a sound Unknown report instead of an error — verdicts
 	// decided before the cutoff stand.
 	Budget *budget.Budget
-	// NoReportTier keeps this call out of both report tiers (the cache's
-	// memory tier and its disk store): the report is neither looked up
-	// nor filed. Callers that file through ReadThrough themselves (the
-	// plan sweep's per-plan recompute) set it so a recompute is not
-	// counted as a second miss — the compliance and LTS tiers underneath
-	// stay active.
-	NoReportTier bool
 }
 
 // unknownReport closes an exploration cut off by the budget: the verdict
@@ -246,7 +239,7 @@ func StaticCheck(repo network.Repository, client hexpr.Expr,
 }
 
 // CheckPlanOpts is CheckPlan with extension options: the exploration is
-// the kernel's one-component call, behind the report tiers (ReadThrough)
+// the kernel's one-component call, behind the report tiers (cachedReport)
 // keyed by PlanKey.
 func CheckPlanOpts(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, plan network.Plan, opts Options) (*Report, error) {
