@@ -613,12 +613,12 @@ func cmdRun(f *parser.File, name string, seed int64, steps int, monitored, all b
 		}
 		clients = append(clients, network.Client{Loc: c.Loc, Expr: c.Expr, Plan: c.Plan})
 	}
+	caps, err := engine.FileCaps(f, capSpec)
+	if err != nil {
+		return err
+	}
 	cfg := network.NewConfig(f.Repo, f.Table, clients...)
-	if capSpec != "" {
-		caps, err := engine.ParseCaps(capSpec)
-		if err != nil {
-			return err
-		}
+	if caps != nil {
 		cfg.WithAvailability(caps)
 	}
 	opts := network.RunOptions{MaxSteps: steps, Monitored: monitored}

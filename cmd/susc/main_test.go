@@ -484,19 +484,23 @@ func TestCmdCheckAll(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	// zero brokers: both clients are stuck at their first open
-	_, err = capture(t, func() error {
-		return run([]string{"checkall", hotelFile, "-cap", "br=0"})
-	})
-	if err == nil {
-		t.Error("checkall with no brokers should fail")
+	// zero brokers: both clients are stuck at their first open, however
+	// the bound is spaced
+	for _, spec := range []string{"br=0", "br =0", " br = 0 "} {
+		out, err := capture(t, func() error {
+			return run([]string{"checkall", hotelFile, "-cap", spec})
+		})
+		if err == nil || !strings.Contains(out, "network of 2 client(s): deadlock") {
+			t.Errorf("-cap %q: checkall with no brokers should fail (%v):\n%s", spec, err, out)
+		}
 	}
-	// malformed -cap
-	for _, bad := range []string{"br", "br=x", "br=1.5", "br=-1"} {
+	// malformed -cap, a location given twice, or a bound on a location the
+	// file does not declare: rejected before any check runs
+	for _, bad := range []string{"br", "br=x", "br=1.5", "br=-1", "nosuch=1", "br=1,br=0", "br=0,br=1"} {
 		if _, err := capture(t, func() error {
 			return run([]string{"checkall", hotelFile, "-cap", bad})
-		}); err == nil {
-			t.Errorf("-cap %q should fail", bad)
+		}); err == nil || !strings.Contains(err.Error(), "-cap") {
+			t.Errorf("-cap %q should be rejected, got %v", bad, err)
 		}
 	}
 }
@@ -569,11 +573,13 @@ func TestCmdRunAll(t *testing.T) {
 	if !strings.Contains(out, "status: deadlock") {
 		t.Errorf("capacity-starved run should deadlock:\n%s", out)
 	}
-	// malformed cap on run
-	if _, err := capture(t, func() error {
-		return run([]string{"run", hotelFile, "-all", "-cap", "oops"})
-	}); err == nil {
-		t.Error("malformed -cap should fail")
+	// malformed cap on run, or one on a location the file does not declare
+	for _, bad := range []string{"oops", "nosuch=1"} {
+		if _, err := capture(t, func() error {
+			return run([]string{"run", hotelFile, "-all", "-cap", bad})
+		}); err == nil {
+			t.Errorf("-cap %q should fail", bad)
+		}
 	}
 }
 

@@ -2,11 +2,11 @@ package autom
 
 import "sort"
 
-// This file holds the witness-extraction and language-analysis helpers the
+// This file holds the NFA witness-extraction and analysis helpers the
 // semantic analyzers (internal/lint) and the explainers build on: shortest
-// accepting runs (not just words), run reconstruction for a given word,
-// reachability/co-reachability over the state graph, and language
-// inclusion via the product construction — emptiness of L(A) ∖ L(B).
+// accepting runs (not just words), run reconstruction for a given word and
+// reachability/co-reachability over the state graph. Language inclusion
+// runs on the determinised form (Compiled.Included).
 
 // AcceptingRun returns a shortest accepted word together with the state
 // sequence of one accepting run for it (len(states) == len(word)+1, states
@@ -224,64 +224,6 @@ func (a *NFA) WordTo(target int) (word []string, states []int) {
 		}
 	}
 	return nil, nil
-}
-
-// AcceptingRun returns a shortest accepted word with its (unique) state
-// run, or (nil, nil) when the language is empty.
-func (d *DFA) AcceptingRun() (word []string, states []int) {
-	type pred struct {
-		prev int
-		sym  string
-	}
-	parent := make([]pred, len(d.Trans))
-	seen := make([]bool, len(d.Trans))
-	queue := []int{d.Start}
-	seen[d.Start] = true
-	parent[d.Start] = pred{prev: -1}
-	goal := -1
-	for len(queue) > 0 && goal < 0 {
-		s := queue[0]
-		queue = queue[1:]
-		if d.Accept[s] {
-			goal = s
-			break
-		}
-		for ai, sym := range d.Alphabet {
-			t := d.Trans[s][ai]
-			if !seen[t] {
-				seen[t] = true
-				parent[t] = pred{prev: s, sym: sym}
-				queue = append(queue, t)
-			}
-		}
-	}
-	if goal < 0 {
-		return nil, nil
-	}
-	word = []string{} // non-nil even for the empty word: nil means "empty language"
-	for s := goal; s >= 0; s = parent[s].prev {
-		states = append(states, s)
-		if parent[s].prev >= 0 {
-			word = append(word, parent[s].sym)
-		}
-	}
-	reverseStrings(word)
-	reverseInts(states)
-	return word, states
-}
-
-// Difference returns a DFA for L(d) ∖ L(e) = L(d) ∩ L(e)ᶜ. The alphabets
-// must be equal (as for Product).
-func (d *DFA) Difference(e *DFA) *DFA {
-	return d.Intersect(e.Complement())
-}
-
-// Included decides language inclusion L(d) ⊆ L(e) via emptiness of the
-// difference. When inclusion fails, the second result is a BFS-shortest
-// separating word: accepted by d, rejected by e.
-func (d *DFA) Included(e *DFA) (bool, []string) {
-	sep := d.Difference(e).AcceptingPath()
-	return sep == nil, sep
 }
 
 func setToSorted(set map[int]bool) []int {

@@ -108,8 +108,8 @@ func TestWordTo(t *testing.T) {
 	}
 }
 
-// letters builds a one-word DFA over {a,b}.
-func wordDFA(word ...string) *DFA {
+// wordDFA builds a one-word DFA over {a,b}.
+func wordDFA(word ...string) *Compiled {
 	n := NewNFA()
 	cur := 0
 	for _, sym := range word {
@@ -159,22 +159,16 @@ func TestDFAAcceptingRun(t *testing.T) {
 	if !reflect.DeepEqual(word, []string{"a", "b"}) {
 		t.Fatalf("word = %v", word)
 	}
-	if len(states) != 3 || states[0] != d.Start {
+	if len(states) != 3 || states[0] != int(d.Start) {
 		t.Fatalf("states = %v", states)
 	}
-	// replay the run through Trans
+	// replay the run through the table
 	for i, sym := range word {
-		ai := -1
-		for j, s := range d.Alphabet {
-			if s == sym {
-				ai = j
-			}
-		}
-		if d.Trans[states[i]][ai] != states[i+1] {
+		if int(d.Step(int32(states[i]), d.SymIndex(sym))) != states[i+1] {
 			t.Fatalf("run does not replay at step %d", i)
 		}
 	}
-	if !d.Accept[states[len(states)-1]] {
+	if !d.Accepting(int32(states[len(states)-1])) {
 		t.Error("run does not end accepting")
 	}
 }

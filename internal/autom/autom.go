@@ -1,10 +1,11 @@
 // Package autom is a small finite-automata toolkit over string alphabets:
-// NFAs, determinisation, completion, products, complement, emptiness and
-// minimisation. It is the model-checking substrate used to decide the
-// safety properties the paper reduces everything to — validity of histories
-// against usage automata (internal/valid) and compliance via the product
-// automaton (internal/compliance). It plays the role of the LocUsT tool
-// referenced by the paper.
+// NFAs, and their determinisation into dense complete DFAs (Compiled) with
+// products, complement, emptiness, inclusion and shortest witnesses. It is
+// the model-checking substrate used to decide the safety properties the
+// paper reduces everything to — validity of histories against usage
+// automata (internal/valid) and compliance via the product automaton
+// (internal/compliance). It plays the role of the LocUsT tool referenced
+// by the paper.
 package autom
 
 import (

@@ -1,15 +1,19 @@
 package autom
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
-// Compiled is a DFA lowered to dense tables: a state-major []int32
-// transition table indexed by (state, symbol index) and the accepting set
-// as a []uint64 bitset. Every operation here — stepping, products,
-// reachability, witness extraction — indexes arrays; no maps, no string
-// keys. It is the representation the hot paths (SUSC014 inclusion checks,
-// valid.ModelCheck intersections, compiled policy rows) run on.
+// Compiled is a complete deterministic automaton over an explicit
+// alphabet, in dense tables: a state-major []int32 transition table
+// indexed by (state, symbol index) and the accepting set as a []uint64
+// bitset. Every operation here — stepping, products, reachability,
+// witness extraction — indexes arrays; no maps, no string keys. It is
+// the automaton SUSC014/SUSC018 inclusion checks and valid.ModelCheck
+// intersections run on.
 type Compiled struct {
-	// Alphabet is the sorted symbol set shared with the source DFA.
+	// Alphabet is the sorted symbol set.
 	Alphabet []string
 	// Trans is the state-major transition table: Trans[s*K+a] is the
 	// successor of state s on Alphabet[a].
@@ -22,47 +26,97 @@ type Compiled struct {
 	N, K int32
 }
 
-// Compile lowers a DFA to its dense-table form.
-func Compile(d *DFA) *Compiled {
-	n, k := len(d.Trans), len(d.Alphabet)
-	c := &Compiled{
-		Alphabet: d.Alphabet,
-		Trans:    make([]int32, n*k),
-		Accept:   make([]uint64, (n+63)/64),
-		Start:    int32(d.Start),
-		N:        int32(n),
-		K:        int32(k),
+// Determinize converts the NFA to an equivalent complete deterministic
+// automaton via the subset construction, over the given alphabet
+// (defaulting to the NFA's own alphabet when alphabet is nil). Subsets
+// are numbered in discovery order from {start}, symbols taken in
+// alphabet order, and the empty subset is the rejecting sink, so equal
+// inputs give identical tables.
+func (a *NFA) Determinize(alphabet []string) *Compiled {
+	if alphabet == nil {
+		alphabet = a.Alphabet()
+	} else {
+		alphabet = append([]string(nil), alphabet...)
+		sort.Strings(alphabet)
 	}
-	for s := 0; s < n; s++ {
-		row := d.Trans[s]
-		for a := 0; a < k; a++ {
-			c.Trans[s*k+a] = int32(row[a])
+	c := &Compiled{Alphabet: alphabet, K: int32(len(alphabet))}
+	idx := subsetIndex{buckets: map[uint64][]int32{}}
+	add := func(set []int32) int32 {
+		i, fresh := idx.add(set)
+		if fresh {
+			if int(i)>>6 >= len(c.Accept) {
+				c.Accept = append(c.Accept, 0)
+			}
+			for _, s := range set {
+				if a.accept[int(s)] {
+					c.Accept[i>>6] |= 1 << (uint(i) & 63)
+					break
+				}
+			}
 		}
-		if d.Accept[s] {
-			c.Accept[s>>6] |= 1 << (uint(s) & 63)
+		return i
+	}
+	c.Start = add([]int32{int32(a.start)})
+	// Target sets are collected through an epoch-stamped mark array and a
+	// reusable buffer — no per-symbol map or string key allocations.
+	mark := make([]int, a.n)
+	epoch := 0
+	var target []int32
+	for i := 0; i < len(idx.sets); i++ {
+		for _, sym := range alphabet {
+			epoch++
+			target = target[:0]
+			for _, s := range idx.sets[i] {
+				for _, t := range a.edges[s][sym] {
+					if mark[t] != epoch {
+						mark[t] = epoch
+						target = append(target, int32(t))
+					}
+				}
+			}
+			slices.Sort(target)
+			c.Trans = append(c.Trans, add(target)) // empty set becomes the rejecting sink
 		}
 	}
+	c.N = int32(len(idx.sets))
 	return c
 }
 
-// DFA lifts the compiled form back to the map-free but slice-of-slice DFA
-// representation (for interop with code still on *DFA).
-func (c *Compiled) DFA() *DFA {
-	d := &DFA{
-		Alphabet: c.Alphabet,
-		Trans:    make([][]int, c.N),
-		Accept:   make([]bool, c.N),
-		Start:    int(c.Start),
+// subsetIndex maps canonical (sorted) state sets to dense state ids.
+// Sets are hashed with FNV-1a over their int32 elements and compared
+// structurally on collision, so interning a set allocates nothing unless
+// the set is new.
+type subsetIndex struct {
+	buckets map[uint64][]int32 // hash -> candidate set ids
+	sets    [][]int32
+}
+
+// fnvInt32s hashes a sorted int32 slice with FNV-1a.
+func fnvInt32s(set []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range set {
+		u := uint32(s)
+		h = (h ^ uint64(u&0xff)) * 1099511628211
+		h = (h ^ uint64((u>>8)&0xff)) * 1099511628211
+		h = (h ^ uint64((u>>16)&0xff)) * 1099511628211
+		h = (h ^ uint64(u>>24)) * 1099511628211
 	}
-	for s := int32(0); s < c.N; s++ {
-		row := make([]int, c.K)
-		for a := int32(0); a < c.K; a++ {
-			row[a] = int(c.Trans[s*c.K+a])
+	return h
+}
+
+// add interns the sorted set, returning its id and whether it was new.
+// The set is copied when new; callers may reuse the backing slice.
+func (x *subsetIndex) add(set []int32) (int32, bool) {
+	h := fnvInt32s(set)
+	for _, id := range x.buckets[h] {
+		if slices.Equal(x.sets[id], set) {
+			return id, false
 		}
-		d.Trans[s] = row
-		d.Accept[s] = c.Accepting(s)
 	}
-	return d
+	id := int32(len(x.sets))
+	x.sets = append(x.sets, append([]int32(nil), set...))
+	x.buckets[h] = append(x.buckets[h], id)
+	return id, true
 }
 
 // NumStates returns the number of states.
@@ -86,7 +140,7 @@ func (c *Compiled) Accepting(s int32) bool {
 }
 
 // Accepts reports whether the word is accepted. Symbols outside the
-// alphabet reject, matching DFA.Accepts.
+// alphabet reject.
 func (c *Compiled) Accepts(word []string) bool {
 	s := c.Start
 	for _, sym := range word {
@@ -120,8 +174,8 @@ const maxDensePairs = 1 << 22
 
 // Product returns the synchronous product with the given acceptance
 // combiner. The alphabets must be equal. States are numbered in BFS
-// discovery order from the start pair — the same order DFA.Product
-// produces — so witnesses extracted downstream are identical.
+// discovery order from the start pair, symbols taken in alphabet order,
+// so equal operands give identical products and witnesses.
 func (c *Compiled) Product(e *Compiled, both func(a, b bool) bool) *Compiled {
 	if c.K != e.K {
 		panic("autom: product over different alphabets")
@@ -281,8 +335,8 @@ func (c *Compiled) IsEmpty() bool {
 }
 
 // AcceptingPath returns a BFS-shortest accepted word, or nil when the
-// language is empty; ties break in alphabet order, exactly as
-// DFA.AcceptingRun, so witnesses agree between the representations.
+// language is empty. The BFS visits states in the shortlex order of
+// their least words, so the result is the shortlex-least accepted word.
 func (c *Compiled) AcceptingPath() []string {
 	word, _ := c.AcceptingRun()
 	return word
@@ -334,8 +388,9 @@ func (c *Compiled) AcceptingRun() (word []string, states []int) {
 	return word, states
 }
 
-// Included decides language inclusion L(c) ⊆ L(e); when inclusion fails
-// the second result is a BFS-shortest separating word.
+// Included decides language inclusion L(c) ⊆ L(e) via emptiness of the
+// difference; when inclusion fails the second result is the
+// shortlex-least separating word: accepted by c, rejected by e.
 func (c *Compiled) Included(e *Compiled) (bool, []string) {
 	sep := c.Difference(e).AcceptingPath()
 	return sep == nil, sep

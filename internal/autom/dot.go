@@ -35,35 +35,3 @@ func (a *NFA) DOT(name string) string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// DOT renders the DFA in Graphviz dot syntax.
-func (d *DFA) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	b.WriteString("  rankdir=LR;\n  node [shape=circle];\n")
-	fmt.Fprintf(&b, "  __start [shape=point];\n  __start -> q%d;\n", d.Start)
-	for s := range d.Trans {
-		shape := "circle"
-		if d.Accept[s] {
-			shape = "doublecircle"
-		}
-		fmt.Fprintf(&b, "  q%d [shape=%s];\n", s, shape)
-	}
-	for s, row := range d.Trans {
-		// group parallel edges by target for readability
-		byTarget := map[int][]string{}
-		for ai, t := range row {
-			byTarget[t] = append(byTarget[t], d.Alphabet[ai])
-		}
-		targets := make([]int, 0, len(byTarget))
-		for t := range byTarget {
-			targets = append(targets, t)
-		}
-		sort.Ints(targets)
-		for _, t := range targets {
-			fmt.Fprintf(&b, "  q%d -> q%d [label=%q];\n", s, t, strings.Join(byTarget[t], ","))
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

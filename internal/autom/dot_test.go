@@ -16,15 +16,3 @@ func TestNFADOT(t *testing.T) {
 		}
 	}
 }
-
-func TestDFADOT(t *testing.T) {
-	d := buildEvenAs().Determinize([]string{"a", "b"})
-	dot := d.DOT("even")
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "doublecircle") {
-		t.Errorf("DFA dot:\n%s", dot)
-	}
-	// parallel edges grouped: a self loop on "b" appears once with label b
-	if strings.Count(dot, "__start") != 2 { // declaration + edge
-		t.Errorf("start marker wrong:\n%s", dot)
-	}
-}

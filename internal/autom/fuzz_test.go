@@ -2,6 +2,7 @@ package autom
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -72,12 +73,60 @@ func shortestAcceptedLen(a *NFA) int {
 	return -1
 }
 
+// shortlexFirst returns the first word of length at most bound, in
+// shortlex order over fuzzAlphabet (shorter first, then alphabet order),
+// that satisfies ok, or nil when none does. It is the brute-force oracle
+// for the witnesses the automaton algebra extracts.
+func shortlexFirst(bound int, ok func([]string) bool) []string {
+	k := len(fuzzAlphabet)
+	for n := 0; n <= bound; n++ {
+		digits := make([]int, n)
+		word := make([]string, n)
+		for {
+			for i, d := range digits {
+				word[i] = fuzzAlphabet[d]
+			}
+			if ok(word) {
+				return word
+			}
+			i := n - 1
+			for i >= 0 && digits[i] == k-1 {
+				digits[i] = 0
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			digits[i]++
+		}
+	}
+	return nil
+}
+
+// checkWitness checks a witness against its definition: ok holds of it,
+// and it is the shortlex-least word satisfying ok, as far as a brute
+// force over the words of length at most bound tells. A nil witness
+// claims that no word satisfies ok.
+func checkWitness(w []string, bound int, ok func([]string) bool) error {
+	want := shortlexFirst(bound, ok)
+	switch {
+	case w == nil && want != nil:
+		return fmt.Errorf("no witness, but %v qualifies", want)
+	case w != nil && !ok(w):
+		return fmt.Errorf("witness %v does not qualify", w)
+	case w != nil && want != nil && !wordsEqual(w, want):
+		return fmt.Errorf("witness %v, but %v qualifies and comes first in shortlex order", w, want)
+	}
+	return nil
+}
+
 // FuzzWitnessMinimal checks the witness-extraction contract on random
 // automata: AcceptingRun returns an accepted word whose run replays edge
-// by edge and which is BFS-minimal, and the product witness (the shape
-// SUSC014 language-inclusion counterexamples take) is accepted by both
-// operands and minimal among common words, verified by a bounded
-// brute-force oracle.
+// by edge and which is BFS-minimal; the product witness (the shape
+// SUSC014 and valid counterexamples take) is the shortlex-least word both
+// operands accept, and Included's separating word the shortlex-least word
+// the first accepts and the second rejects, both checked against the
+// NFAs' Accepts by a bounded brute-force oracle.
 func FuzzWitnessMinimal(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 0, 0, 1, 1, 1, 1})
 	f.Add([]byte{3, 4, 3, 0, 0, 1, 1, 1, 2, 2, 2, 0, 1, 1, 1, 0, 2, 1})
@@ -125,48 +174,15 @@ func FuzzWitnessMinimal(f *testing.F) {
 			}
 		}
 
-		// Product witness: minimal common word of L(a) ∩ L(b), the shape
-		// language-inclusion counterexamples take (with b complemented).
 		da, db := a.Determinize(fuzzAlphabet), b.Determinize(fuzzAlphabet)
-		common := da.Intersect(db).AcceptingPath()
-
-		// The compiled (dense-table) layer must agree with the map-based
-		// constructions on the same product — including the exact witness.
-		ca, cb := Compile(da), Compile(db)
-		if cw := ca.Intersect(cb).AcceptingPath(); !wordsEqual(common, cw) {
-			t.Fatalf("compiled product witness %v != DFA witness %v", cw, common)
+		both := func(w []string) bool { return a.Accepts(w) && b.Accepts(w) }
+		if err := checkWitness(da.Intersect(db).AcceptingPath(), 5, both); err != nil {
+			t.Fatalf("product witness: %v\n%s%s", err, a, b)
 		}
-		if common != nil && (!ca.Accepts(common) || !cb.Accepts(common)) {
-			t.Fatalf("compiled operands reject the product witness %v", common)
-		}
-		dInc, dSep := da.Included(db)
-		cInc, cSep := ca.Included(cb)
-		if dInc != cInc || !wordsEqual(dSep, cSep) {
-			t.Fatalf("compiled Included (%v, %v) != DFA Included (%v, %v)", cInc, cSep, dInc, dSep)
-		}
-
-		if common != nil {
-			if !a.Accepts(common) || !b.Accepts(common) {
-				t.Fatalf("product witness %v not accepted by both operands", common)
-			}
-			// Bounded oracle: no strictly shorter word is accepted by both.
-			bound := len(common)
-			if bound > 5 {
-				bound = 5
-			}
-			var walk func(prefix []string)
-			walk = func(prefix []string) {
-				if len(prefix) >= bound {
-					return
-				}
-				if a.Accepts(prefix) && b.Accepts(prefix) {
-					t.Fatalf("product witness %v is not minimal: %v is shorter and common", common, prefix)
-				}
-				for _, sym := range fuzzAlphabet {
-					walk(append(prefix, sym))
-				}
-			}
-			walk([]string{})
+		inc, sep := da.Included(db)
+		onlyA := func(w []string) bool { return a.Accepts(w) && !b.Accepts(w) }
+		if err := checkWitness(sep, 5, onlyA); err != nil || inc != (sep == nil) {
+			t.Fatalf("Included = %v, %v: %v\n%s%s", inc, sep, err, a, b)
 		}
 	})
 }

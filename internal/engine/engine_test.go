@@ -176,14 +176,14 @@ func TestBudgetedCheckAllFlushesUnknown(t *testing.T) {
 
 // TestParseCaps covers the availability-spec grammar.
 func TestParseCaps(t *testing.T) {
-	caps, err := engine.ParseCaps("br=2, s3=1")
+	caps, err := engine.ParseCaps("br=2, s3 = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if caps["br"] != 2 || caps["s3"] != 1 {
+	if len(caps) != 2 || caps["br"] != 2 || caps["s3"] != 1 {
 		t.Fatalf("caps = %v", caps)
 	}
-	for _, bad := range []string{"nope", "br=1.5", "br=2x", "=1", "br=-1"} {
+	for _, bad := range []string{"nope", "br=1.5", "br=2x", "=1", "br=-1", "br=1,br=0", "br=1, br =0"} {
 		if caps, err := engine.ParseCaps(bad); err == nil {
 			t.Fatalf("malformed spec %q accepted as %v", bad, caps)
 		}

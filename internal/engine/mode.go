@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"susc/internal/budget"
-	"susc/internal/hexpr"
 	"susc/internal/lint"
 	"susc/internal/parser"
 	"susc/internal/plans"
@@ -509,11 +508,9 @@ func runCheckAll(s *Session, r *Request, out *Output) error {
 	if err != nil {
 		return err
 	}
-	var caps map[hexpr.Location]int
-	if r.Cap != "" {
-		if caps, err = ParseCaps(r.Cap); err != nil {
-			return err
-		}
+	caps, err := FileCaps(f, r.Cap)
+	if err != nil {
+		return err
 	}
 	res, runErr := s.CheckAll(f, r.Src, caps, r.Budget)
 	for _, d := range res.Lint {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -222,19 +223,48 @@ func SelectClient(f *parser.File, name string) (parser.ClientDecl, error) {
 }
 
 // ParseCaps parses "loc=n,loc=n" availability specs: each location is
-// non-empty and each count a whole decimal number of replicas, n >= 0.
+// non-empty and given once, each count a whole decimal number of
+// replicas, n >= 0. Spaces around locations and counts are dropped.
 func ParseCaps(spec string) (map[hexpr.Location]int, error) {
 	out := map[hexpr.Location]int{}
 	for _, part := range strings.Split(spec, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" {
+		name, val, ok := strings.Cut(part, "=")
+		loc := hexpr.Location(strings.TrimSpace(name))
+		if !ok || loc == "" {
 			return nil, fmt.Errorf("-cap wants loc=n pairs, got %q", part)
 		}
 		n, err := strconv.Atoi(strings.TrimSpace(val))
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("-cap %q: the replica count must be a whole number n >= 0", part)
 		}
-		out[hexpr.Location(name)] = n
+		if _, dup := out[loc]; dup {
+			return nil, fmt.Errorf("-cap %q: location %s is given twice", part, loc)
+		}
+		out[loc] = n
 	}
 	return out, nil
+}
+
+// FileCaps parses a -cap spec for the file f: ParseCaps, and every
+// location must be a service f's repository declares. An empty spec
+// bounds nothing (nil).
+func FileCaps(f *parser.File, spec string) (map[hexpr.Location]int, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	caps, err := ParseCaps(spec)
+	if err != nil {
+		return nil, err
+	}
+	var undeclared []string
+	for loc := range caps {
+		if _, ok := f.Repo[loc]; !ok {
+			undeclared = append(undeclared, string(loc))
+		}
+	}
+	if len(undeclared) > 0 {
+		sort.Strings(undeclared)
+		return nil, fmt.Errorf("-cap: the file declares no service at %s", strings.Join(undeclared, ", "))
+	}
+	return caps, nil
 }

@@ -509,7 +509,7 @@ var redundantFramingAnalyzer = &Analyzer{
 				dfas[id] = nil
 				return nil
 			}
-			d := pass.Cache.CompiledDFA("susc018:"+id+alphaSig, func() *autom.DFA {
+			d := pass.Cache.CompiledDFA("susc018:"+id+alphaSig, func() *autom.Compiled {
 				return instanceNFA(in, events).Determinize(alphabet)
 			})
 			dfas[id] = d

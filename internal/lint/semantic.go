@@ -246,7 +246,7 @@ var subsumedAnalyzer = &Analyzer{
 			// The inclusion checks run on compiled (dense-table) automata
 			// memoised in the shared cache, keyed on the interned
 			// (instance, alphabet) signature: declarations sharing an event
-			// alphabet determinise and compile each policy exactly once.
+			// alphabet determinise each policy exactly once.
 			alphaSig := ""
 			for _, sym := range alphabet {
 				alphaSig += "\x01" + sym
@@ -262,7 +262,7 @@ var subsumedAnalyzer = &Analyzer{
 					return false
 				}
 				instances[id] = in
-				dfas[id] = pass.Cache.CompiledDFA("susc014:"+string(id)+alphaSig, func() *autom.DFA {
+				dfas[id] = pass.Cache.CompiledDFA("susc014:"+string(id)+alphaSig, func() *autom.Compiled {
 					return instanceNFA(in, events).Determinize(alphabet)
 				})
 				return true

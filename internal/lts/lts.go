@@ -110,19 +110,14 @@ func Build(e hexpr.Expr) (*LTS, error) { return BuildBounded(e, DefaultMaxStates
 
 // BuildBounded is Build with an explicit state bound.
 func BuildBounded(e hexpr.Expr, maxStates int) (*LTS, error) {
-	return BuildInterned(intern.NewTable(), e, maxStates)
+	return BuildBudgeted(intern.NewTable(), e, maxStates, nil)
 }
 
-// BuildInterned is BuildBounded over a caller-supplied interning table, so
-// repeated builds (e.g. through a shared memo.Cache) reuse each other's
-// interning work. The builder memoises states on interned IDs instead of
-// the recursive Key() strings.
-func BuildInterned(tab *intern.Table, e hexpr.Expr, maxStates int) (*LTS, error) {
-	return BuildBudgeted(tab, e, maxStates, nil)
-}
-
-// BuildBudgeted is BuildInterned charging every explored state (and its
-// outgoing edges) against the budget (nil = unlimited). Exhaustion or
+// BuildBudgeted is BuildBounded over a caller-supplied interning table, so
+// repeated builds reuse each other's interning work (the builder memoises
+// states on interned IDs instead of the recursive Key() strings),
+// charging every explored state (and its outgoing edges) against the
+// budget (nil = unlimited). Exhaustion or
 // cancellation aborts construction with the typed *budget.ExhaustedError
 // — never a partial LTS, so memoisation layers cannot cache a truncated
 // state space.

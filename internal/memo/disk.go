@@ -1,12 +1,10 @@
 package memo
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"susc/internal/hash"
 	"susc/internal/hexpr"
-	"susc/internal/lts"
 	"susc/internal/store"
 )
 
@@ -76,63 +74,4 @@ func (c *Cache) complianceDisk(k uint64, client, server hexpr.Expr) (verdict, er
 	v := got.(verdict)
 	c.verdicts.put(k, v, 16+uint64(len(v.witness)))
 	return v, nil
-}
-
-// LTSSummary is the persisted size summary of a built transition system.
-type LTSSummary struct {
-	States, Edges int
-}
-
-func encodeLTSSummary(s LTSSummary) []byte {
-	var buf [2 * binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], int64(s.States))
-	n += binary.PutVarint(buf[n:], int64(s.Edges))
-	return buf[:n]
-}
-
-func decodeLTSSummary(b []byte) (LTSSummary, bool) {
-	states, n := binary.Varint(b)
-	if n <= 0 {
-		return LTSSummary{}, false
-	}
-	edges, m := binary.Varint(b[n:])
-	if m <= 0 || n+m != len(b) {
-		return LTSSummary{}, false
-	}
-	return LTSSummary{States: int(states), Edges: int(edges)}, true
-}
-
-func summarize(l *lts.LTS) LTSSummary {
-	s := LTSSummary{States: len(l.States)}
-	for _, es := range l.Edges {
-		s.Edges += len(es)
-	}
-	return s
-}
-
-// persistLTSSummary writes the size summary of a successfully built LTS;
-// failed builds (size-bound overruns) are never persisted.
-func (c *Cache) persistLTSSummary(e hexpr.Expr, l *lts.LTS) {
-	if c.disk == nil || l == nil {
-		return
-	}
-	// This write carries no verdict, only the measured size of an LTS the
-	// caller finished building (Cache.LTS persists only on err == nil), so
-	// there is no Unknown state to leak into the store.
-	//suscvet:ignore SVET002 size summary of a completed build, not a verdict; caller gates on err == nil
-	c.disk.Put(store.KindLTSSummary, hash.Expr(e), encodeLTSSummary(summarize(l)))
-}
-
-// DiskLTSSummary returns the persisted size summary for e, if the store
-// holds one — the cheap "how big was this last time" probe that avoids
-// rebuilding a transition system just to report its size.
-func (c *Cache) DiskLTSSummary(e hexpr.Expr) (LTSSummary, bool) {
-	if c.disk == nil {
-		return LTSSummary{}, false
-	}
-	raw, ok := c.disk.Get(store.KindLTSSummary, hash.Expr(e))
-	if !ok {
-		return LTSSummary{}, false
-	}
-	return decodeLTSSummary(raw)
 }

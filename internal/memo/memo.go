@@ -1,7 +1,7 @@
 // Package memo is the shared memoisation layer of the static-analysis
 // stack. One Cache holds every artifact that plan synthesis recomputes
 // across candidate plans — compliance verdicts, product automata, one-step
-// transition sets and built LTSs — keyed by interned expression IDs
+// transition sets and projections — keyed by interned expression IDs
 // (internal/intern), so the cost of assessing N plans over a repository
 // grows with the number of *distinct* (request body, service) pairs and
 // distinct expression residuals, not with N. Above those sits the memory
@@ -12,11 +12,11 @@
 // A Cache is safe for concurrent use: each table is sharded and guarded by
 // per-shard RWMutexes (the report tier, consulted once per verdict rather
 // than once per step, by one RWMutex), and every cached artifact is
-// immutable after construction (products, transition slices and LTSs are
-// never mutated by their consumers). Racing goroutines may build the same
-// artifact twice on a cold key; both results are structurally identical
-// and one wins, so callers observe deterministic values regardless of
-// scheduling.
+// immutable after construction (products, transition slices and compiled
+// automata are never mutated by their consumers). Racing goroutines may
+// build the same artifact twice on a cold key; both results are
+// structurally identical and one wins, so callers observe deterministic
+// values regardless of scheduling.
 package memo
 
 import (
@@ -40,9 +40,11 @@ type Stats struct {
 	ComplianceHits, ComplianceMisses uint64
 	ProductHits, ProductMisses       uint64
 	StepsHits, StepsMisses           uint64
-	LTSHits, LTSMisses               uint64
-	ProjectHits, ProjectMisses       uint64
-	CompiledHits, CompiledMisses     uint64
+	// LTSHits, LTSMisses and LTSEntries are always zero: the cache holds
+	// no transition systems. The fields stay for readers of the snapshot.
+	LTSHits, LTSMisses           uint64
+	ProjectHits, ProjectMisses   uint64
+	CompiledHits, CompiledMisses uint64
 
 	// Entry counts per table: the number of distinct keys resident.
 	ComplianceEntries, ProductEntries, StepsEntries, LTSEntries, ProjectEntries, CompiledEntries uint64
@@ -61,17 +63,17 @@ type Stats struct {
 
 // Entries returns the total number of cached entries across all tables.
 func (s Stats) Entries() uint64 {
-	return s.ComplianceEntries + s.ProductEntries + s.StepsEntries + s.LTSEntries + s.ProjectEntries + s.CompiledEntries
+	return s.ComplianceEntries + s.ProductEntries + s.StepsEntries + s.ProjectEntries + s.CompiledEntries
 }
 
 // Hits returns the total hit count across all tables.
 func (s Stats) Hits() uint64 {
-	return s.ComplianceHits + s.ProductHits + s.StepsHits + s.LTSHits + s.ProjectHits + s.CompiledHits
+	return s.ComplianceHits + s.ProductHits + s.StepsHits + s.ProjectHits + s.CompiledHits
 }
 
 // Misses returns the total miss count across all tables.
 func (s Stats) Misses() uint64 {
-	return s.ComplianceMisses + s.ProductMisses + s.StepsMisses + s.LTSMisses + s.ProjectMisses + s.CompiledMisses
+	return s.ComplianceMisses + s.ProductMisses + s.StepsMisses + s.ProjectMisses + s.CompiledMisses
 }
 
 // HitRate returns the overall hit rate in [0,1] (0 when the cache is
@@ -143,11 +145,6 @@ type productEntry struct {
 	err error
 }
 
-type ltsEntry struct {
-	l   *lts.LTS
-	err error
-}
-
 // Cache is the shared memoisation handle. Construct with New; the zero
 // value is not usable.
 type Cache struct {
@@ -155,7 +152,6 @@ type Cache struct {
 	verdicts table[verdict]
 	products table[productEntry]
 	steps    table[[]lts.Transition]
-	ltss     table[ltsEntry]
 	projs    table[hexpr.Expr]
 	compiled table[*autom.Compiled]
 	reports  reportTier
@@ -181,8 +177,6 @@ func (c *Cache) Stats() Stats {
 		ProductMisses:    c.products.misses.Load(),
 		StepsHits:        c.steps.hits.Load(),
 		StepsMisses:      c.steps.misses.Load(),
-		LTSHits:          c.ltss.hits.Load(),
-		LTSMisses:        c.ltss.misses.Load(),
 		ProjectHits:      c.projs.hits.Load(),
 		ProjectMisses:    c.projs.misses.Load(),
 
@@ -192,11 +186,10 @@ func (c *Cache) Stats() Stats {
 		ComplianceEntries: c.verdicts.entries.Load(),
 		ProductEntries:    c.products.entries.Load(),
 		StepsEntries:      c.steps.entries.Load(),
-		LTSEntries:        c.ltss.entries.Load(),
 		ProjectEntries:    c.projs.entries.Load(),
 		CompiledEntries:   c.compiled.entries.Load(),
 		ApproxBytes: c.verdicts.bytes.Load() + c.products.bytes.Load() +
-			c.steps.bytes.Load() + c.ltss.bytes.Load() + c.projs.bytes.Load() +
+			c.steps.bytes.Load() + c.projs.bytes.Load() +
 			c.compiled.bytes.Load(),
 
 		ReportHits:    c.reports.hits.Load(),
@@ -205,20 +198,9 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Artifact size estimators for the ApproxBytes gauge: per-state and
-// per-edge constants cover the struct plus its share of slice headers.
-
-func ltsBytes(l *lts.LTS) uint64 {
-	if l == nil {
-		return 0
-	}
-	n := uint64(len(l.States)) * 96
-	for _, es := range l.Edges {
-		n += uint64(len(es)) * 24
-	}
-	return n
-}
-
+// productBytes estimates a product's size for the ApproxBytes gauge:
+// per-state and per-edge constants cover the struct plus its share of
+// slice headers.
 func productBytes(p *compliance.Product) uint64 {
 	if p == nil {
 		return 0
@@ -319,29 +301,13 @@ func (c *Cache) Compliant(client, server hexpr.Expr) (bool, error) {
 // signature is interned, so repeated lookups hash an int, not the string.
 // Lint's SUSC014 keys per-declaration policy automata here as
 // (instance ID, event alphabet) signatures, so inclusion checks across
-// declarations sharing an alphabet compile each automaton once.
-func (c *Cache) CompiledDFA(sig string, build func() *autom.DFA) *autom.Compiled {
+// declarations sharing an alphabet determinise each automaton once.
+func (c *Cache) CompiledDFA(sig string, build func() *autom.Compiled) *autom.Compiled {
 	k := uint64(uint32(c.tab.Key(sig)))
 	if v, ok := c.compiled.get(k); ok {
 		return v
 	}
-	v := autom.Compile(build())
+	v := build()
 	c.compiled.put(k, v, uint64(len(v.Trans))*4+uint64(len(v.Accept))*8)
 	return v
-}
-
-// LTS returns the built transition system of e, memoised on its interned
-// root. The LTS is immutable for cached use; callers needing to Minimize
-// must build their own copy via lts.Build.
-func (c *Cache) LTS(e hexpr.Expr) (*lts.LTS, error) {
-	k := uint64(uint32(c.tab.Expr(e)))
-	if v, ok := c.ltss.get(k); ok {
-		return v.l, v.err
-	}
-	l, err := lts.BuildInterned(c.tab, e, lts.DefaultMaxStates)
-	c.ltss.put(k, ltsEntry{l: l, err: err}, ltsBytes(l))
-	if err == nil {
-		c.persistLTSSummary(e, l)
-	}
-	return l, err
 }

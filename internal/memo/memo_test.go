@@ -128,24 +128,6 @@ func TestProjectMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestLTSMatchesUncached: cached LTS construction agrees with BuildBounded.
-func TestLTSMatchesUncached(t *testing.T) {
-	c := New()
-	rnd := rand.New(rand.NewSource(13))
-	cfg := hexpr.DefaultGenConfig()
-	for i := 0; i < 30; i++ {
-		e := hexpr.Generate(rnd, cfg)
-		got, gotErr := c.LTS(e)
-		want, wantErr := lts.BuildBounded(e, lts.DefaultMaxStates)
-		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("LTS err=%v, uncached err=%v", gotErr, wantErr)
-		}
-		if gotErr == nil && got.Len() != want.Len() {
-			t.Fatalf("LTS size %d, uncached %d", got.Len(), want.Len())
-		}
-	}
-}
-
 // TestConcurrentCache hammers one cache from many goroutines and checks
 // every goroutine observes the same verdicts. Run under -race this is the
 // data-race check for the sharded tables and the shared interner.

@@ -48,15 +48,13 @@ func TestStatsEntriesAndBytes(t *testing.T) {
 	}
 
 	// Other tables feed the same aggregate.
-	if _, err := c.LTS(paperex.S1()); err != nil {
-		t.Fatal(err)
-	}
+	c.Project(paperex.S1())
 	st3 := c.Stats()
-	if st3.LTSEntries == 0 {
-		t.Fatal("LTS population must register entries")
+	if st3.ProjectEntries == 0 || st3.Entries() != st2.Entries()+st3.ProjectEntries {
+		t.Fatalf("projection population must register entries: %+v", st3)
 	}
 	if st3.ApproxBytes <= st2.ApproxBytes {
-		t.Fatal("caching an LTS must grow the byte estimate")
+		t.Fatal("caching a projection must grow the byte estimate")
 	}
 }
 

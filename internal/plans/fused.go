@@ -1140,8 +1140,8 @@ func (eng *fusedEngine) enumerate() ([][]int32, error) {
 // The stream reads and files no plan report, in either tier: it serves
 // one-off plan families (a served plans request, -stream), and filing
 // every plan of each novel family would cost a store write per plan and
-// keep every report in memory. The compliance and LTS tiers underneath
-// are used as usual; AssessAll is the tiered sweep.
+// keep every report in memory. The compliance tiers underneath are used
+// as usual; AssessAll is the tiered sweep.
 func AssessStream(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options,
 	yield func(Assessment) error) error {

@@ -51,8 +51,8 @@ type Options struct {
 	// emptiness check) assess whole plan families as an existence probe;
 	// filing fanout^depth sweep verdicts would bloat both tiers and muddy
 	// the per-plan hit/miss counters the CLI stats and CI gates key on.
-	// The compliance and LTS tiers underneath still serve it — those are
-	// shared with real verification runs.
+	// The compliance tiers underneath still serve it — those are shared
+	// with real verification runs.
 	NoReportTier bool
 	// Budget meters the whole synthesis (nil = unbounded): enumeration,
 	// graph expansion and every plan's exploration charge the same

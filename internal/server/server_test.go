@@ -135,6 +135,12 @@ func TestServeCheckAll(t *testing.T) {
 	if len(r.records) != 1 || !strings.Contains(r.records[0], `"verdict":"valid"`) {
 		t.Fatalf("records = %v", r.records)
 	}
+	// A bound on a location the file does not declare fails the run, as
+	// on the CLI.
+	r = post(t, base+"/v1/checkall?cap=nosuch%3D1", hotelSrc(t))
+	if msg, _ := r.done["error"].(string); exitOf(t, r) != 1 || !strings.Contains(msg, "nosuch") {
+		t.Fatalf("cap=nosuch=1: done %v, want exit 1 naming nosuch", r.done)
+	}
 	hz, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)

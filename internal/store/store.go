@@ -1,7 +1,7 @@
 // Package store is the persistent tier of the memoisation stack: a
 // crash-safe, single-file, append-only record log that keeps verification
 // artifacts — compliance verdicts, plan reports, network reports, lint
-// findings, LTS summaries — across process restarts, keyed by the content
+// findings, flow audits — across process restarts, keyed by the content
 // hashes of internal/hash. It turns `susc` from a cold CLI into an
 // incremental build step: an unchanged repository replays its verdicts
 // from disk, and an edit recomputes only the declarations whose dependency
@@ -58,7 +58,9 @@ const (
 	KindNetworkReport Kind = 3
 	// KindLint: the diagnostic list of one lint run over one file.
 	KindLint Kind = 4
-	// KindLTSSummary: the size summary of a built transition system.
+	// KindLTSSummary once held the size summary of a built transition
+	// system. Nothing writes it now; the byte stays reserved, since a
+	// persisted kind byte is never reused.
 	KindLTSSummary Kind = 5
 	// KindAudit: the flow-audit record of one (client, plan) cone — the
 	// per-plan active-framing coverage computed by internal/valid.
@@ -264,7 +266,7 @@ func (s *Store) replay(fingerprint hash.Sum) error {
 	// ahead.
 	r := &countingReader{r: bufio.NewReaderSize(s.f, 64<<10), n: int64(headerSize)}
 	good := int64(headerSize)
-	br := newRecordReader(r)
+	br := &recordReader{r: r, size: size}
 	for {
 		rec, err := br.next()
 		if err == io.EOF {
@@ -467,10 +469,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // recordReader decodes records sequentially, distinguishing a clean EOF
 // (errEOF) from a torn tail (any other error).
 type recordReader struct {
-	r io.Reader
+	r *countingReader
+	// size is the file size: a value running past it marks the tail
+	// corrupt before anything is allocated for it.
+	size int64
 }
-
-func newRecordReader(r io.Reader) *recordReader { return &recordReader{r: r} }
 
 // maxValueLen bounds a single record value; a length beyond it marks the
 // tail corrupt rather than attempting a huge allocation.
@@ -511,7 +514,7 @@ func (rr *recordReader) next() (record, error) {
 			return rec, errCorrupt
 		}
 	}
-	if vlen > maxValueLen {
+	if vlen > maxValueLen || vlen > uint64(rr.size-rr.r.n) {
 		return rec, errCorrupt
 	}
 	rec.value = make([]byte, vlen)

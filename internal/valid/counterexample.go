@@ -74,12 +74,10 @@ func FindCounterexamplesBudget(e hexpr.Expr, table *policy.Table, b *budget.Budg
 	for _, f := range frames {
 		alphabet = append(alphabet, symFrameOpen+string(f), symFrameClose+string(f))
 	}
-	// The per-policy intersections run on the compiled (dense-table) layer:
-	// the history DFA is compiled once, each framed-policy DFA is compiled
-	// after determinisation, and the product+shortest-word extraction index
-	// int32 arrays. Witnesses are identical to the map-based constructions
-	// (same BFS discovery order, same alphabet-order tie-breaking).
-	hd := autom.Compile(hn.Determinize(alphabet))
+	// The per-policy intersections run on dense-table DFAs: the history is
+	// determinised once, each framed policy once per frame, and the
+	// product and its shortlex-least word index int32 arrays.
+	hd := hn.Determinize(alphabet)
 	var out []*Counterexample
 	for _, f := range frames {
 		if err := b.Err(); err != nil {
@@ -90,7 +88,7 @@ func FindCounterexamplesBudget(e hexpr.Expr, table *policy.Table, b *budget.Budg
 			return nil, err
 		}
 		bad := FramedPolicyNFA(in, events, frames)
-		inter := hd.Intersect(autom.Compile(bad.Determinize(alphabet)))
+		inter := hd.Intersect(bad.Determinize(alphabet))
 		word := inter.AcceptingPath()
 		if word == nil {
 			continue
