@@ -316,6 +316,27 @@ func BenchmarkAuditChained(b *testing.B) {
 	}
 }
 
+// BenchmarkLintSemanticClients is the lint run of `susc checkall` on
+// ChainedClients(6,4,18), the incremental-clients benchmark workload:
+// every analyzer, warnings and above, on a fresh cache. No declaration
+// frames a policy and every client's 4096-plan family is past SUSC013's
+// cap, so the suite reports nothing.
+func BenchmarkLintSemanticClients(b *testing.B) {
+	f, err := parser.ParseFile(benchgen.ChainedClientsSource(6, 4, 18))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		diags := lint.Run(f, nil, lint.Options{Analyzers: lint.AllAnalyzers(),
+			MinSeverity: lint.Warning, Cache: memo.New()})
+		if len(diags) != 0 {
+			b.Fatalf("lint: %d findings, want none: %v", len(diags), diags[0])
+		}
+	}
+}
+
 // --- B5: the run-time monitor the paper makes unnecessary ---------------------
 
 func BenchmarkMonitor(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"susc/internal/benchgen"
 	"susc/internal/budget"
@@ -73,28 +74,34 @@ func TestRunPlansBudgetExhaustedExit3(t *testing.T) {
 	}
 }
 
-// TestRunPlansCacheBudgetCut: a budget cut in a store-backed plans run
-// degrades like an uncached one — exit 3, and every plan of
-// Chained(12,2) printed, text and JSON, with its 12 bindings and a
-// verdict. The sweep enumerates once and keys the plans it enumerated, so
-// a deadline passing while it keys cannot leave plans unassessed. The
-// state cap makes the cut land in the replays on any machine; the
-// deadline is the one a keying pass over all 4096 plans used to overrun.
+// TestRunPlansCacheBudgetCut: a deadline cut in a store-backed plans run
+// that lands after enumeration degrades like an uncached one — exit 3,
+// and every plan of Chained(12,2) printed, text and JSON, with its 12
+// bindings and a verdict. The sweep enumerates once and keys the plans it
+// enumerated, so a deadline passing while it keys or replays cannot leave
+// plans unassessed. (A cut during enumeration returns the plans found so
+// far, by design.) The deadline leaves the enumeration a second on any
+// machine, and a 4 ms delay per replayed state makes the replays outlast
+// it: the 500 states the cap allows would take at least 2 s, so the
+// deadline, not the cap, is what cuts.
 func TestRunPlansCacheBudgetCut(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock budget: under the race detector the enumeration itself may overrun it")
-	}
 	const spec = "../../internal/benchgen/testdata/chained-12-2.susc"
 	const plans, bindings = 4096, 12
+	restore := faultinject.Set(faultinject.DelayAt(faultinject.FusedReplay, 4*time.Millisecond))
+	defer restore()
 	for _, form := range []string{"text", "json"} {
 		args := []string{"plans", spec, "-client", "cl", "-cache", t.TempDir(),
-			"-timeout", "100ms", "-max-states", "500"}
+			"-timeout", "1s", "-max-states", "500"}
 		if form == "json" {
 			args = append(args, "-json")
 		}
 		out, err := capture(t, func() error { return run(args) })
 		if code := exitCode(err); code != 3 {
 			t.Fatalf("%s: exit %d (%v), want 3", form, code, err)
+		}
+		var ee *budget.ExhaustedError
+		if !errors.As(err, &ee) || ee.Reason != budget.DeadlineExceeded {
+			t.Fatalf("%s: err = %v, want the deadline's *budget.ExhaustedError", form, err)
 		}
 		if form == "text" {
 			lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")

@@ -14,8 +14,13 @@ import (
 // the analysis configuration (analyzer set and severity floor), so an
 // unchanged file replays its findings from disk and any edit — or a
 // different `-severity` — recomputes the whole file. Finer granularity
-// is not worth the bookkeeping: lint is already the cheap phase, and the
-// semantic analyzers reuse the compliance disk tier underneath anyway.
+// would save little: on ChainedClients(6,4,18) (42 declarations, 18
+// clients) a whole run of every analyzer costs 4.6–7.2 ms and 1.3 MB
+// (BenchmarkLintSemanticClients, shared 2-core x86-64 VM), three
+// quarters of it SUSC013 enumerating 18 plan families that each contain
+// every service, so a one-service edit reaches all of them under any
+// per-scope key; and the semantic analyzers reuse the compliance disk
+// tier underneath.
 
 // sourceKey is the content hash of one lint run's inputs.
 func sourceKey(src string, opts Options) hash.Sum {

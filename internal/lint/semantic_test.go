@@ -1,15 +1,18 @@
 package lint
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"susc/internal/budget"
 	"susc/internal/compliance"
 	"susc/internal/hexpr"
 	"susc/internal/parser"
+	"susc/internal/valid"
 )
 
 // semanticSource lints a semantic fixture with the full suite.
@@ -102,6 +105,76 @@ func TestViolationWitnessReplays(t *testing.T) {
 	if last := w.Steps[len(w.Steps)-1]; last.State == "" || !strings.Contains(w.Note, last.State) {
 		t.Errorf("final step state %q not named by the note %q", last.State, w.Note)
 	}
+}
+
+// TestViolableSkipsFramelessDeclarations: SUSC011 model-checks only the
+// declarations that frame a policy, so on a network none of whose
+// declarations frames one it reports nothing and charges no state, even
+// under a one-state budget.
+func TestViolableSkipsFramelessDeclarations(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "benchgen", "testdata", "chained-clients-6-4-3.susc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parser.ParseFile(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range newPass(f, nil, Options{}).decls() {
+		if ps := hexpr.Policies(d.expr); len(ps) != 0 {
+			t.Fatalf("%s frames %v: the fixture must frame no policy", d.what(), ps)
+		}
+	}
+	b := budget.New(context.Background(), budget.Limits{MaxStates: 1})
+	if diags := Run(f, nil, Options{Analyzers: []*Analyzer{violableAnalyzer}, Budget: b}); len(diags) != 0 {
+		t.Fatalf("violable on a frameless network: %v", diags)
+	}
+	if s := b.States(); s != 0 {
+		t.Fatalf("violable charged %d states, want 0", s)
+	}
+}
+
+// TestViolableSkipIsSound: a declaration that frames no policy has no
+// counterexample (valid.FindCounterexamples checks each framed policy and
+// there is none), so SUSC011's skip of such declarations hides no finding.
+// Checked over every strictly parsing fixture.
+func TestViolableSkipIsSound(t *testing.T) {
+	var paths []string
+	for _, dir := range []string{"../../testdata", "../../examples/specs", "testdata", "testdata/semantic", "testdata/audit"} {
+		m, err := filepath.Glob(filepath.Join(dir, "*.susc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	checked := 0
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(string(src))
+		if err != nil {
+			continue // lenient-only fixtures: the strict parser rejects them
+		}
+		for _, d := range newPass(f, nil, Options{}).decls() {
+			if len(hexpr.Policies(d.expr)) != 0 {
+				continue
+			}
+			ces, err := valid.FindCounterexamples(d.expr, f.Table)
+			if err != nil {
+				t.Errorf("%s: %s: %v", path, d.what(), err)
+			}
+			if len(ces) != 0 {
+				t.Errorf("%s: %s frames no policy, yet violates %s", path, d.what(), ces[0].Policy)
+			}
+			checked++
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("only %d frameless declarations checked", checked)
+	}
+	t.Logf("%d frameless declarations in %d fixtures have no counterexample", checked, len(paths))
 }
 
 // TestDeadlockWitnessReplays replays the SUSC012 witness over the product

@@ -153,7 +153,12 @@ type fusedEngine struct {
 
 	nodes     u64map
 	nodeArena narena
-	start     *fnode
+	// start is the graph's initial state, the client's leaf under a fresh
+	// monitor. newReplayer builds it on the engine's first replayer, so a
+	// sweep that replays nothing (a MaxPlans overrun, an empty family, a
+	// tiered family whose every verdict hits) allocates no node table, no
+	// arena block and no start node; nil until then.
+	start *fnode
 
 	memo *decisionTrie
 }
@@ -326,8 +331,6 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 	for i, list := range locPending {
 		eng.locPendIdx[i] = toIdx(list)
 	}
-	mon := history.NewMonitor(table)
-	eng.start = eng.node(eng.leaf(loc, eng.locIDs[loc], client), mon, eng.tab.Key(mon.Signature()))
 	return eng
 }
 
@@ -632,7 +635,13 @@ type replayer struct {
 	flowAt []int32
 }
 
+// newReplayer returns fresh replay scratch, building the start node first
+// if no replayer has needed it yet.
 func (eng *fusedEngine) newReplayer() *replayer {
+	if eng.start == nil {
+		mon := history.NewMonitor(eng.table)
+		eng.start = eng.node(eng.leaf(eng.loc, eng.locIDs[eng.loc], eng.client), mon, eng.tab.Key(mon.Signature()))
+	}
 	return &replayer{
 		usedMark: make([]uint32, eng.nReq),
 		seenMark: make([]uint32, eng.nReq),
