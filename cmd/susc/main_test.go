@@ -757,3 +757,33 @@ func TestCmdExplainDot(t *testing.T) {
 		t.Errorf("-wdot output is not a digraph:\n%s", out)
 	}
 }
+
+// TestCmdRefusesRequestClash: services a and b open r9 with two bodies,
+// and the client's declared plan reaches both. The engines keep one body
+// per request identifier, so check, checkall and plans refuse the spec
+// with the parser's positioned error (exit 1) instead of judging it.
+func TestCmdRefusesRequestClash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "clash.susc")
+	src := `service a = X? . open r9 { Q! } . Ka!;
+service b = Y? . open r9 { Q! (+) Z! } . Kb!;
+service c = Q?;
+client cl at cl plan { r1 -> a, r2 -> b, r9 -> c } = open r1 { X! . Ka? } . open r2 { Y! . Kb? };
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "parser: 2:23: request r9 is opened with another body than in service a at 1:23"
+	for _, args := range [][]string{
+		{"check", path, "-client", "cl"},
+		{"checkall", path},
+		{"plans", path, "-client", "cl"},
+	} {
+		out, err := capture(t, func() error { return run(args) })
+		if err == nil || err.Error() != want || exitCode(err) != 1 {
+			t.Errorf("%s: err = %v (exit %d), want %q (exit 1)", args[0], err, exitCode(err), want)
+		}
+		if strings.Contains(out, "valid") {
+			t.Errorf("%s printed a verdict: %q", args[0], out)
+		}
+	}
+}

@@ -45,8 +45,14 @@ func (e *CheckError) Error() string {
 //   - the expression is closed;
 //   - recursion is tail recursion, guarded by communication actions;
 //   - internal choices are guarded by outputs, external choices by inputs;
-//   - request identifiers are pairwise distinct;
+//   - no run opens one request identifier twice (occurrences in exclusive
+//     choice branches are allowed);
 //   - the run-time-only residuals close_{r,φ} and ⌋φ do not occur.
+//
+// Check sees one expression. The rule across expressions — every session
+// that opens an identifier, in a client and in the repository it plans
+// against, opens it with one framing policy and one body — is the
+// parser's (internal/parser), where declarations are registered.
 //
 // These restrictions are what make the contract projection finite-state
 // (see internal/contract) and hence compliance decidable.

@@ -127,6 +127,61 @@ func (f FrameClose) Key() string { return "_]" + string(f.Policy) }
 // canonical congruence.
 func Equal(a, b Expr) bool { return a.Key() == b.Key() }
 
+// Identical reports whether a and b are the same term, node for node.
+// Identical terms have equal keys; unlike Equal, Identical renders none
+// and allocates nothing. The parser and the plan engine compare the
+// bodies of the sessions that open one request identifier with it.
+func Identical(a, b Expr) bool {
+	switch x := a.(type) {
+	case Nil:
+		_, ok := b.(Nil)
+		return ok
+	case Var:
+		y, ok := b.(Var)
+		return ok && x == y
+	case Rec:
+		y, ok := b.(Rec)
+		return ok && x.Name == y.Name && Identical(x.Body, y.Body)
+	case Ev:
+		y, ok := b.(Ev)
+		return ok && x.Event.Equal(y.Event)
+	case Seq:
+		y, ok := b.(Seq)
+		return ok && Identical(x.Left, y.Left) && Identical(x.Right, y.Right)
+	case ExtChoice:
+		y, ok := b.(ExtChoice)
+		return ok && identicalBranches(x.Branches, y.Branches)
+	case IntChoice:
+		y, ok := b.(IntChoice)
+		return ok && identicalBranches(x.Branches, y.Branches)
+	case Session:
+		y, ok := b.(Session)
+		return ok && x.Req == y.Req && x.Policy == y.Policy && Identical(x.Body, y.Body)
+	case Framing:
+		y, ok := b.(Framing)
+		return ok && x.Policy == y.Policy && Identical(x.Body, y.Body)
+	case CloseTag:
+		y, ok := b.(CloseTag)
+		return ok && x == y
+	case FrameClose:
+		y, ok := b.(FrameClose)
+		return ok && x == y
+	}
+	return false
+}
+
+func identicalBranches(a, b []Branch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Comm != b[i].Comm || !Identical(a[i].Cont, b[i].Cont) {
+			return false
+		}
+	}
+	return true
+}
+
 // IsNil reports whether e is the terminated expression ε.
 func IsNil(e Expr) bool {
 	_, ok := e.(Nil)

@@ -42,6 +42,23 @@ func TestQuickKeyDeterminism(t *testing.T) {
 	}
 }
 
+// TestQuickIdenticalMatchesKeys: a term built twice is Identical to
+// itself, and two generated terms are Identical exactly when their keys
+// are equal, also for a pair differing in one branch continuation.
+func TestQuickIdenticalMatchesKeys(t *testing.T) {
+	f := func(s1, s2 int64) bool {
+		a, a2, b := genFromSeed(s1), genFromSeed(s1), genFromSeed(s2)
+		x := Ext(B(In("k"), a), B(In("m"), Eps()))
+		y := Ext(B(In("k"), b), B(In("m"), Eps()))
+		return Identical(a, a2) &&
+			Identical(a, b) == (a.Key() == b.Key()) &&
+			Identical(x, y) == (x.Key() == y.Key())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestQuickSubstIdempotentOnClosed: substitution is the identity on closed
 // terms, for any variable and replacement.
 func TestQuickSubstIdempotentOnClosed(t *testing.T) {

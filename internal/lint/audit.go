@@ -35,11 +35,14 @@ const (
 	maxAuditFlows = 256
 )
 
-// planAudit is one audited (plan, flow) pair of a client.
+// planAudit is one audited (plan, flow) pair of a client, with the
+// flow's coverage rows (coverageRows), built once for the coverage
+// analyzers and the coverage table.
 type planAudit struct {
 	plan   network.Plan
 	flow   *verify.PlanFlow
 	cached bool
+	rows   []CoverageRow
 }
 
 // clientAudit aggregates the audited flows of one client.
@@ -78,7 +81,8 @@ func (p *Pass) auditData() *auditState {
 	}
 	st := &auditState{complete: true}
 	p.audit = st
-	st.wide = p.File.Table.Compiled().Len() > 64
+	ct := p.File.Table.Compiled()
+	st.wide = ct.Len() > 64
 	for i, c := range p.File.Clients {
 		if p.Budget.Exhausted() != nil {
 			st.complete = false
@@ -104,7 +108,7 @@ func (p *Pass) auditData() *auditState {
 			// this run — only when the session has a store: a memory hit
 			// on a store-backed session implies the store holds the flow.
 			cached := hit && p.Cache.Disk() != nil
-			ca.plans = append(ca.plans, planAudit{plan: plan, flow: flow, cached: cached})
+			ca.plans = append(ca.plans, planAudit{plan: plan, flow: flow, cached: cached, rows: coverageRows(ct, flow)})
 			return true
 		}
 		if p.AuditDeclaredOnly {
@@ -311,62 +315,58 @@ func (p *Pass) eventSpanAnywhere(clientIdx int, key string) parser.Span {
 
 // --- SUSC017 + SUSC019: event coverage -------------------------------------
 
-// eventCoverage classifies, for one client, each event rendering by the
-// plans it occurs in: plans where every occurrence is guarded by some
-// watching policy, and plans with an unguarded occurrence (with the
-// BFS-minimal occurrence kept as witness).
+// eventCoverage classifies, for one client, a watched event by the
+// audited plans it occurs in: plans where every occurrence is guarded by
+// some watching policy, and plans with an unguarded occurrence (the
+// first of them holds the witness occurrence, found by witness).
 type eventCoverage struct {
 	event     string
 	guarded   []int // indices into ca.plans
 	unguarded []int
-	occPlan   int              // plan index of the witness occurrence
-	occ       verify.EventFlow // first unguarded occurrence
-	guards    []string         // watching policies seen guarding it (union)
+	guards    []string // watching policies seen guarding it (union)
 }
 
-func (p *Pass) clientEventCoverage(ca *clientAudit) []*eventCoverage {
-	ct := p.File.Table.Compiled()
+// clientEventCoverage folds the coverage rows of the client's audited
+// plans into one eventCoverage per watched event, in event order.
+func clientEventCoverage(ca *clientAudit) []*eventCoverage {
 	byEvent := map[string]*eventCoverage{}
 	var order []string
 	for pi, pa := range ca.plans {
-		perPlan := map[string]*verify.EventFlow{} // first unguarded occurrence
-		seen := map[string]bool{}
-		for i, ef := range pa.flow.Events {
-			seen[ef.Event] = true
-			ec := byEvent[ef.Event]
+		for _, row := range pa.rows {
+			if row.Unwatched {
+				continue
+			}
+			ec := byEvent[row.Event]
 			if ec == nil {
-				ec = &eventCoverage{event: ef.Event, occPlan: -1}
-				byEvent[ef.Event] = ec
-				order = append(order, ef.Event)
+				ec = &eventCoverage{event: row.Event}
+				byEvent[row.Event] = ec
+				order = append(order, row.Event)
 			}
-			rel := relevantPolicies(ct, eventName(ef.Event), ef.Active)
-			if len(rel) == 0 {
-				if _, ok := perPlan[ef.Event]; !ok {
-					perPlan[ef.Event] = &pa.flow.Events[i]
-				}
-			} else {
-				ec.guards = mergeSorted(ec.guards, rel)
-			}
-		}
-		for ev := range seen {
-			ec := byEvent[ev]
-			if occ, ok := perPlan[ev]; ok {
+			ec.guards = mergeSorted(mergeSorted(ec.guards, row.Guards), row.Sometimes)
+			if row.Unguarded {
 				ec.unguarded = append(ec.unguarded, pi)
-				if ec.occPlan < 0 {
-					ec.occPlan = pi
-					ec.occ = *occ
-				}
 			} else {
 				ec.guarded = append(ec.guarded, pi)
 			}
 		}
 	}
-	out := make([]*eventCoverage, 0, len(order))
 	sort.Strings(order)
-	for _, ev := range order {
-		out = append(out, byEvent[ev])
+	out := make([]*eventCoverage, len(order))
+	for i, ev := range order {
+		out[i] = byEvent[ev]
 	}
 	return out
+}
+
+// witness returns the first occurrence of the event that no watching
+// policy guards in the first plan with one — the BFS-minimal occurrence.
+func (ec *eventCoverage) witness(ct *policy.CompiledTable, ca *clientAudit) verify.EventFlow {
+	for _, ef := range ca.plans[ec.unguarded[0]].flow.Events {
+		if ef.Event == ec.event && len(relevantPolicies(ct, eventName(ef.Event), ef.Active)) == 0 {
+			return ef
+		}
+	}
+	return verify.EventFlow{}
 }
 
 func mergeSorted(acc, add []string) []string {
@@ -394,14 +394,11 @@ var unguardedAnalyzer = &Analyzer{
 		ct := pass.File.Table.Compiled()
 		for ci := range st.clients {
 			ca := &st.clients[ci]
-			for _, ec := range pass.clientEventCoverage(ca) {
-				if ct.WatchedMask(eventName(ec.event)) == 0 {
-					continue // not critical: no policy watches it
-				}
+			for _, ec := range clientEventCoverage(ca) {
 				if len(ec.unguarded) == 0 || len(ec.guarded) > 0 {
 					continue // fully guarded, or SUSC019's plan-dependent case
 				}
-				pa := ca.plans[ec.occPlan]
+				pa := ca.plans[ec.unguarded[0]]
 				note := fmt.Sprintf("the occurrence fires with no watching policy active (%d plan(s) audited)",
 					len(ca.plans))
 				pass.Report(Diagnostic{
@@ -409,7 +406,7 @@ var unguardedAnalyzer = &Analyzer{
 					Span: pass.eventSpanAnywhere(ca.idx, ec.event),
 					Message: fmt.Sprintf("critical event %s of client %s is reachable unguarded: no policy watching it is active at the occurrence, under every audited plan it occurs in",
 						ec.event, ca.name),
-					Witness: pass.auditWitness(WitnessUncovered, ca.idx, pa.plan, ec.occ.Trace, note),
+					Witness: pass.auditWitness(WitnessUncovered, ca.idx, pa.plan, ec.witness(ct, ca).Trace, note),
 				})
 			}
 		}
@@ -428,15 +425,12 @@ var planCoverageAnalyzer = &Analyzer{
 		ct := pass.File.Table.Compiled()
 		for ci := range st.clients {
 			ca := &st.clients[ci]
-			for _, ec := range pass.clientEventCoverage(ca) {
-				if ct.WatchedMask(eventName(ec.event)) == 0 {
-					continue
-				}
+			for _, ec := range clientEventCoverage(ca) {
 				if len(ec.unguarded) == 0 || len(ec.guarded) == 0 {
 					continue // uniform coverage: SUSC017's turf when fully unguarded
 				}
 				good := ca.plans[ec.guarded[0]]
-				bad := ca.plans[ec.occPlan]
+				bad := ca.plans[ec.unguarded[0]]
 				note := fmt.Sprintf("under plan %s the occurrence fires with no watching policy active; under plan %s every occurrence is guarded (by %s)",
 					bad.plan, good.plan, strings.Join(ec.guards, ", "))
 				d := Diagnostic{
@@ -444,7 +438,7 @@ var planCoverageAnalyzer = &Analyzer{
 					Span: pass.eventSpanAnywhere(ca.idx, ec.event),
 					Message: fmt.Sprintf("coverage of event %s in client %s depends on the plan: guarded under %d audited plan(s) (e.g. %s) but reachable unguarded under %d (e.g. %s)",
 						ec.event, ca.name, len(ec.guarded), good.plan, len(ec.unguarded), bad.plan),
-					Witness: pass.auditWitness(WitnessPlanCoverage, ca.idx, bad.plan, ec.occ.Trace, note),
+					Witness: pass.auditWitness(WitnessPlanCoverage, ca.idx, bad.plan, ec.witness(ct, ca).Trace, note),
 				}
 				if sp := pass.planTargetRelated(ca.idx); !sp.IsZero() {
 					d.Related = []Related{{Span: sp, Message: "client " + ca.name + " picks the plan here"}}
@@ -809,8 +803,7 @@ func intersectSorted(a, b []string) []string {
 }
 
 // coverageOf materialises the audit state into the exported coverage model.
-func coverageOf(p *Pass, st *auditState) []ClientCoverage {
-	ct := p.File.Table.Compiled()
+func coverageOf(st *auditState) []ClientCoverage {
 	out := make([]ClientCoverage, 0, len(st.clients))
 	for ci := range st.clients {
 		ca := &st.clients[ci]
@@ -826,7 +819,7 @@ func coverageOf(p *Pass, st *auditState) []ClientCoverage {
 				Plan:   map[string]string{},
 				States: pa.flow.States,
 				Cached: pa.cached,
-				Rows:   coverageRows(ct, pa.flow),
+				Rows:   pa.rows,
 			}
 			for r, l := range pa.plan {
 				pc.Plan[string(r)] = string(l)
@@ -850,7 +843,7 @@ func Audit(f *parser.File, issues []parser.Issue, opts Options) *AuditResult {
 	diags := runSuite(pass, analyzers, opts)
 	res := &AuditResult{Diagnostics: diags}
 	if st := pass.audit; st != nil {
-		res.Coverage = coverageOf(pass, st)
+		res.Coverage = coverageOf(st)
 		res.Complete = st.complete
 	}
 	return res

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"susc/internal/parser"
 	"susc/internal/policy"
 	"susc/internal/store"
+	"susc/internal/verify"
 )
 
 // renderAudit prints an audit result the way `susc audit` does, minus the
@@ -486,4 +489,125 @@ func TestAuditDiskTier(t *testing.T) {
 			t.Errorf("concurrent audit %d differs from a fresh session's:\n%s\nwant:\n%s", i, renderAudit(res), renderAudit(want))
 		}
 	}
+}
+
+// TestEventCoverageFoldsOccurrences: SUSC017 and SUSC019 classify a
+// client's events by folding the coverage rows of its audited plans, and
+// look the witness occurrence up only when they report. The fold must
+// say what the occurrences say: over every audit fixture and a world in
+// which one plan fires an event both guarded and bare, another fires it
+// bare under two active sets, and a policy guards it only sometimes, the
+// fold's plan lists, guard union and witness equal a direct aggregation
+// of the flows' occurrences.
+func TestEventCoverageFoldsOccurrences(t *testing.T) {
+	srcs := map[string]string{"mixed": `policy cap(n int) { states q0 qv; start q0; final qv; edge q0 -> qv on act(y) when y > n; }
+policy noevil() { states q0 qv; start q0; final qv; edge q0 -> qv on evil(); }
+instance lo = cap(n = 5);
+instance hi = cap(n = 7);
+instance psi = noevil();
+service sg = enforce hi { act(1) } . Ping? . act(1) . Pong!;
+service sb = enforce psi { act(1) } . Ping? . act(1) . Pong!;
+service sh = enforce lo { act(1) . Ping? . act(1) . Pong! };
+client c at l = open r1 { Ping! . Pong? };
+`}
+	paths, err := filepath.Glob(filepath.Join("testdata", "audit", "*.susc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[p] = string(src)
+	}
+	folded := 0
+	for name, src := range srcs {
+		f, issues, err := parser.ParseFileLenient(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newPass(f, issues, Options{Cache: memo.New()}).auditData()
+		ct := f.Table.Compiled()
+		for ci := range st.clients {
+			ca := &st.clients[ci]
+			got, want := clientEventCoverage(ca), occurrenceCoverage(ct, ca)
+			if len(got) != len(want) {
+				t.Fatalf("%s, client %s: %d watched events folded, %d occur", name, ca.name, len(got), len(want))
+			}
+			for i, ec := range got {
+				w := want[i]
+				if ec.event != w.event || !reflect.DeepEqual(ec.guarded, w.guarded) ||
+					!reflect.DeepEqual(ec.unguarded, w.unguarded) || !reflect.DeepEqual(ec.guards, w.guards) {
+					t.Errorf("%s, client %s: folded %+v, occurrences say %+v", name, ca.name, *ec, w)
+				}
+				if len(ec.unguarded) > 0 && !reflect.DeepEqual(ec.witness(ct, ca), w.occ) {
+					t.Errorf("%s, client %s, %s: witness %+v, want %+v", name, ca.name, ec.event, ec.witness(ct, ca), w.occ)
+				}
+				folded++
+			}
+		}
+	}
+	if folded < 6 {
+		t.Fatalf("only %d events folded", folded)
+	}
+}
+
+// occurrences is a watched event's coverage, aggregated occurrence by
+// occurrence over a client's audited flows.
+type occurrences struct {
+	event              string
+	guarded, unguarded []int
+	guards             []string
+	occ                verify.EventFlow
+}
+
+// occurrenceCoverage aggregates the watched events of a client's audited
+// flows directly: a plan is unguarded for an event when some occurrence
+// has no watching policy active, the guards are the watching policies
+// active at any occurrence, and the witness is the first bare occurrence
+// in the first unguarded plan.
+func occurrenceCoverage(ct *policy.CompiledTable, ca *clientAudit) []occurrences {
+	byEvent := map[string]*occurrences{}
+	var order []string
+	for pi, pa := range ca.plans {
+		bare := map[string]*verify.EventFlow{}
+		var seen []string
+		for i, ef := range pa.flow.Events {
+			if ct.WatchedMask(eventName(ef.Event)) == 0 {
+				continue
+			}
+			o := byEvent[ef.Event]
+			if o == nil {
+				o = &occurrences{event: ef.Event}
+				byEvent[ef.Event] = o
+				order = append(order, ef.Event)
+			}
+			if !slices.Contains(seen, ef.Event) {
+				seen = append(seen, ef.Event)
+			}
+			rel := relevantPolicies(ct, eventName(ef.Event), ef.Active)
+			if len(rel) == 0 && bare[ef.Event] == nil {
+				bare[ef.Event] = &pa.flow.Events[i]
+			}
+			o.guards = mergeSorted(o.guards, rel)
+		}
+		for _, ev := range seen {
+			o := byEvent[ev]
+			if occ := bare[ev]; occ != nil {
+				if len(o.unguarded) == 0 {
+					o.occ = *occ
+				}
+				o.unguarded = append(o.unguarded, pi)
+			} else {
+				o.guarded = append(o.guarded, pi)
+			}
+		}
+	}
+	sort.Strings(order)
+	out := make([]occurrences, len(order))
+	for i, ev := range order {
+		out[i] = *byEvent[ev]
+	}
+	return out
 }

@@ -22,6 +22,14 @@ type parser struct {
 	issues  []Issue
 	spans   *SpanTable
 	cur     *ExprSpans
+
+	// opens collects the sessions of the declaration being parsed; served
+	// holds the first session of each request identifier the registered
+	// services open, and clientOpens the sessions of every registered
+	// client. clash checks a declaration's sessions against them.
+	opens       []opening
+	served      map[hexpr.RequestID]opening
+	clientOpens []opening
 }
 
 // maxParseDepth bounds expression nesting so hostile inputs (kilobytes of
@@ -330,7 +338,11 @@ func (p *parser) openExpr() (hexpr.Expr, error) {
 		p.cur.Framings = append(p.cur.Framings,
 			FramingSpan{ID: string(pol), Open: polSpan, Close: rb.span()})
 	}
-	return hexpr.Open(hexpr.RequestID(req.text), pol, body), nil
+	s := hexpr.Session{Req: hexpr.RequestID(req.text), Policy: pol, Body: body}
+	if p.cur != nil {
+		p.opens = append(p.opens, opening{s: s, tok: req})
+	}
+	return s, nil
 }
 
 // enforceExpr := 'enforce' ident '{' expr '}'

@@ -88,7 +88,8 @@ func parseFile(src string, lenient bool) (*File, []Issue, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &parser{toks: toks, aliases: map[string]hexpr.PolicyID{}, lenient: lenient, spans: newSpanTable()}
+	p := &parser{toks: toks, aliases: map[string]hexpr.PolicyID{}, lenient: lenient, spans: newSpanTable(),
+		served: map[hexpr.RequestID]opening{}}
 	f := &File{
 		Automata:  map[string]*policy.Automaton{},
 		Instances: p.aliases,
@@ -443,7 +444,7 @@ func (p *parser) serviceDecl(f *File) error {
 	if _, err := p.expect(tokAssign); err != nil {
 		return err
 	}
-	p.cur = newExprSpans()
+	p.cur, p.opens = newExprSpans(), p.opens[:0]
 	defer func() { p.cur = nil }()
 	e, err := p.expr()
 	if err != nil {
@@ -457,6 +458,14 @@ func (p *parser) serviceDecl(f *File) error {
 	}
 	if err := hexpr.Check(e); err != nil {
 		return p.semantic(loc, "service", loc.text, fmt.Errorf("service %s: %w", loc.text, err))
+	}
+	if at, err := p.clash("service", loc.text); err != nil {
+		return p.semantic(at, "service", loc.text, err)
+	}
+	for _, o := range p.opens {
+		if _, ok := p.served[o.s.Req]; !ok {
+			p.served[o.s.Req] = o
+		}
 	}
 	f.Repo[hexpr.Location(loc.text)] = e
 	f.ServiceOrder = append(f.ServiceOrder, hexpr.Location(loc.text))
@@ -513,7 +522,7 @@ func (p *parser) clientDecl(f *File) error {
 	if _, err := p.expect(tokAssign); err != nil {
 		return err
 	}
-	p.cur = newExprSpans()
+	p.cur, p.opens = newExprSpans(), p.opens[:0]
 	defer func() { p.cur = nil }()
 	e, err := p.expr()
 	if err != nil {
@@ -525,10 +534,78 @@ func (p *parser) clientDecl(f *File) error {
 	if err := hexpr.Check(e); err != nil {
 		return p.semantic(name, "client", name.text, fmt.Errorf("client %s: %w", name.text, err))
 	}
+	if at, err := p.clash("client", name.text); err != nil {
+		return p.semantic(at, "client", name.text, err)
+	}
+	p.clientOpens = append(p.clientOpens, p.opens...)
 	decl.Expr = e
 	f.Clients = append(f.Clients, decl)
 	p.spans.Clients = append(p.spans.Clients, name.span())
 	p.spans.PlanTargets = append(p.spans.PlanTargets, planSpans)
 	p.spans.ClientExprs = append(p.spans.ClientExprs, p.cur)
 	return nil
+}
+
+// opening is one `open` of a parsed declaration: its session, the token
+// of its request identifier, and the declaration's kind and name.
+type opening struct {
+	s          hexpr.Session
+	tok        token
+	kind, name string
+}
+
+// clash checks the rule that every session opening a request identifier,
+// in a client and in the repository it plans against, opens it with the
+// same framing policy and body: the plan engines keep one body per
+// identifier (Definition 1 makes identifiers unique, and alternative
+// services may share one with identical sessions). The sessions of the
+// declaration being registered are checked against its own earlier ones,
+// against the registered services and, for a service, against every
+// registered client; two clients may use one identifier for different
+// requests. It returns the request token of the first session that breaks
+// the rule, with an error naming the earlier declaration.
+func (p *parser) clash(kind, name string) (token, error) {
+	for i := range p.opens {
+		o := &p.opens[i]
+		o.kind, o.name = kind, name
+		for _, q := range p.opens[:i] {
+			if q.s.Req == o.s.Req {
+				if err := unlike(*o, q); err != nil {
+					return o.tok, err
+				}
+				break // q passed every check o faces
+			}
+		}
+		if q, ok := p.served[o.s.Req]; ok {
+			if err := unlike(*o, q); err != nil {
+				return o.tok, err
+			}
+		}
+		if kind != "service" {
+			continue
+		}
+		for _, q := range p.clientOpens {
+			if q.s.Req == o.s.Req {
+				if err := unlike(*o, q); err != nil {
+					return o.tok, err
+				}
+			}
+		}
+	}
+	return token{}, nil
+}
+
+// unlike returns the error of o, a session of the same request identifier
+// as the earlier q, when the two open it with different framing policies
+// or bodies.
+func unlike(o, q opening) error {
+	what := "framing policy"
+	if o.s.Policy == q.s.Policy {
+		if hexpr.Identical(o.s.Body, q.s.Body) {
+			return nil
+		}
+		what = "body"
+	}
+	return fmt.Errorf("request %s is opened with another %s than in %s %s at %s",
+		o.s.Req, what, q.kind, q.name, q.tok.span())
 }

@@ -1,6 +1,10 @@
 package parser_test
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -316,5 +320,139 @@ func TestErrorPositions(t *testing.T) {
 	}
 	if perr.Line != 2 || perr.Col != 3 {
 		t.Errorf("position = %d:%d, want 2:3", perr.Line, perr.Col)
+	}
+}
+
+// specA and specB open r9 with two bodies, in services a and b: under
+// specA one request reaches either, under specB the client reaches both.
+const (
+	specA = `service a = X? . open r9 { P! } . Ka!;
+service b = X? . open r9 { Q! } . Kb!;
+service c = P?;
+service d = Q?;
+client cl at cl = open r1 { X! . (Ka? + Kb?) };
+`
+	specB = `service a = X? . open r9 { Q! } . Ka!;
+service b = Y? . open r9 { Q! (+) Z! } . Kb!;
+service c = Q?;
+client cl at cl plan { r1 -> a, r2 -> b, r9 -> c } = open r1 { X! . Ka? } . open r2 { Y! . Kb? };
+`
+)
+
+// TestRequestClashRefused: a declaration that opens a request identifier
+// with another framing policy or body than an earlier session of the
+// client's world — in itself, in a service, or, for a service, in a
+// client — fails strict parsing at its `open`, naming the earlier
+// declaration.
+func TestRequestClashRefused(t *testing.T) {
+	cases := []struct {
+		name, src string
+		line, col int
+		msg       string
+	}{
+		{"A", specA, 2, 23, "request r9 is opened with another body than in service a at 1:23"},
+		{"B", specB, 2, 23, "request r9 is opened with another body than in service a at 1:23"},
+		{"policy", "policy p() { states q; start q; }\ninstance i = p();\n" +
+			"service a = open r9 { P! };\nservice b = open r9 with i { P! };",
+			4, 18, "request r9 is opened with another framing policy than in service a at 3:18"},
+		{"branches", "service a = X? . open r9 { P! } + Y? . open r9 { Q! };",
+			1, 45, "request r9 is opened with another body than in service a at 1:23"},
+		{"client after service", "service a = open r9 { P! };\nclient cl at cl = open r9 { Q! };",
+			2, 24, "request r9 is opened with another body than in service a at 1:18"},
+		{"service after client", "client cl at cl = open r9 { Q! };\nservice a = open r9 { P! };",
+			2, 18, "request r9 is opened with another body than in client cl at 1:24"},
+	}
+	for _, c := range cases {
+		_, err := parser.ParseFile(c.src)
+		var perr *parser.Error
+		if !errors.As(err, &perr) {
+			t.Fatalf("%s: err = %v, want a positioned parse error", c.name, err)
+		}
+		if perr.Line != c.line || perr.Col != c.col || perr.Msg != c.msg {
+			t.Errorf("%s: err = %v, want %d:%d: %s", c.name, err, c.line, c.col, c.msg)
+		}
+	}
+}
+
+// TestRequestClashLenient: lenient parsing records one issue per clashing
+// declaration, at its `open`, and leaves the declaration out — however
+// many clients reach it.
+func TestRequestClashLenient(t *testing.T) {
+	src := specA + "client c2 at c2 = open r2 { X! . Ka? };\n" +
+		"service e = X? . open r9 { Z! } . Ka!;\n"
+	f, issues, err := parser.ParseFileLenient(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, is := range issues {
+		got = append(got, is.Error())
+	}
+	want := []string{
+		"2:23: service b: request r9 is opened with another body than in service a at 1:23",
+		"7:23: service e: request r9 is opened with another body than in service a at 1:23",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("issues:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for _, loc := range []hexpr.Location{"b", "e"} {
+		if _, ok := f.Repo[loc]; ok {
+			t.Errorf("service %s registered despite its clash", loc)
+		}
+	}
+	if len(f.Repo) != 3 || len(f.Clients) != 2 {
+		t.Errorf("registered %d services and %d clients, want 3 and 2", len(f.Repo), len(f.Clients))
+	}
+}
+
+// TestRequestRepeatsAlike: what the rule allows — two clients opening one
+// identifier for different requests, alternative services opening one
+// identifier with identical sessions, the copies Cat's canonicalisation
+// puts into choice branches — parses, and so do the checked-in specs.
+func TestRequestRepeatsAlike(t *testing.T) {
+	for _, src := range []string{
+		"service s = P?;\nclient c1 at c1 = open r1 { P! };\nclient c2 at c2 = open r1 { P! (+) Q! };",
+		"service a = X? . open r9 { P! } . Ka!;\nservice b = Y? . open r9 { P! } . Kb!;\nclient cl at cl = open r9 { P! };",
+		"service a = (X? + Y?) . open r9 { P! } . Ka!;",
+	} {
+		if _, err := parser.ParseFile(src); err != nil {
+			t.Errorf("ParseFile(%q): %v", src, err)
+		}
+	}
+	var paths []string
+	for _, pattern := range []string{"../../testdata/*.susc", "../../examples/specs/*.susc", "../benchgen/testdata/*.susc"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	if len(paths) < 6 {
+		t.Fatalf("found only %d specs", len(paths))
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parser.ParseFile(string(src)); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+	}
+}
+
+// BenchmarkParseFile parses the incremental workload's spec,
+// ChainedClients(6,4,18): 24 services, 18 clients, and every request
+// identifier of a level opened by its four alternative services.
+func BenchmarkParseFile(b *testing.B) {
+	src, err := os.ReadFile("../benchgen/testdata/chained-clients-6-4-18.susc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := parser.ParseFile(string(src)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

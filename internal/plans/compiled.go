@@ -354,36 +354,28 @@ func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
 			}
 			row.moves = append(row.moves, mv)
 		case hexpr.LOpen:
-			locs, err := eng.candidates(tr.Label.Req)
+			ri := eng.reqIdx[tr.Label.Req]
+			locs, err := eng.candidates(ri)
 			if err != nil {
 				return nil, err
 			}
-			ext := &cmext{}
-			mv := cleafMove{
-				label:  &tr.Label,
-				reqIdx: eng.reqIdx[tr.Label.Req],
-				inert:  true,
-				ext:    ext,
+			toLeaf := eng.leaf(lp.loc, lp.locID, tr.To)
+			// Open groups with no candidate are dropped: no plan enables
+			// them (same as the lazy walk).
+			if len(locs) == 0 {
+				continue
 			}
+			ext := &cmext{locIdxs: locs, cnexts: make([]*ctree, len(locs))}
+			mv := cleafMove{label: &tr.Label, reqIdx: ri, inert: true, ext: ext}
 			if tr.Label.Policy != hexpr.NoPolicy {
 				ext.items = []history.Item{history.OpenItem(tr.Label.Policy)}
 				mv.inert = false
 			}
-			toLeaf := eng.leaf(lp.loc, lp.locID, tr.To)
-			for _, loc := range locs {
-				service, ok := eng.repo[loc]
-				if !ok {
-					continue // dangling candidate: not enabled
-				}
-				svcLeaf := eng.leaf(loc, eng.locKey(loc), service)
-				ext.locIdxs = append(ext.locIdxs, eng.locIdx[loc])
-				ext.cnexts = append(ext.cnexts, eng.pairFor(toLeaf, svcLeaf))
+			for ci, li := range locs {
+				l := eng.locations[li]
+				ext.cnexts[ci] = eng.pairFor(toLeaf, eng.leaf(l, eng.locIDs[l], eng.services[li]))
 			}
-			// Open groups with no candidate are dropped: no plan enables
-			// them (same as the lazy walk).
-			if len(ext.cnexts) > 0 {
-				row.moves = append(row.moves, mv)
-			}
+			row.moves = append(row.moves, mv)
 		}
 	}
 	t.row = row

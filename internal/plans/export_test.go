@@ -75,12 +75,19 @@ func AssessAllLegacy(repo network.Repository, table *policy.Table,
 	return out, nil
 }
 
+// ErrRequestClash tags the engine's refusal of a world that opens one
+// request identifier with two framing policies or bodies.
+var ErrRequestClash = errRequestClash
+
 // SweepKeys returns the plans AssessAll's sweep enumerates and the cone
 // keys it reads and files their verdicts under, in the sweep's key order.
 func SweepKeys(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) ([]network.Plan, []hash.Sum, error) {
 
-	eng := newFusedEngine(repo, table, loc, client, opts)
+	eng, err := newFusedEngine(repo, table, loc, client, opts)
+	if err != nil {
+		return nil, nil, err
+	}
 	vecs, err := eng.enumerate()
 	if err != nil {
 		return nil, nil, err
@@ -149,4 +156,20 @@ func enumerate(repo network.Repository, client hexpr.Expr, opts Options, cache *
 		return nil, err
 	}
 	return out, nil
+}
+
+type pendingReq struct {
+	req    hexpr.RequestID
+	policy hexpr.PolicyID
+	body   hexpr.Expr
+}
+
+func requestsOf(e hexpr.Expr) []pendingReq {
+	var out []pendingReq
+	hexpr.Walk(e, func(x hexpr.Expr) {
+		if s, ok := x.(hexpr.Session); ok {
+			out = append(out, pendingReq{req: s.Req, policy: s.Policy, body: s.Body})
+		}
+	})
+	return out
 }

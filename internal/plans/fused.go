@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -77,6 +76,13 @@ func (s *FusedStats) Reset() {
 // every plan, and replaying a plan is a BFS over prebuilt edges with no
 // stepping, no monitor copies and no interning.
 //
+// The engine is indexed by request, not by session: every session that
+// opens a request identifier opens it with one framing policy and one
+// body — the rule internal/parser checks where specs are parsed, and
+// newFusedEngine guards for worlds built in code — so one policy, one
+// body and one compliance row per request serve enumeration, keying and
+// the static checks.
+//
 // Everything on the expansion and replay hot paths is compiled to dense
 // form at engine construction (see compiled.go): requests and repository
 // locations get dense int32 indices (a plan becomes an int32 vector),
@@ -84,7 +90,6 @@ func (s *FusedStats) Reset() {
 // relation of a leaf is cached as a compiled row with successors
 // pre-interned, items pre-built and monitor inertness pre-decided.
 type fusedEngine struct {
-	repo   network.Repository
 	table  *policy.Table
 	loc    hexpr.Location
 	client hexpr.Expr
@@ -107,26 +112,32 @@ type fusedEngine struct {
 	locations []hexpr.Location
 	locIdx    map[hexpr.Location]int32
 	services  []hexpr.Expr
-	// bodies maps each request of the world to its body (request
-	// identifiers are unique across a composition, Definition 1). reqIdx
-	// assigns every request a dense index (sorted-request order), reqs
-	// is its inverse and nReq the size of that index space.
-	bodies map[hexpr.RequestID]hexpr.Expr
-	reqIdx map[hexpr.RequestID]int32
-	reqs   []hexpr.RequestID
-	nReq   int
-	// clientPendIdx/locPendIdx hold the sessions of the client and of
-	// every service (locPendIdx is indexed by locIdx), in hexpr.Walk
-	// pre-order — computed once and shared by plan enumeration, keying
-	// and the per-plan static compliance walk, which would otherwise
-	// re-walk the expressions for every plan.
-	clientPendIdx []pendEntry
-	locPendIdx    [][]pendEntry
-	nSessions     int
-	// clientReqs/locReqs are the deduplicated per-expression request lists
-	// feeding the call-cycle successor function.
-	clientReqs []hexpr.RequestID
-	locReqs    map[hexpr.Location][]hexpr.RequestID
+	// reqIdx assigns every request of the world a dense index (sorted-
+	// request order), reqs is its inverse and nReq the size of that index
+	// space. policies and bodies hold each request's one framing policy
+	// and body: every session that opens a request opens it alike — the
+	// rule internal/parser checks where specs are parsed, and
+	// newFusedEngine refuses a world that breaks it.
+	reqIdx   map[hexpr.RequestID]int32
+	reqs     []hexpr.RequestID
+	nReq     int
+	policies []hexpr.PolicyID
+	bodies   []hexpr.Expr
+	// clientOpens and locOpens (indexed by locIdx) list the requests the
+	// client and each service open, as dense indices in hexpr.Walk
+	// pre-order, each once: plan enumeration, the cycle checks and the
+	// static compliance walk read them instead of walking expressions.
+	clientOpens []int32
+	locOpens    [][]int32
+	// compl is the compliance matrix, reqIdx*len(locations) + locIdx → 0
+	// unknown, 1 compliant, 2 not, filled from the shared cache on first
+	// use (compliant): enumeration's pruning, the candidate sets and the
+	// per-plan static walk read it, so each (request, location) cell costs
+	// one cache round-trip per engine.
+	compl []int8
+	// cands holds the candidate locations of each request (candidates),
+	// nil until first asked.
+	cands [][]int32
 
 	// cycleFree records that the union call graph — every request pointing
 	// at every location enumeration could bind it to — is acyclic, which
@@ -134,8 +145,6 @@ type fusedEngine struct {
 	// subgraph) and lets staticCheck skip the per-plan cycle DFS. Set
 	// before the first plan is assessed, read-only after.
 	cycleFree bool
-
-	cands map[hexpr.RequestID][]hexpr.Location
 
 	// leaves/pairs intern the canonical ctrees — leaves keyed on (location
 	// ID, expression ID), pairs on the children's engine-local IDs. IDs are
@@ -161,25 +170,6 @@ type fusedEngine struct {
 	start *fnode
 
 	memo *decisionTrie
-}
-
-// pendEntry is one pending session of the static compliance walk: the
-// request (for diagnostics), its dense index (to index the plan vector),
-// its framing policy and body, and the session's own dense index among
-// all the sessions of the world (planSums keys its bindings on it).
-type pendEntry struct {
-	req     hexpr.RequestID
-	reqIdx  int32
-	session int32
-	policy  hexpr.PolicyID
-	body    hexpr.Expr
-}
-
-func (eng *fusedEngine) locKey(l hexpr.Location) intern.ID {
-	if id, ok := eng.locIDs[l]; ok {
-		return id
-	}
-	return eng.tab.Key(string(l))
 }
 
 // fnode is one shared graph state. The monitor is warmed (signature
@@ -251,8 +241,18 @@ type decisionTrie struct {
 	report   *verify.Report
 }
 
+// errRequestClash tags the refusal of a world that opens one request
+// identifier with two framing policies or bodies.
+var errRequestClash = errors.New("one request identifier opens one policy and one body")
+
+// newFusedEngine compiles the world's requests: one policy and one body
+// per request, from every session of the client and of the repository.
+// A world in which two sessions open one request differently is refused,
+// with an error naming the request and both locations: the parser refuses
+// such a spec, but a world built in code (an inferred effect against a
+// parsed repository, say) reaches the engine unparsed.
 func newFusedEngine(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options) *fusedEngine {
+	loc hexpr.Location, client hexpr.Expr, opts Options) (*fusedEngine, error) {
 
 	cache := opts.Cache
 	if cache == nil {
@@ -263,7 +263,6 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 		stats = &FusedStats{}
 	}
 	eng := &fusedEngine{
-		repo:      repo,
 		table:     table,
 		loc:       loc,
 		client:    client,
@@ -273,90 +272,121 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 		stats:     stats,
 		monCT:     table.Compiled(),
 		locations: repo.Locations(),
-		bodies:    map[hexpr.RequestID]hexpr.Expr{},
-		cands:     map[hexpr.RequestID][]hexpr.Location{},
 		leaves:    map[uint64]*ctree{},
 	}
-	eng.locIDs = make(map[hexpr.Location]intern.ID, len(eng.locations)+1)
+	nLoc := len(eng.locations)
+	eng.locIDs = make(map[hexpr.Location]intern.ID, nLoc+1)
 	eng.locIDs[loc] = eng.tab.Key(string(loc))
-	eng.locIdx = make(map[hexpr.Location]int32, len(eng.locations))
-	eng.services = make([]hexpr.Expr, len(eng.locations))
+	eng.locIdx = make(map[hexpr.Location]int32, nLoc)
+	eng.services = make([]hexpr.Expr, nLoc)
 	for i, l := range eng.locations {
 		eng.locIDs[l] = eng.tab.Key(string(l))
 		eng.locIdx[l] = int32(i)
 		eng.services[i] = repo[l]
 	}
-	record := func(list []pendingReq) {
-		for _, p := range list {
-			if _, dup := eng.bodies[p.req]; !dup {
-				eng.bodies[p.req] = p.body
-			}
-		}
+	type opener struct {
+		s  hexpr.Session
+		at hexpr.Location
 	}
-	clientPending := requestsOf(client)
-	eng.clientReqs = hexpr.Requests(client)
-	locPending := make([][]pendingReq, len(eng.locations))
-	eng.locReqs = make(map[hexpr.Location][]hexpr.RequestID, len(eng.locations))
-	record(clientPending)
+	first := map[hexpr.RequestID]opener{}
+	opens := func(at hexpr.Location, e hexpr.Expr) (out []hexpr.RequestID, err error) {
+		hexpr.Walk(e, func(x hexpr.Expr) {
+			s, ok := x.(hexpr.Session)
+			if !ok || err != nil {
+				return
+			}
+			o, seen := first[s.Req]
+			switch {
+			case !seen:
+				first[s.Req] = opener{s, at}
+			case o.s.Policy != s.Policy:
+				err = fmt.Errorf("plans: request %s is opened with another framing policy at %s than at %s: %w", s.Req, at, o.at, errRequestClash)
+			case !hexpr.Identical(o.s.Body, s.Body):
+				err = fmt.Errorf("plans: request %s is opened with another body at %s than at %s: %w", s.Req, at, o.at, errRequestClash)
+			}
+			if !slices.Contains(out, s.Req) {
+				out = append(out, s.Req)
+			}
+		})
+		return out, err
+	}
+	clientOpens, err := opens(loc, client)
+	if err != nil {
+		return nil, err
+	}
+	locOpens := make([][]hexpr.RequestID, nLoc)
 	for i, l := range eng.locations {
-		locPending[i] = requestsOf(repo[l])
-		eng.locReqs[l] = hexpr.Requests(repo[l])
-		record(locPending[i])
+		if locOpens[i], err = opens(l, eng.services[i]); err != nil {
+			return nil, err
+		}
 	}
 	// Dense request index space: every request of the world, in sorted
 	// order, so a plan is an int32 vector (planOf maps it back).
-	reqs := make([]string, 0, len(eng.bodies))
-	for r := range eng.bodies {
-		reqs = append(reqs, string(r))
+	eng.reqs = make([]hexpr.RequestID, 0, len(first))
+	for r := range first {
+		eng.reqs = append(eng.reqs, r)
 	}
-	sort.Strings(reqs)
-	eng.reqIdx = make(map[hexpr.RequestID]int32, len(reqs))
-	eng.reqs = make([]hexpr.RequestID, len(reqs))
-	for i, r := range reqs {
-		eng.reqIdx[hexpr.RequestID(r)] = int32(i)
-		eng.reqs[i] = hexpr.RequestID(r)
+	slices.Sort(eng.reqs)
+	eng.nReq = len(eng.reqs)
+	eng.reqIdx = make(map[hexpr.RequestID]int32, eng.nReq)
+	eng.policies = make([]hexpr.PolicyID, eng.nReq)
+	eng.bodies = make([]hexpr.Expr, eng.nReq)
+	for i, r := range eng.reqs {
+		eng.reqIdx[r] = int32(i)
+		eng.policies[i], eng.bodies[i] = first[r].s.Policy, first[r].s.Body
 	}
-	eng.nReq = len(reqs)
-	toIdx := func(list []pendingReq) []pendEntry {
-		out := make([]pendEntry, len(list))
-		for i, p := range list {
-			out[i] = pendEntry{req: p.req, reqIdx: eng.reqIdx[p.req],
-				session: int32(eng.nSessions), policy: p.policy, body: p.body}
-			eng.nSessions++
+	dense := func(list []hexpr.RequestID) []int32 {
+		out := make([]int32, len(list))
+		for i, r := range list {
+			out[i] = eng.reqIdx[r]
 		}
 		return out
 	}
-	eng.clientPendIdx = toIdx(clientPending)
-	eng.locPendIdx = make([][]pendEntry, len(eng.locations))
-	for i, list := range locPending {
-		eng.locPendIdx[i] = toIdx(list)
+	eng.clientOpens = dense(clientOpens)
+	eng.locOpens = make([][]int32, nLoc)
+	for i, list := range locOpens {
+		eng.locOpens[i] = dense(list)
 	}
-	return eng
+	eng.compl = make([]int8, eng.nReq*nLoc)
+	eng.cands = make([][]int32, eng.nReq)
+	return eng, nil
 }
 
-// candidates returns the repository locations whose service is compliant
-// with the request's body, in deterministic (sorted-location) order — the
+// compliant reports whether the service at location li complies with the
+// body of request ri, through the compliance matrix.
+func (eng *fusedEngine) compliant(ri, li int32) (bool, error) {
+	c := &eng.compl[int(ri)*len(eng.locations)+int(li)]
+	if *c == 0 {
+		ok, err := eng.cache.Compliant(eng.bodies[ri], eng.services[li])
+		if err != nil {
+			return false, err
+		}
+		*c = 2
+		if ok {
+			*c = 1
+		}
+	}
+	return *c == 1, nil
+}
+
+// candidates returns the locations (dense) whose service complies with the
+// request's body, in deterministic (sorted-location) order — the
 // branching set of a lazy session-open. Cached per request.
-func (eng *fusedEngine) candidates(req hexpr.RequestID) ([]hexpr.Location, error) {
-	if locs, ok := eng.cands[req]; ok {
+func (eng *fusedEngine) candidates(ri int32) ([]int32, error) {
+	if locs := eng.cands[ri]; locs != nil {
 		return locs, nil
 	}
-	body, known := eng.bodies[req]
-	if !known {
-		eng.cands[req] = nil
-		return nil, nil
-	}
-	var locs []hexpr.Location
-	for _, l := range eng.locations {
-		ok, err := eng.cache.Compliant(body, eng.repo[l])
+	locs := []int32{}
+	for li := range eng.locations {
+		ok, err := eng.compliant(ri, int32(li))
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			locs = append(locs, l)
+			locs = append(locs, int32(li))
 		}
 	}
-	eng.cands[req] = locs
+	eng.cands[ri] = locs
 	return locs, nil
 }
 
@@ -604,11 +634,10 @@ type pmove struct {
 
 // replayer holds the engine's reusable replay scratch: the epoch-stamped
 // visited array (indexed by fnode.idx — a slot access instead of a map
-// operation per visit), BFS ring, projected-move buffer, decision
-// accumulators and compliance matrix persist across plans, so assessing
-// the n-th plan of a large family allocates almost nothing. A plan is
-// its dense vector: vec[reqIdx] = locIdx, or -1 when the request is
-// unbound.
+// operation per visit), BFS ring, projected-move buffer and decision
+// accumulators persist across plans, so assessing the n-th plan of a
+// large family allocates almost nothing. A plan is its dense vector:
+// vec[reqIdx] = locIdx, or -1 when the request is unbound.
 type replayer struct {
 	visited []rvis
 	epoch   uint32
@@ -618,13 +647,9 @@ type replayer struct {
 	// consultation order; usedMark dedups them per replay epoch.
 	used     []decision
 	usedMark []uint32
-	// seenMark/seenEpoch dedup the static compliance walk; compl is the
-	// replayer's compliance matrix (reqIdx*nLoc + locIdx → 0 unknown,
-	// 1 compliant, 2 non-compliant), lazily filled from the shared cache
-	// so the steady-state walk does no hashing at all.
+	// seenMark/seenEpoch dedup the static compliance walk.
 	seenMark  []uint32
 	seenEpoch uint32
-	compl     []int8
 	// states counts this replay's visits, flushed to the stats in one add
 	// per plan.
 	states uint64
@@ -645,13 +670,12 @@ func (eng *fusedEngine) newReplayer() *replayer {
 	return &replayer{
 		usedMark: make([]uint32, eng.nReq),
 		seenMark: make([]uint32, eng.nReq),
-		compl:    make([]int8, eng.nReq*len(eng.locations)),
 	}
 }
 
 // planOf builds the plan map of a dense plan vector, for the readers of
-// one: a sweep's results, the kernel's recomputation, a panic's label
-// and the per-plan cycle check. The sweep itself never builds one.
+// one: a family's and a stream's results, a panic's label and fault
+// injection. The sweep itself never builds one.
 func (eng *fusedEngine) planOf(vec []int32) network.Plan {
 	n := 0
 	for _, li := range vec {
@@ -889,27 +913,26 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 	return &rep, nil
 }
 
-// staticCheck mirrors verify.StaticCheck over the engine's precomputed
-// session lists: the call-cycle DFS draws its successors from the
-// per-expression request lists, and the compliance check traverses the
-// precollected sessions in the depth-first, first-occurrence order of
-// verify.PlannedRequests — same first failure, same witness strings, no
-// per-plan expression walks. Compliance verdicts come from the replayer's
-// dense matrix (the shared cache is consulted once per distinct cell, and
-// again only on the failure path, to fetch the witness string). The
-// equivalence property test pins the parity.
+// staticCheck mirrors the kernel's static prechecks (verify.CheckPlanOpts)
+// over the engine's request lists: the call-cycle DFS reads the plan
+// vector, and the compliance check traverses the requests in the
+// depth-first, first-occurrence order of verify.PlannedRequests — same
+// first failure, same witness strings, no per-plan expression walks.
+// Compliance verdicts come from the engine's matrix (the shared cache is
+// consulted once per distinct cell, and again only on the failure path,
+// to fetch the witness string). The equivalence property test pins the
+// parity.
 func (eng *fusedEngine) staticCheck(vec []int32, r *replayer) (*verify.Report, error) {
 	if !eng.cycleFree {
-		plan := eng.planOf(vec)
 		succ := func(n hexpr.Location) []hexpr.Location {
-			reqs := eng.locReqs[n]
-			if n == verify.ClientNode {
-				reqs = eng.clientReqs
+			reqs := eng.clientOpens
+			if n != verify.ClientNode {
+				reqs = eng.locOpens[eng.locIdx[n]]
 			}
 			var out []hexpr.Location
-			for _, rq := range reqs {
-				if l, ok := plan[rq]; ok {
-					out = append(out, l)
+			for _, ri := range reqs {
+				if li := vec[ri]; li >= 0 {
+					out = append(out, eng.locations[li])
 				}
 			}
 			return out
@@ -922,50 +945,39 @@ func (eng *fusedEngine) staticCheck(vec []int32, r *replayer) (*verify.Report, e
 		}
 	}
 	r.seenEpoch++
-	nLoc := len(eng.locations)
-	var walk func(list []pendEntry) (*verify.Report, error)
-	walk = func(list []pendEntry) (*verify.Report, error) {
-		for _, s := range list {
-			if r.seenMark[s.reqIdx] == r.seenEpoch {
+	var walk func(list []int32) (*verify.Report, error)
+	walk = func(list []int32) (*verify.Report, error) {
+		for _, ri := range list {
+			if r.seenMark[ri] == r.seenEpoch {
 				continue
 			}
-			r.seenMark[s.reqIdx] = r.seenEpoch
-			li := vec[s.reqIdx]
+			r.seenMark[ri] = r.seenEpoch
+			li := vec[ri]
 			if li < 0 {
 				continue // unbound: the exploration reports the deadlock with a trace
 			}
-			cell := int(s.reqIdx)*nLoc + int(li)
-			c := r.compl[cell]
-			if c == 0 {
-				ok, _, err := eng.cache.Compliance(s.body, eng.services[li])
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					c = 1
-				} else {
-					c = 2
-				}
-				r.compl[cell] = c
+			ok, err := eng.compliant(ri, li)
+			if err != nil {
+				return nil, err
 			}
-			if c == 2 {
-				_, witness, err := eng.cache.Compliance(s.body, eng.services[li])
+			if !ok {
+				_, witness, err := eng.cache.Compliance(eng.bodies[ri], eng.services[li])
 				if err != nil {
 					return nil, err
 				}
 				return &verify.Report{
 					Verdict: verify.NotCompliant,
-					Request: s.req,
+					Request: eng.reqs[ri],
 					Witness: fmt.Sprintf("service at %s: %s", eng.locations[li], witness),
 				}, nil
 			}
-			if rep, err := walk(eng.locPendIdx[li]); err != nil || rep != nil {
+			if rep, err := walk(eng.locOpens[li]); err != nil || rep != nil {
 				return rep, err
 			}
 		}
 		return nil, nil
 	}
-	return walk(eng.clientPendIdx)
+	return walk(eng.clientOpens)
 }
 
 // computeCycleSkip decides whether per-plan cycle detection is needed: it
@@ -981,20 +993,24 @@ func (eng *fusedEngine) computeCycleSkip() error {
 		grey  = 1
 		black = 2
 	)
-	color := map[hexpr.Location]int{}
-	var dfs func(n hexpr.Location) (bool, error)
-	dfs = func(n hexpr.Location) (bool, error) {
+	nLoc := len(eng.locations)
+	every := make([]int32, nLoc)
+	for i := range every {
+		every[i] = int32(i)
+	}
+	color := make([]int8, nLoc+1) // node nLoc is the client
+	var dfs func(n int) (bool, error)
+	dfs = func(n int) (bool, error) {
 		color[n] = grey
-		reqs := eng.locReqs[n]
-		if n == verify.ClientNode {
-			reqs = eng.clientReqs
+		reqs := eng.clientOpens
+		if n < nLoc {
+			reqs = eng.locOpens[n]
 		}
-		for _, rq := range reqs {
-			targets := eng.locations
+		for _, ri := range reqs {
+			targets := every
 			if eng.opts.PruneNonCompliant {
 				var err error
-				targets, err = eng.candidates(rq)
-				if err != nil {
+				if targets, err = eng.candidates(ri); err != nil {
 					return false, err
 				}
 			}
@@ -1003,7 +1019,7 @@ func (eng *fusedEngine) computeCycleSkip() error {
 				case grey:
 					return true, nil
 				case white:
-					if cyc, err := dfs(m); err != nil || cyc {
+					if cyc, err := dfs(int(m)); err != nil || cyc {
 						return cyc, err
 					}
 				}
@@ -1012,7 +1028,7 @@ func (eng *fusedEngine) computeCycleSkip() error {
 		color[n] = black
 		return false, nil
 	}
-	cyc, err := dfs(verify.ClientNode)
+	cyc, err := dfs(nLoc)
 	if err != nil {
 		return err
 	}
@@ -1065,29 +1081,22 @@ func (eng *fusedEngine) assessGuarded(vec []int32, r *replayer) (*verify.Report,
 // plans. It emits each plan as its dense vector, never as a map (planOf
 // builds one where a reader needs it). The pending lists of every
 // recursion level share one growing buffer: a child appends its
-// service's sessions at the tail and the parent truncates on backtrack,
-// so the traversal order matches the rest-then-locPending concatenation
-// of the legacy enumerator while enumeration allocates only the returned
-// vectors. Pruned bindings are counted in the stats.
+// service's requests at the tail and the parent truncates on backtrack,
+// so the traversal order matches the rest-then-pending concatenation of
+// the legacy enumerator while enumeration allocates only the returned
+// vectors. Pruning reads the compliance matrix (backtracking re-asks the
+// same pair on every branch — millions of times on deep workloads), and
+// pruned bindings are counted in the stats.
 func (eng *fusedEngine) enumerate() ([][]int32, error) {
 	var vecs [][]int32
 	cur := make([]int32, eng.nReq)
 	for i := range cur {
 		cur[i] = -1
 	}
-	buf := append([]pendEntry(nil), eng.clientPendIdx...)
-	// Local memo of the compliance probe, indexed (request, candidate):
-	// backtracking re-asks the same pair on every branch — millions of
-	// times on deep workloads — and even a memo.Cache hit pays interning
-	// plus a sharded-table read each time. One byte per pair caps that at
-	// one cache round-trip per distinct pair (0 unknown, 1 ok, 2 pruned).
-	var probe []int8
-	if eng.opts.PruneNonCompliant {
-		probe = make([]int8, eng.nReq*len(eng.locations))
-	}
+	buf := append([]int32(nil), eng.clientOpens...)
 	var expand func(start int) error
 	expand = func(start int) error {
-		for start < len(buf) && cur[buf[start].reqIdx] >= 0 {
+		for start < len(buf) && cur[buf[start]] >= 0 {
 			start++ // already bound (repeated request in scope)
 		}
 		if start == len(buf) {
@@ -1100,30 +1109,21 @@ func (eng *fusedEngine) enumerate() ([][]int32, error) {
 			vecs = append(vecs, slices.Clone(cur))
 			return nil
 		}
-		head := buf[start]
-		ri := head.reqIdx
-		for li, l := range eng.locations {
+		ri := buf[start]
+		for li := range eng.locations {
 			if eng.opts.PruneNonCompliant {
-				p := &probe[int(ri)*len(eng.locations)+li]
-				if *p == 0 {
-					ok, err := eng.cache.Compliant(head.body, eng.repo[l])
-					if err != nil {
-						return err
-					}
-					if ok {
-						*p = 1
-					} else {
-						*p = 2
-					}
+				ok, err := eng.compliant(ri, int32(li))
+				if err != nil {
+					return err
 				}
-				if *p == 2 {
+				if !ok {
 					eng.stats.BindingsPruned.Add(1)
 					continue
 				}
 			}
 			cur[ri] = int32(li)
 			mark := len(buf)
-			buf = append(buf, eng.locPendIdx[li]...)
+			buf = append(buf, eng.locOpens[li]...)
 			err := expand(start + 1)
 			buf = buf[:mark]
 			cur[ri] = -1
@@ -1155,7 +1155,10 @@ func AssessStream(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options,
 	yield func(Assessment) error) error {
 
-	eng := newFusedEngine(repo, table, loc, client, opts)
+	eng, err := newFusedEngine(repo, table, loc, client, opts)
+	if err != nil {
+		return err
+	}
 	vecs, err := eng.enumerate()
 	if err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"susc/internal/benchgen"
@@ -201,6 +202,91 @@ func TestFusedEquivalenceRandom(t *testing.T) {
 		)
 		label := fmt.Sprintf("seed=%d", seed)
 		assertEquivalent(t, label, repo, paperex.Policies(), "cl", client)
+	}
+}
+
+// TestFusedEquivalenceSharedSessions extends the equivalence property to
+// worlds in which several services — and sometimes the client — open one
+// request identifier with one identical session, as the alternative
+// services of the Chained shape do. The fused engine keeps one policy and
+// body per request; it must still reproduce the legacy oracle, with and
+// without pruning.
+func TestFusedEquivalenceSharedSessions(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 10
+	}
+	for seed := 0; seed < seeds; seed++ {
+		g := &worldGen{r: rand.New(rand.NewSource(int64(1000 + seed)))}
+		shared := []hexpr.Expr{
+			hexpr.Open(g.req(), g.policyID(), g.protocol(2)),
+			hexpr.Open(g.req(), g.policyID(), g.protocol(2)),
+		}
+		opens := 1
+		nLocs := 2 + g.r.Intn(3)
+		repo := network.Repository{}
+		for i := 0; i < nLocs; i++ {
+			svc := g.decorate(g.protocol(3), &opens, 2)
+			if k := g.r.Intn(3); k < len(shared) {
+				svc = hexpr.Cat(g.protocol(1), shared[k], svc)
+			}
+			repo[hexpr.Location(fmt.Sprintf("s%d", i))] = svc
+		}
+		client := hexpr.Open(g.req(), g.policyID(), g.protocol(3))
+		if g.r.Intn(3) == 0 {
+			client = hexpr.Cat(client, shared[g.r.Intn(len(shared))])
+		}
+		assertEquivalent(t, fmt.Sprintf("seed=%d", seed), repo, paperex.Policies(), "cl", client)
+	}
+}
+
+// TestSweepsRefuseRequestClash: services a and b both open r9, one to
+// reach c and the other d. The world is built in code, so no parser saw
+// it; every plan sweep refuses it with an error naming the request and
+// both locations instead of judging the family on one of the two bodies.
+func TestSweepsRefuseRequestClash(t *testing.T) {
+	send := func(ch string) hexpr.Expr { return hexpr.SendThen(ch, hexpr.Eps()) }
+	recv := func(ch string) hexpr.Expr { return hexpr.RecvThen(ch, hexpr.Eps()) }
+	repo := network.Repository{
+		"a": hexpr.Cat(recv("X"), hexpr.Open("r9", hexpr.NoPolicy, send("P")), send("Ka")),
+		"b": hexpr.Cat(recv("X"), hexpr.Open("r9", hexpr.NoPolicy, send("Q")), send("Kb")),
+		"c": recv("P"),
+		"d": recv("Q"),
+	}
+	client := hexpr.Open("r1", hexpr.NoPolicy, hexpr.Cat(send("X"),
+		hexpr.Ext(hexpr.B(hexpr.In("Ka"), hexpr.Eps()), hexpr.B(hexpr.In("Kb"), hexpr.Eps()))))
+	table := policy.NewTable()
+	refused := func(label string, err error) {
+		t.Helper()
+		if !errors.Is(err, plans.ErrRequestClash) {
+			t.Fatalf("%s: err = %v, want the refusal of r9", label, err)
+		}
+		for _, name := range []string{"request r9 ", "at a", "at b"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s: %q does not name %q", label, err, name)
+			}
+		}
+	}
+	for _, prune := range []bool{true, false} {
+		opts := plans.Options{PruneNonCompliant: prune}
+		label := fmt.Sprintf("prune=%v", prune)
+		as, err := plans.AssessAll(repo, table, "cl", client, opts)
+		refused(label+" AssessAll", err)
+		if as != nil {
+			t.Fatalf("%s AssessAll: %d assessments alongside the refusal", label, len(as))
+		}
+		fam, err := plans.AssessWithFlows(repo, table, "cl", client, opts)
+		refused(label+" AssessWithFlows", err)
+		if fam != nil {
+			t.Fatalf("%s AssessWithFlows: a family alongside the refusal", label)
+		}
+		err = plans.AssessStream(repo, table, "cl", client, opts, func(a plans.Assessment) error {
+			t.Fatalf("%s AssessStream: yielded %s", label, a)
+			return nil
+		})
+		refused(label+" AssessStream", err)
+		_, _, err = plans.SweepKeys(repo, table, "cl", client, opts)
+		refused(label+" SweepKeys", err)
 	}
 }
 

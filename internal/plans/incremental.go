@@ -2,7 +2,6 @@ package plans
 
 import (
 	"errors"
-	"slices"
 
 	"susc/internal/budget"
 	"susc/internal/hash"
@@ -63,50 +62,29 @@ func (eng *fusedEngine) sweep(tiered bool) (*Family, error) {
 // capacities), visiting the plans in order (key order, where consecutive
 // plans share the longest binding prefixes the keyer resumes from) and
 // filing each key at its enumeration index. A plan's planned requests
-// are the sessions the depth-first walk of verify.PlannedRequests
-// reaches — the session of a repeated request ID is its first one on
-// that walk — so the sweep walks the engine's session lists the same
-// way; an enumerated plan binds every session the walk reaches to a
-// repository location. Each (session, location) cell renders its
-// binding's part once; a plan's key replays the parts of its cells in
-// sorted request order (dense request indices are in sorted order).
+// (verify.PlannedRequests) are exactly the requests its vector binds, each
+// with its one policy and body, and every binding is to a repository
+// location; so each (request, location) cell renders its binding's part
+// once, and a plan's key replays the parts of its bound cells in dense,
+// that is sorted, request order.
 func (eng *fusedEngine) planSums(vecs [][]int32, order []int32) []hash.Sum {
 	k := verify.NewPlanKeyer(eng.table, eng.loc, eng.client)
 	nLoc := len(eng.locations)
-	cells := make([]*verify.Binding, eng.nSessions*nLoc)
-	at := make([]*verify.Binding, eng.nReq)
-	mark := make([]uint32, eng.nReq)
-	var epoch uint32
-	var touched []int32
-	var vec []int32
-	var walk func(list []pendEntry)
-	walk = func(list []pendEntry) {
-		for _, s := range list {
-			if mark[s.reqIdx] == epoch {
-				continue
-			}
-			mark[s.reqIdx] = epoch
-			touched = append(touched, s.reqIdx)
-			li := vec[s.reqIdx]
-			c := &cells[int(s.session)*nLoc+int(li)]
-			if *c == nil {
-				*c = k.Binding(verify.PlannedRequest{Req: s.req, Policy: s.policy, Body: s.body,
-					Loc: eng.locations[li], Service: eng.services[li], Bound: true})
-			}
-			at[s.reqIdx] = *c
-			walk(eng.locPendIdx[li])
-		}
-	}
+	cells := make([]*verify.Binding, eng.nReq*nLoc)
 	sums := make([]hash.Sum, len(vecs))
 	var bs []*verify.Binding
 	for _, i := range order {
-		epoch++
-		vec, touched = vecs[i], touched[:0]
-		walk(eng.clientPendIdx)
-		slices.Sort(touched)
 		bs = bs[:0]
-		for _, ri := range touched {
-			bs = append(bs, at[ri])
+		for ri, li := range vecs[i] {
+			if li < 0 {
+				continue
+			}
+			c := &cells[ri*nLoc+int(li)]
+			if *c == nil {
+				*c = k.Binding(verify.PlannedRequest{Req: eng.reqs[ri], Policy: eng.policies[ri], Body: eng.bodies[ri],
+					Loc: eng.locations[li], Service: eng.services[li], Bound: true})
+			}
+			bs = append(bs, *c)
 		}
 		sums[i] = k.Sum(bs)
 	}

@@ -3,10 +3,12 @@ package plans_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"susc/internal/benchgen"
@@ -356,12 +358,12 @@ func TestIncrementalNeverPersistsUnknown(t *testing.T) {
 // TestSweepKeysMatchPlanKey: the sweep files every plan's verdict under
 // verify.PlanKey of that plan — the key a check of the same plan, a
 // parent-written store and the cone-invalidation gates read. The sweep
-// folds each key from binding parts rendered once per (session,
-// location) cell, in PlannedRequests' walk order, so a repeated request
-// ID keys on the session that walk reaches first. Inputs: the checked-in
-// specs, with pruning on and, where the family stays small, off; the
-// random worlds of TestFusedEquivalenceRandom; and a world whose repeated
-// request ID carries a different body and policy in each service.
+// folds each key from binding parts rendered once per (request, location)
+// cell of the plan's vector. Inputs: the checked-in specs, with pruning
+// on and, where the family stays small, off; the random worlds of
+// TestFusedEquivalenceRandom; and a world whose repeated request ID
+// carries a different body and policy in each service, which the sweep
+// refuses to key.
 func TestSweepKeysMatchPlanKey(t *testing.T) {
 	check := func(label string, repo network.Repository, table *policy.Table,
 		loc hexpr.Location, client hexpr.Expr) {
@@ -429,8 +431,8 @@ func TestSweepKeysMatchPlanKey(t *testing.T) {
 	}
 
 	// r2 is opened by the client after r1, and again — with another body
-	// and policy — by each service r1 can bind: PlannedRequests keys r2 on
-	// the service's session, which its depth-first walk reaches first.
+	// and policy — by each service r1 can bind: the world breaks the rule
+	// of one body per request identifier, and the sweep refuses it.
 	r2 := func(ch string, pol hexpr.PolicyID) hexpr.Expr {
 		return hexpr.Open("r2", pol, hexpr.SendThen(ch, hexpr.Eps()))
 	}
@@ -442,7 +444,12 @@ func TestSweepKeysMatchPlanKey(t *testing.T) {
 		"tc": hexpr.RecvThen("c", hexpr.Eps()),
 	}
 	client := hexpr.Cat(hexpr.Open("r1", hexpr.NoPolicy, hexpr.SendThen("m", hexpr.Eps())), r2("c", paperex.Phi2().ID()))
-	check("repeated request", repo, paperex.Policies(), "cl", client)
+	for _, prune := range []bool{true, false} {
+		_, _, err := plans.SweepKeys(repo, paperex.Policies(), "cl", client, plans.Options{PruneNonCompliant: prune})
+		if !errors.Is(err, plans.ErrRequestClash) || !strings.Contains(err.Error(), "request r2 ") {
+			t.Fatalf("repeated request (prune=%v): err = %v, want the refusal of r2", prune, err)
+		}
+	}
 }
 
 // TestMemoryTierNeverHoldsUnknown: TestIncrementalNeverPersistsUnknown

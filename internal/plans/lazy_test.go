@@ -7,6 +7,8 @@ import (
 	"susc/internal/benchgen"
 	"susc/internal/hexpr"
 	"susc/internal/memo"
+	"susc/internal/network"
+	"susc/internal/policy"
 	"susc/internal/verify"
 )
 
@@ -24,8 +26,18 @@ func TestSweepWithoutReplayBuildsNoGraph(t *testing.T) {
 		}
 	}
 
+	engine := func(repo network.Repository, table *policy.Table, loc hexpr.Location,
+		client hexpr.Expr, opts Options) *fusedEngine {
+		t.Helper()
+		eng, err := newFusedEngine(repo, table, loc, client, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
 	big := benchgen.Chained(12, 2)
-	eng := newFusedEngine(big.Repo, big.Table, big.Loc, big.Client,
+	eng := engine(big.Repo, big.Table, big.Loc, big.Client,
 		Options{PruneNonCompliant: true, MaxPlans: 512})
 	if _, err := eng.sweep(false); err == nil || !strings.Contains(err.Error(), "more than 512 complete plans") {
 		t.Fatalf("over-cap sweep: err = %v, want the MaxPlans error", err)
@@ -34,7 +46,7 @@ func TestSweepWithoutReplayBuildsNoGraph(t *testing.T) {
 
 	w := benchgen.Chained(4, 2)
 	unmatched := hexpr.Open("r0", hexpr.NoPolicy, hexpr.SendThen("nobody", hexpr.Eps()))
-	eng = newFusedEngine(w.Repo, w.Table, w.Loc, unmatched, Options{PruneNonCompliant: true})
+	eng = engine(w.Repo, w.Table, w.Loc, unmatched, Options{PruneNonCompliant: true})
 	fam, err := eng.sweep(false)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +57,10 @@ func TestSweepWithoutReplayBuildsNoGraph(t *testing.T) {
 	noGraph("empty sweep", eng)
 
 	opts := Options{PruneNonCompliant: true, Cache: memo.New()}
-	if _, err := newFusedEngine(w.Repo, w.Table, w.Loc, w.Client, opts).sweep(true); err != nil {
+	if _, err := engine(w.Repo, w.Table, w.Loc, w.Client, opts).sweep(true); err != nil {
 		t.Fatal(err)
 	}
-	eng = newFusedEngine(w.Repo, w.Table, w.Loc, w.Client, opts)
+	eng = engine(w.Repo, w.Table, w.Loc, w.Client, opts)
 	fam, err = eng.sweep(true)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +82,7 @@ func TestSweepWithoutReplayBuildsNoGraph(t *testing.T) {
 	if eng.start == nil {
 		t.Fatal("the flow replay built no start node")
 	}
-	cold, err := newFusedEngine(w.Repo, w.Table, w.Loc, w.Client, Options{PruneNonCompliant: true}).sweep(false)
+	cold, err := engine(w.Repo, w.Table, w.Loc, w.Client, Options{PruneNonCompliant: true}).sweep(false)
 	if err != nil {
 		t.Fatal(err)
 	}

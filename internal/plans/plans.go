@@ -103,8 +103,11 @@ func AssessAll(repo network.Repository, table *policy.Table,
 func AssessWithFlows(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) (*Family, error) {
 
-	tiered := opts.Cache != nil && !opts.NoReportTier
-	return newFusedEngine(repo, table, loc, client, opts).sweep(tiered)
+	eng, err := newFusedEngine(repo, table, loc, client, opts)
+	if err != nil {
+		return nil, err
+	}
+	return eng.sweep(opts.Cache != nil && !opts.NoReportTier)
 }
 
 // Family is a swept plan family in plan-key order: plan i's verdict, its
@@ -184,19 +187,3 @@ func Synthesize(repo network.Repository, table *policy.Table,
 // recursion when the budget runs out: the plans discovered so far are
 // returned with a nil error, and assessment degrades them to Unknown.
 var errStopEnumeration = errors.New("plans: enumeration stopped by budget")
-
-type pendingReq struct {
-	req    hexpr.RequestID
-	policy hexpr.PolicyID
-	body   hexpr.Expr
-}
-
-func requestsOf(e hexpr.Expr) []pendingReq {
-	var out []pendingReq
-	hexpr.Walk(e, func(x hexpr.Expr) {
-		if s, ok := x.(hexpr.Session); ok {
-			out = append(out, pendingReq{req: s.Req, policy: s.Policy, body: s.Body})
-		}
-	})
-	return out
-}

@@ -49,17 +49,16 @@ type stateKey struct {
 	rest uint32
 }
 
-// InternTree interns a session tree bottom-up in the same ID space as the
+// internTree interns a session tree bottom-up in the same ID space as the
 // expressions it contains, so tree equality is one ID comparison. Leaves
 // and pairs are interned as tagged ID pairs (intern.Node) — no key string
-// is ever built. The fused synthesis engine (internal/plans) keys its
-// shared state graph in the same ID space, which is why this is exported.
-func InternTree(tab *intern.Table, n network.Node) intern.ID {
+// is ever built.
+func internTree(tab *intern.Table, n network.Node) intern.ID {
 	switch t := n.(type) {
 	case network.Leaf:
 		return tab.Node('L', tab.Key(string(t.Loc)), tab.Expr(t.Expr))
 	case network.Pair:
-		return tab.Node('P', InternTree(tab, t.Left), InternTree(tab, t.Right))
+		return tab.Node('P', internTree(tab, t.Left), internTree(tab, t.Right))
 	}
 	panic("verify: unknown tree node")
 }
@@ -258,7 +257,7 @@ func (x *explorer) key(comps []component, c int, moved component, avail []int) s
 		if i == c {
 			comp = moved
 		}
-		return InternTree(x.tab, comp.tree), x.tab.Key(comp.mon.Signature())
+		return internTree(x.tab, comp.tree), x.tab.Key(comp.mon.Signature())
 	}
 	var k stateKey
 	k.tree, k.sig = ids(0)

@@ -330,7 +330,7 @@ func ExploreFlow(repo network.Repository, table *policy.Table, loc hexpr.Locatio
 	if cache == nil {
 		cache = memo.New()
 	}
-	r, err := StaticCheck(repo, client, plan, cache)
+	r, err := staticCheck(repo, client, plan, cache)
 	if err != nil {
 		return nil, err
 	}

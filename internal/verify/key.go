@@ -187,7 +187,6 @@ type PlanKeyer struct {
 	head     []byte
 	client   int // union[:client] are the client's own policies
 	policies map[hexpr.PolicyID][]byte
-	bindings map[string]*Binding // by part bytes
 	// prev is the previous Sum's binding list. states[j] is the digest
 	// state after its head, its count and its first j parts, and
 	// union[:unionAt[j]] the policies those bring into the cone, in
@@ -215,23 +214,18 @@ func NewPlanKeyer(table *policy.Table, loc hexpr.Location, client hexpr.Expr) *P
 		head:     hash.Frame(func(h *hash.Hasher) { writePlanHead(h, loc, client) }),
 		client:   len(union),
 		policies: map[hexpr.PolicyID][]byte{},
-		bindings: map[string]*Binding{},
 		union:    union,
 	}
 }
 
 // Binding renders the part pr adds to the key of every plan it is
-// planned in — pr as verify.PlannedRequests reports it. Requests whose
-// parts are byte-identical share one Binding, so Sum can tell a shared
-// prefix by pointer.
+// planned in — pr as verify.PlannedRequests reports it. Sum tells a
+// shared prefix by pointer, so a caller renders each (request, location)
+// binding once and passes that Binding to every plan that has it: a
+// request identifier opens one policy and one body, so the pair fixes the
+// part.
 func (k *PlanKeyer) Binding(pr PlannedRequest) *Binding {
-	part := hash.Frame(func(h *hash.Hasher) { writeBinding(h, pr) })
-	if b, ok := k.bindings[string(part)]; ok {
-		return b
-	}
-	b := &Binding{part: part, policies: bindingPolicies(pr)}
-	k.bindings[string(part)] = b
-	return b
+	return &Binding{part: hash.Frame(func(h *hash.Hasher) { writeBinding(h, pr) }), policies: bindingPolicies(pr)}
 }
 
 // Sum is the key of the plan whose planned requests are bs, given in

@@ -32,7 +32,7 @@ func CheckNetwork(repo network.Repository, table *policy.Table,
 	return cachedReport(cache, opts, store.KindNetworkReport, key, func() (*Report, error) {
 		// per-client static prechecks; the witness names the client
 		for _, c := range clients {
-			r, err := StaticCheck(repo, c.Client, c.Plan, cache)
+			r, err := staticCheck(repo, c.Client, c.Plan, cache)
 			if err != nil {
 				return nil, err
 			}

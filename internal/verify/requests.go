@@ -24,10 +24,14 @@ type PlannedRequest struct {
 
 // PlannedRequests collects every request of the composed service: the
 // requests of the client plus, recursively, the requests of every service
-// the plan selects. Request identifiers are unique across a composition
-// (Definition 1), so collection deduplicates by identifier; services may
-// invoke each other cyclically, which keeps the composed behaviour infinite
-// but the request set finite.
+// the plan selects, each once, with the first session that opens it.
+// Every session that opens a request identifier opens it with one framing
+// policy and one body (Definition 1 makes identifiers unique; the parser
+// checks the rule across a client and its repository, and the plan
+// engine refuses a world built in code that breaks it), so which session
+// comes first does not matter: deduplication only folds the identical
+// copies of a session and the cycles of services invoking each other,
+// which keep the composed behaviour infinite but the request set finite.
 func PlannedRequests(repo network.Repository, client hexpr.Expr, plan network.Plan) ([]PlannedRequest, error) {
 	var out []PlannedRequest
 	seen := map[hexpr.RequestID]bool{}

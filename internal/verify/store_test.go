@@ -249,7 +249,9 @@ func TestPlanKeyerMatchesPlanKey(t *testing.T) {
 
 // TestPlanKeyerResumes: Sum resumes each digest from the binding prefix
 // it shares with the previous call, so its keys must not depend on what
-// came before. Plans drawn at random — lists of varying lengths (a
+// came before. Each keyer renders one Binding per (request, location), as
+// a plan sweep does, so consecutive plans share prefixes by pointer.
+// Plans drawn at random — lists of varying lengths (a
 // request bound off its level opens a different tail, an unbound or
 // dangling one none), with equal and differing prefixes and repeats —
 // are keyed on one keyer and must equal a fresh keyer's sum and PlanKey,
@@ -307,6 +309,7 @@ func TestPlanKeyerResumes(t *testing.T) {
 			return reqs
 		}
 		k := verify.NewPlanKeyer(w.table, w.loc, w.client)
+		cells := map[string]*verify.Binding{}
 		rng := rand.New(rand.NewSource(1))
 		prev := 0
 		for n := 0; n < 2000; n++ {
@@ -324,7 +327,11 @@ func TestPlanKeyerResumes(t *testing.T) {
 			var bs, fresh []*verify.Binding
 			f := verify.NewPlanKeyer(w.table, w.loc, w.client)
 			for _, pr := range reqs {
-				bs = append(bs, k.Binding(pr))
+				cell := string(pr.Req) + ">" + string(pr.Loc)
+				if cells[cell] == nil {
+					cells[cell] = k.Binding(pr)
+				}
+				bs = append(bs, cells[cell])
 				fresh = append(fresh, f.Binding(pr))
 			}
 			want, err := verify.PlanKey(w.repo, w.table, w.loc, w.client, p, nil)

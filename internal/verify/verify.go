@@ -194,15 +194,16 @@ func CheckPlan(repo network.Repository, table *policy.Table,
 	return CheckPlanOpts(repo, table, loc, client, plan, Options{})
 }
 
-// StaticCheck runs the exploration-free prechecks of plan validation: it
+// staticCheck runs the exploration-free prechecks of plan validation: it
 // refuses cyclic compositions (their session nesting is unbounded and the
 // state space infinite) and checks every bound request of the composed
 // service for compliance. It returns a counterexample report when a check
 // fails and nil when the plan passes — ready for the exhaustive
-// exploration. CheckPlanOpts and the fused synthesis engine
-// (internal/plans) share it, so static verdicts and witnesses are
-// identical across engines by construction.
-func StaticCheck(repo network.Repository, client hexpr.Expr,
+// exploration. CheckPlanOpts, ExploreFlow and CheckNetwork run it; the
+// fused synthesis engine (internal/plans) mirrors it over its own request
+// tables, and the engines' equivalence tests pin the two to the same
+// verdicts and witnesses.
+func staticCheck(repo network.Repository, client hexpr.Expr,
 	plan network.Plan, cache *memo.Cache) (*Report, error) {
 
 	if cyc := CallCycle(repo, client, plan); cyc != nil {
@@ -251,7 +252,7 @@ func CheckPlanOpts(repo network.Repository, table *policy.Table,
 	key := func() (hash.Sum, error) { return PlanKey(repo, table, loc, client, plan, opts.Capacities) }
 	return cachedReport(cache, opts, store.KindPlanReport, key, func() (*Report, error) {
 		// (a) the static prechecks: cyclic composition, per-request compliance.
-		if r, err := StaticCheck(repo, client, plan, cache); err != nil || r != nil {
+		if r, err := staticCheck(repo, client, plan, cache); err != nil || r != nil {
 			return r, err
 		}
 		// (b) exhaustive exploration for security and structural deadlocks.
