@@ -59,6 +59,38 @@ func TestRunBudgetExhaustedExit3(t *testing.T) {
 	}
 }
 
+// TestRunNegativeBudgetExit1: a negative budget bound is refused before
+// the run, with exit 1 and an error naming the flag, where it used to
+// mean unlimited; zero still means unlimited. serve refuses a negative
+// ceiling the same way.
+func TestRunNegativeBudgetExit1(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"plans", hotelFile, "-client", "c1", "-max-states", "-5"}, "-max-states"},
+		{[]string{"plans", hotelFile, "-client", "c1", "-max-edges", "-1"}, "-max-edges"},
+		{[]string{"plans", hotelFile, "-client", "c1", "-timeout", "-1s"}, "-timeout"},
+		{[]string{"lint", hotelFile, "-max-states", "-1"}, "-max-states"},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-max-states", "-5"}, "-max-states"},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-max-edges", "-1"}, "-max-edges"},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-max-timeout", "-1s"}, "-max-timeout"},
+	} {
+		out, err := capture(t, func() error { return run(c.args) })
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") || exitCode(err) != 1 {
+			t.Errorf("%v: err = %v, want exit 1 naming %s", c.args, err, c.flag)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %q before refusing", c.args, out)
+		}
+	}
+	if _, err := capture(t, func() error {
+		return run([]string{"plans", hotelFile, "-client", "c1", "-max-states", "0", "-max-edges", "0", "-timeout", "0s"})
+	}); err != nil {
+		t.Errorf("zero budgets: %v, want unlimited", err)
+	}
+}
+
 // TestRunPlansBudgetExhaustedExit3: same protocol for plan synthesis —
 // the flushed partial assessments precede the typed error.
 func TestRunPlansBudgetExhaustedExit3(t *testing.T) {

@@ -155,7 +155,11 @@ func mode(name string) command {
 func runMode(m *engine.Mode, p *engine.Params, path string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	bud := budget.New(ctx, p.Limits())
+	lim, err := p.Limits()
+	if err != nil {
+		return err
+	}
+	bud := budget.New(ctx, lim)
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err

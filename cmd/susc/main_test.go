@@ -718,6 +718,29 @@ func TestCmdExplainCodeFilter(t *testing.T) {
 	}
 }
 
+// TestCmdExplainRejectsUnknownCode: -code takes only a code explain can
+// report with a witness (SUSC011–015). A typo, a lower-case code or an
+// audit code used to print nothing and exit 0, reporting an unrealizable
+// client as clean; it now exits 1, listing the valid codes.
+func TestCmdExplainRejectsUnknownCode(t *testing.T) {
+	fix := "../../internal/lint/testdata/semantic/susc013_unrealizable.susc"
+	out, err := capture(t, func() error { return run([]string{"explain", fix, "-code", "SUSC013"}) })
+	if exitCode(err) != 1 || !strings.Contains(out, "[SUSC013]") {
+		t.Fatalf("-code SUSC013: exit %d, out:\n%s", exitCode(err), out)
+	}
+	for _, code := range []string{"susc013", "SUSC999", "SUSC017", "SUSC006"} {
+		out, err := capture(t, func() error { return run([]string{"explain", fix, "-code", code}) })
+		if err == nil || exitCode(err) != 1 || out != "" {
+			t.Fatalf("-code %s: exit %d, err %v, out %q: want exit 1 and no output", code, exitCode(err), err, out)
+		}
+		for _, valid := range []string{"SUSC011", "SUSC012", "SUSC013", "SUSC014", "SUSC015"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("-code %s: the error %q does not list %s", code, err, valid)
+			}
+		}
+	}
+}
+
 // TestCmdExplainJSON checks the NDJSON stream carries the witness.
 func TestCmdExplainJSON(t *testing.T) {
 	fix := "../../internal/lint/testdata/semantic/susc011_violable.susc"

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 
 	"susc/internal/budget"
@@ -96,9 +98,30 @@ func NewParams() *Params {
 	return &Params{Prune: true, Severity: "info"}
 }
 
-// Limits is the budget the trio asks for.
-func (p *Params) Limits() budget.Limits {
-	return budget.Limits{Timeout: p.Timeout, MaxStates: p.MaxStates, MaxEdges: p.MaxEdges}
+// Limits is the budget the trio asks for, refused when a bound is
+// negative (CheckLimits).
+func (p *Params) Limits() (budget.Limits, error) {
+	lim := budget.Limits{Timeout: p.Timeout, MaxStates: p.MaxStates, MaxEdges: p.MaxEdges}
+	return lim, CheckLimits(lim, "-timeout")
+}
+
+// CheckLimits refuses a negative budget bound with an error naming its
+// flag: timeoutFlag for the wall clock, -max-states and -max-edges for
+// the others. Zero means unlimited, and a negative bound is no smaller
+// budget: it would silently mean unlimited too.
+func CheckLimits(lim budget.Limits, timeoutFlag string) error {
+	var name, val string
+	switch {
+	case lim.Timeout < 0:
+		name, val = timeoutFlag, lim.Timeout.String()
+	case lim.MaxStates < 0:
+		name, val = "-max-states", fmt.Sprint(lim.MaxStates)
+	case lim.MaxEdges < 0:
+		name, val = "-max-edges", fmt.Sprint(lim.MaxEdges)
+	default:
+		return nil
+	}
+	return fmt.Errorf("%s %s: a budget bound must be >= 0 (0 = unlimited)", name, val)
 }
 
 // A Param is one mode parameter: a CLI flag and, when Served, a query
@@ -149,7 +172,7 @@ var (
 	// The server fixes these itself: it always streams JSON records over
 	// its own session.
 	codeParam = &Param{Name: "code", field: func(p *Params) any { return &p.Code },
-		Help: "only report findings with this diagnostic code `SUSCnnn`"}
+		Help: "only report findings with this diagnostic code `SUSCnnn`, one of SUSC011–015"}
 	jsonParam = &Param{Name: "json", field: func(p *Params) any { return &p.JSON },
 		Help: "JSON output (lint, explain, audit and -stream: NDJSON, one record per line)"}
 	streamParam = &Param{Name: "stream", field: func(p *Params) any { return &p.Stream },
@@ -330,10 +353,20 @@ func runLint(s *Session, r *Request, out *Output) error {
 // runExplain runs every analyzer, the semantic model checkers
 // (SUSC011–015) included, and reports the findings that carry a
 // counterexample witness, each with its minimal trace; -code keeps one
-// diagnostic code. It parses leniently: the analyzers skip what does not
-// parse and still explain the declarations that do. Error-severity
-// witnesses fail the run.
+// diagnostic code, which must be a semantic analyzer's (the codes that
+// carry witnesses): any other would hide every finding. It parses
+// leniently: the analyzers skip what does not parse and still explain
+// the declarations that do. Error-severity witnesses fail the run.
 func runExplain(s *Session, r *Request, out *Output) error {
+	if r.Code != "" {
+		var codes []string
+		for _, a := range lint.SemanticAnalyzers() {
+			codes = append(codes, a.Codes...)
+		}
+		if !slices.Contains(codes, r.Code) {
+			return fmt.Errorf("explain: -code %q is not a code explain reports: want one of %s", r.Code, strings.Join(codes, ", "))
+		}
+	}
 	diags := s.Lint(r.Src, lint.Options{Analyzers: lint.AllAnalyzers(), Budget: r.Budget})
 	var kept []lint.Diagnostic
 	errs := 0

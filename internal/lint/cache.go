@@ -15,12 +15,13 @@ import (
 // unchanged file replays its findings from disk and any edit — or a
 // different `-severity` — recomputes the whole file. Finer granularity
 // would save little: on ChainedClients(6,4,18) (42 declarations, 18
-// clients) a whole run of every analyzer costs 4.6–7.2 ms and 1.3 MB
-// (BenchmarkLintSemanticClients, shared 2-core x86-64 VM), three
-// quarters of it SUSC013 enumerating 18 plan families that each contain
-// every service, so a one-service edit reaches all of them under any
-// per-scope key; and the semantic analyzers reuse the compliance disk
-// tier underneath.
+// clients) a whole run of every analyzer costs 1.7–2.0 ms and 0.45 MB
+// (BenchmarkLintSemanticClients, shared 2-core x86-64 VM). SUSC013 takes
+// 0.6–0.8 ms of it (per-analyzer Stats, medians of 41 runs) to refuse
+// 18 plan families by counting them, and each family contains every
+// service, so a one-service edit reaches all of them under any
+// per-scope key; SUSC005 takes 0.4–0.5 ms and SUSC006 0.15–0.2 ms, and
+// the semantic analyzers reuse the compliance disk tier underneath.
 
 // sourceKey is the content hash of one lint run's inputs.
 func sourceKey(src string, opts Options) hash.Sum {

@@ -104,13 +104,52 @@ func SweepKeys(repo network.Repository, table *policy.Table,
 
 // enumerate is the oracle's enumerator: every complete binding of the
 // requests reachable under the binding itself (selecting a service adds
-// its requests), in the order the fused engine's enumerator mirrors. The
-// PruneNonCompliant probe decides compliance through the shared cache:
-// backtracking re-asks the same (body, service) pair on every branch, and
-// the memoised verdict turns the repeats into lookups.
+// its requests), in the order the fused engine's enumerator mirrors,
+// failing at the (MaxPlans+1)-th plan.
 func enumerate(repo network.Repository, client hexpr.Expr, opts Options, cache *memo.Cache) ([]network.Plan, error) {
-	locations := repo.Locations()
 	var out []network.Plan
+	err := walkPlans(repo, client, opts.PruneNonCompliant, cache, func(plan network.Plan) error {
+		if opts.MaxPlans > 0 && len(out) >= opts.MaxPlans {
+			return fmt.Errorf("plans: more than %d complete plans", opts.MaxPlans)
+		}
+		if opts.Budget.Exhausted() != nil {
+			return errStopEnumeration
+		}
+		out = append(out, plan.Clone())
+		return nil
+	})
+	if err != nil && err != errStopEnumeration {
+		return nil, err
+	}
+	return out, nil
+}
+
+// CountPlansLegacy counts the plans the oracle's enumerator reaches for
+// the client, under opts.PruneNonCompliant, and stops at stop.
+func CountPlansLegacy(repo network.Repository, client hexpr.Expr, opts Options, stop int) (int, error) {
+	n := 0
+	err := walkPlans(repo, client, opts.PruneNonCompliant, memo.New(), func(network.Plan) error {
+		if n++; n == stop {
+			return errStopEnumeration
+		}
+		return nil
+	})
+	if err != nil && err != errStopEnumeration {
+		return 0, err
+	}
+	return n, nil
+}
+
+// walkPlans hands leaf every complete binding of the requests reachable
+// under the binding itself, depth-first over the pending requests with
+// the candidates in sorted-location order, until leaf fails. The prune
+// probe decides compliance through the shared cache: backtracking
+// re-asks the same (body, service) pair on every branch, and the
+// memoised verdict turns the repeats into lookups.
+func walkPlans(repo network.Repository, client hexpr.Expr, prune bool, cache *memo.Cache,
+	leaf func(network.Plan) error) error {
+
+	locations := repo.Locations()
 	var expand func(plan network.Plan, pending []pendingReq) error
 	expand = func(plan network.Plan, pending []pendingReq) error {
 		// drop already-bound requests (cycles in the service graph)
@@ -122,19 +161,12 @@ func enumerate(repo network.Repository, client hexpr.Expr, opts Options, cache *
 			break
 		}
 		if len(pending) == 0 {
-			if opts.MaxPlans > 0 && len(out) >= opts.MaxPlans {
-				return fmt.Errorf("plans: more than %d complete plans", opts.MaxPlans)
-			}
-			if opts.Budget.Exhausted() != nil {
-				return errStopEnumeration
-			}
-			out = append(out, plan.Clone())
-			return nil
+			return leaf(plan)
 		}
 		head, rest := pending[0], pending[1:]
 		for _, l := range locations {
 			service := repo[l]
-			if opts.PruneNonCompliant {
+			if prune {
 				ok, err := cache.Compliant(head.body, service)
 				if err != nil {
 					return err
@@ -152,10 +184,7 @@ func enumerate(repo network.Repository, client hexpr.Expr, opts Options, cache *
 		}
 		return nil
 	}
-	if err := expand(network.Plan{}, requestsOf(client)); err != nil && err != errStopEnumeration {
-		return nil, err
-	}
-	return out, nil
+	return expand(network.Plan{}, requestsOf(client))
 }
 
 type pendingReq struct {

@@ -1076,9 +1076,128 @@ func (eng *fusedEngine) assessGuarded(vec []int32, r *replayer) (*verify.Report,
 	return rep, nil
 }
 
+// overCap reports whether a capped family provably holds more than
+// MaxPlans plans, by counting it instead of enumerating it. A request's
+// count c(r) sums, over its candidates in location order (the compliant
+// ones under PruneNonCompliant, every location otherwise), the product of
+// c(r′) over the requests the candidate's service opens (locOpens); the
+// family's count is the product of c(r) over clientOpens. That is the
+// number of plans enumerate reaches as long as no request is reached
+// twice along one binding path, so the count gives up, and leaves the
+// family to enumerate, on a request met again while it is being counted
+// (a cycle), on two requests of one opener whose reach sets meet, on a
+// compliance error and on an exhausted budget. Counts saturate at
+// MaxPlans+1, and a request's scan stops once its count does: a saturated
+// factor times factors ≥ 1 stays saturated and a zero factor still zeroes
+// the product, so a saturated family count is a lower bound on the plans
+// enumerate would reach. Scanning lazily also keeps the count near the
+// compliance cells the truncated enumeration asks for: on the Chained
+// worlds, exactly those.
+func (eng *fusedEngine) overCap() bool {
+	if eng.opts.MaxPlans <= 0 || eng.opts.Budget.Exhausted() != nil {
+		return false
+	}
+	sat := uint64(eng.opts.MaxPlans) + 1
+	const ( // a request's state; zero until the count meets it
+		counting = 1 + iota
+		counted
+	)
+	words := (eng.nReq + 63) / 64
+	row := func(set []uint64, i int) []uint64 { return set[i*words : (i+1)*words] }
+	// reach holds, per request, the requests its counted candidates lead
+	// to (itself included), then the client's; sibs is each request's
+	// scratch for the requests one candidate opens.
+	reach := make([]uint64, (eng.nReq+1)*words)
+	sibs := make([]uint64, eng.nReq*words)
+	count := make([]uint64, eng.nReq)
+	state := make([]int8, eng.nReq)
+	var req func(ri int32) (uint64, bool)
+	// opened multiplies the counts of the requests one opener opens and
+	// adds their reach sets to into; false when two of them meet.
+	opened := func(list []int32, into []uint64) (uint64, bool) {
+		prod := uint64(1)
+		for _, ri := range list {
+			c, ok := req(ri)
+			if !ok {
+				return 0, false
+			}
+			for w, bits := range row(reach, int(ri)) {
+				if into[w]&bits != 0 {
+					return 0, false
+				}
+				into[w] |= bits
+			}
+			if prod = satMul(prod, c, sat); prod == 0 {
+				return 0, true
+			}
+		}
+		return prod, true
+	}
+	req = func(ri int32) (uint64, bool) {
+		switch state[ri] {
+		case counting:
+			return 0, false
+		case counted:
+			return count[ri], true
+		}
+		state[ri] = counting
+		mine, sib := row(reach, int(ri)), row(sibs, int(ri))
+		mine[ri/64] |= 1 << (ri % 64)
+		var c uint64
+		for li := 0; li < len(eng.locations) && c < sat; li++ {
+			if eng.opts.PruneNonCompliant {
+				ok, err := eng.compliant(ri, int32(li))
+				if err != nil {
+					return 0, false
+				}
+				if !ok {
+					continue
+				}
+			}
+			clear(sib)
+			p, ok := opened(eng.locOpens[li], sib)
+			if !ok {
+				return 0, false
+			}
+			for w, bits := range sib {
+				mine[w] |= bits
+			}
+			c = satAdd(c, p, sat)
+		}
+		state[ri], count[ri] = counted, c
+		return c, true
+	}
+	total, ok := opened(eng.clientOpens, row(reach, eng.nReq))
+	return ok && total == sat
+}
+
+// satAdd and satMul are a+b and a·b saturated at s, for a, b ≤ s: neither
+// overflows for any s.
+func satAdd(a, b, s uint64) uint64 {
+	if a >= s-b {
+		return s
+	}
+	return a + b
+}
+
+func satMul(a, b, s uint64) uint64 {
+	if b != 0 && a > s/b {
+		return s
+	}
+	return min(a*b, s)
+}
+
+// tooMany is the error of a family past MaxPlans.
+func (eng *fusedEngine) tooMany() error {
+	return fmt.Errorf("plans: more than %d complete plans", eng.opts.MaxPlans)
+}
+
 // enumerate mirrors the legacy enumerator exactly — same candidate order,
 // same pruning, same MaxPlans semantics — so both engines assess the same
-// plans. It emits each plan as its dense vector, never as a map (planOf
+// plans. A capped family is counted first (overCap), and one the count
+// proves past MaxPlans is refused before any plan is enumerated; when the
+// count cannot decide, the enumeration fails at the (MaxPlans+1)-th plan.
+// It emits each plan as its dense vector, never as a map (planOf
 // builds one where a reader needs it). The pending lists of every
 // recursion level share one growing buffer: a child appends its
 // service's requests at the tail and the parent truncates on backtrack,
@@ -1088,6 +1207,9 @@ func (eng *fusedEngine) assessGuarded(vec []int32, r *replayer) (*verify.Report,
 // same pair on every branch — millions of times on deep workloads), and
 // pruned bindings are counted in the stats.
 func (eng *fusedEngine) enumerate() ([][]int32, error) {
+	if eng.overCap() {
+		return nil, eng.tooMany()
+	}
 	var vecs [][]int32
 	cur := make([]int32, eng.nReq)
 	for i := range cur {
@@ -1101,7 +1223,7 @@ func (eng *fusedEngine) enumerate() ([][]int32, error) {
 		}
 		if start == len(buf) {
 			if eng.opts.MaxPlans > 0 && len(vecs) >= eng.opts.MaxPlans {
-				return fmt.Errorf("plans: more than %d complete plans", eng.opts.MaxPlans)
+				return eng.tooMany()
 			}
 			if eng.opts.Budget.Exhausted() != nil {
 				return errStopEnumeration

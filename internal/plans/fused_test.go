@@ -182,27 +182,38 @@ func (g *worldGen) decorate(e hexpr.Expr, opens *int, depth int) hexpr.Expr {
 // randomized repositories the fused engine reproduces the legacy engine's
 // assessments exactly, with and without pruning.
 func TestFusedEquivalenceRandom(t *testing.T) {
-	seeds := 40
+	for seed := 0; seed < randomSeeds(); seed++ {
+		repo, client := randomWorld(seed)
+		assertEquivalent(t, fmt.Sprintf("seed=%d", seed), repo, paperex.Policies(), "cl", client)
+	}
+}
+
+// randomSeeds is the number of worlds each random-world test builds.
+func randomSeeds() int {
 	if testing.Short() {
-		seeds = 10
+		return 10
 	}
-	for seed := 0; seed < seeds; seed++ {
-		g := &worldGen{r: rand.New(rand.NewSource(int64(seed)))}
-		opens := 2
-		nLocs := 2 + g.r.Intn(3)
-		repo := network.Repository{}
-		for i := 0; i < nLocs; i++ {
-			svc := g.decorate(g.protocol(3), &opens, 3)
-			repo[hexpr.Location(fmt.Sprintf("s%d", i))] = svc
-		}
-		clientOpens := 1
-		client := hexpr.Cat(
-			hexpr.Open(g.req(), g.policyID(), g.protocol(3)),
-			g.decorate(hexpr.Eps(), &clientOpens, 2),
-		)
-		label := fmt.Sprintf("seed=%d", seed)
-		assertEquivalent(t, label, repo, paperex.Policies(), "cl", client)
+	return 40
+}
+
+// randomWorld is seed's world of TestFusedEquivalenceRandom: two to four
+// services, between them at most two nested opens, and a client opening
+// one or two requests, planned at "cl" against paperex.Policies().
+func randomWorld(seed int) (network.Repository, hexpr.Expr) {
+	g := &worldGen{r: rand.New(rand.NewSource(int64(seed)))}
+	opens := 2
+	nLocs := 2 + g.r.Intn(3)
+	repo := network.Repository{}
+	for i := 0; i < nLocs; i++ {
+		svc := g.decorate(g.protocol(3), &opens, 3)
+		repo[hexpr.Location(fmt.Sprintf("s%d", i))] = svc
 	}
+	clientOpens := 1
+	client := hexpr.Cat(
+		hexpr.Open(g.req(), g.policyID(), g.protocol(3)),
+		g.decorate(hexpr.Eps(), &clientOpens, 2),
+	)
+	return repo, client
 }
 
 // TestFusedEquivalenceSharedSessions extends the equivalence property to
@@ -212,32 +223,35 @@ func TestFusedEquivalenceRandom(t *testing.T) {
 // body per request; it must still reproduce the legacy oracle, with and
 // without pruning.
 func TestFusedEquivalenceSharedSessions(t *testing.T) {
-	seeds := 40
-	if testing.Short() {
-		seeds = 10
-	}
-	for seed := 0; seed < seeds; seed++ {
-		g := &worldGen{r: rand.New(rand.NewSource(int64(1000 + seed)))}
-		shared := []hexpr.Expr{
-			hexpr.Open(g.req(), g.policyID(), g.protocol(2)),
-			hexpr.Open(g.req(), g.policyID(), g.protocol(2)),
-		}
-		opens := 1
-		nLocs := 2 + g.r.Intn(3)
-		repo := network.Repository{}
-		for i := 0; i < nLocs; i++ {
-			svc := g.decorate(g.protocol(3), &opens, 2)
-			if k := g.r.Intn(3); k < len(shared) {
-				svc = hexpr.Cat(g.protocol(1), shared[k], svc)
-			}
-			repo[hexpr.Location(fmt.Sprintf("s%d", i))] = svc
-		}
-		client := hexpr.Open(g.req(), g.policyID(), g.protocol(3))
-		if g.r.Intn(3) == 0 {
-			client = hexpr.Cat(client, shared[g.r.Intn(len(shared))])
-		}
+	for seed := 0; seed < randomSeeds(); seed++ {
+		repo, client := sharedSessionWorld(seed)
 		assertEquivalent(t, fmt.Sprintf("seed=%d", seed), repo, paperex.Policies(), "cl", client)
 	}
+}
+
+// sharedSessionWorld is seed's world of TestFusedEquivalenceSharedSessions:
+// services, and sometimes the client, open one of two shared sessions.
+func sharedSessionWorld(seed int) (network.Repository, hexpr.Expr) {
+	g := &worldGen{r: rand.New(rand.NewSource(int64(1000 + seed)))}
+	shared := []hexpr.Expr{
+		hexpr.Open(g.req(), g.policyID(), g.protocol(2)),
+		hexpr.Open(g.req(), g.policyID(), g.protocol(2)),
+	}
+	opens := 1
+	nLocs := 2 + g.r.Intn(3)
+	repo := network.Repository{}
+	for i := 0; i < nLocs; i++ {
+		svc := g.decorate(g.protocol(3), &opens, 2)
+		if k := g.r.Intn(3); k < len(shared) {
+			svc = hexpr.Cat(g.protocol(1), shared[k], svc)
+		}
+		repo[hexpr.Location(fmt.Sprintf("s%d", i))] = svc
+	}
+	client := hexpr.Open(g.req(), g.policyID(), g.protocol(3))
+	if g.r.Intn(3) == 0 {
+		client = hexpr.Cat(client, shared[g.r.Intn(len(shared))])
+	}
+	return repo, client
 }
 
 // TestSweepsRefuseRequestClash: services a and b both open r9, one to

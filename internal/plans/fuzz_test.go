@@ -3,6 +3,7 @@ package plans_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +17,10 @@ import (
 // one rule: for any input ParseFile accepts, no client's plan sweep
 // refuses the world for opening one request identifier with two framing
 // policies or bodies. The guard runs before enumeration, so each sweep
-// stops at 64 plans and a small state budget.
+// stops at 64 plans and a small state budget. It also pins the family
+// count that refuses an over-cap sweep to the enumeration: a sweep fails
+// with the MaxPlans error exactly when the legacy enumerator reaches a
+// 65th plan.
 func FuzzParsedWorldSweeps(f *testing.F) {
 	for _, pattern := range []string{"../../testdata/*.susc", "../benchgen/testdata/*.susc"} {
 		paths, err := filepath.Glob(pattern)
@@ -42,19 +46,30 @@ client cl at cl = open r1 { X! . (Ka? + Kb?) };`)
 service b = Y? . open r9 { Q! (+) Z! } . Kb!;
 service c = Q?;
 client cl at cl plan { r1 -> a, r2 -> b, r9 -> c } = open r1 { X! . Ka? } . open r2 { Y! . Kb? };`)
+	const maxPlans = 64
+	overCap := fmt.Sprintf("plans: more than %d complete plans", maxPlans)
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := parser.ParseFile(src)
 		if err != nil {
 			return
 		}
 		for _, c := range file.Clients {
-			_, err := plans.AssessAll(file.Repo, file.Table, c.Loc, c.Expr, plans.Options{
+			opts := plans.Options{
 				PruneNonCompliant: true,
-				MaxPlans:          64,
+				MaxPlans:          maxPlans,
 				Budget:            budget.New(context.Background(), budget.Limits{MaxStates: 2000, MaxEdges: 8000}),
-			})
+			}
+			_, err := plans.AssessAll(file.Repo, file.Table, c.Loc, c.Expr, opts)
 			if errors.Is(err, plans.ErrRequestClash) {
 				t.Fatalf("client %s: the parser accepts a world the engine refuses: %v", c.Name, err)
+			}
+			n, cerr := plans.CountPlansLegacy(file.Repo, c.Expr, opts, maxPlans+1)
+			if cerr != nil {
+				continue // a compliance error: the engines may meet it at different plans
+			}
+			if over := err != nil && err.Error() == overCap; over != (n > maxPlans) {
+				t.Fatalf("client %s: the legacy enumerator reaches %d plans (stopped at %d), the sweep says %v",
+					c.Name, n, maxPlans+1, err)
 			}
 		}
 	})

@@ -28,8 +28,15 @@ type Options struct {
 	// per-request) and usually much faster; the ablation benchmark
 	// measures the difference.
 	PruneNonCompliant bool
-	// MaxPlans bounds the number of complete plans examined (0 = no
-	// bound). Synthesis fails with an error when the bound is hit.
+	// MaxPlans bounds the number of complete plans a sweep enumerates
+	// (0 = no bound): a family of more plans fails the sweep with
+	// "plans: more than MaxPlans complete plans". The family is counted
+	// first, from the per-request candidate counts, and refused before
+	// any plan is enumerated when the count proves it past the bound;
+	// where the count cannot decide (a request reachable twice along one
+	// binding path, a compliance error, an exhausted budget) or finds the
+	// family within the bound, the enumeration decides, failing at the
+	// (MaxPlans+1)-th plan.
 	MaxPlans int
 	// Workers is read by no code: every sweep and stream runs on the
 	// calling goroutine. It stays only because the benchmark harness

@@ -98,11 +98,15 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, m *engine.Mo
 	if err == nil {
 		err = fs.Parse(queryArgs(vals))
 	}
+	var lim budget.Limits
+	if err == nil {
+		lim, err = q.Params.Limits()
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	bud, cancel := s.reqBudget(r, q.Params)
+	bud, cancel := s.reqBudget(r, lim)
 	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	st := newStream(w)

@@ -62,7 +62,7 @@ type Config struct {
 	// MaxTimeout, MaxStates and MaxEdges clamp the per-request budget
 	// caps. Zero leaves the dimension unlimited, and requests may then
 	// choose any bound; a non-zero server cap also becomes the default
-	// for requests that specify none.
+	// for requests that specify none. A negative one fails New.
 	MaxTimeout time.Duration
 	MaxStates  int64
 	MaxEdges   int64
@@ -140,11 +140,16 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// New opens the session (taking the store lock when cfg.CacheDir is
-// set) and prepares the server. The caller owns the listener: pair New
-// with Serve, then Shutdown.
+// New checks the budget ceilings (engine.CheckLimits, under the serve
+// command's flag names), opens the session (taking the store lock when
+// cfg.CacheDir is set) and prepares the server. The caller owns the
+// listener: pair New with Serve, then Shutdown.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	ceilings := budget.Limits{Timeout: cfg.MaxTimeout, MaxStates: cfg.MaxStates, MaxEdges: cfg.MaxEdges}
+	if err := engine.CheckLimits(ceilings, "-max-timeout"); err != nil {
+		return nil, err
+	}
 	sess, err := engine.Open(cfg.CacheDir)
 	if err != nil {
 		return nil, err
@@ -297,11 +302,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 // reqBudget builds the request's isolated budget: the limits the query
 // asked for, clamped by the server caps, drawing cancellation from both
 // the connection (client gone) and the server's drain context.
-func (s *Server) reqBudget(r *http.Request, p *engine.Params) (*budget.Budget, context.CancelFunc) {
+func (s *Server) reqBudget(r *http.Request, req budget.Limits) (*budget.Budget, context.CancelFunc) {
 	lim := budget.Limits{
-		Timeout:   clamp(p.Timeout, s.cfg.MaxTimeout),
-		MaxStates: clamp(p.MaxStates, s.cfg.MaxStates),
-		MaxEdges:  clamp(p.MaxEdges, s.cfg.MaxEdges),
+		Timeout:   clamp(req.Timeout, s.cfg.MaxTimeout),
+		MaxStates: clamp(req.MaxStates, s.cfg.MaxStates),
+		MaxEdges:  clamp(req.MaxEdges, s.cfg.MaxEdges),
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	stop := context.AfterFunc(r.Context(), cancel)

@@ -250,6 +250,46 @@ func TestServeBudgetClamp(t *testing.T) {
 	}
 }
 
+// TestServeNegativeBudget: a negative budget bound is refused with a 400
+// naming its parameter, on a server with ceilings and on one without
+// (where a negative bound used to mean unlimited), and a server refuses
+// to start with a negative ceiling.
+func TestServeNegativeBudget(t *testing.T) {
+	for _, cfg := range []server.Config{{}, {MaxStates: 100, MaxEdges: 100, MaxTimeout: time.Minute}} {
+		_, base := start(t, cfg)
+		for _, c := range []struct{ query, want string }{
+			{"max-states=-5", "-max-states -5: a budget bound must be >= 0 (0 = unlimited)"},
+			{"max-edges=-1", "-max-edges -1: a budget bound must be >= 0 (0 = unlimited)"},
+			{"timeout=-1s", "-timeout -1s: a budget bound must be >= 0 (0 = unlimited)"},
+		} {
+			resp, err := http.Post(base+"/v1/plans?client=c1&"+c.query, "text/plain", strings.NewReader(hotelSrc(t)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || strings.TrimSpace(string(body)) != c.want {
+				t.Errorf("ceilings %+v, ?%s: %d %q, want 400 %q", cfg, c.query, resp.StatusCode, body, c.want)
+			}
+		}
+		if r := post(t, base+"/v1/plans?client=c1&max-states=0", hotelSrc(t)); exitOf(t, r) != 0 {
+			t.Errorf("ceilings %+v: ?max-states=0 exits %v, want 0", cfg, r.done)
+		}
+	}
+	for _, c := range []struct {
+		cfg  server.Config
+		flag string
+	}{
+		{server.Config{MaxTimeout: -time.Second}, "-max-timeout"},
+		{server.Config{MaxStates: -5}, "-max-states"},
+		{server.Config{MaxEdges: -1}, "-max-edges"},
+	} {
+		if _, err := server.New(c.cfg); err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("New(%+v): err = %v, want one naming %s", c.cfg, err, c.flag)
+		}
+	}
+}
+
 // TestServePanicIsolation: a poisoned request yields a typed error line
 // and exit 2; the server keeps serving and counts the panic.
 func TestServePanicIsolation(t *testing.T) {
