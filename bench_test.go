@@ -17,6 +17,7 @@ import (
 	"susc/internal/benchgen"
 	"susc/internal/compliance"
 	"susc/internal/contract"
+	"susc/internal/engine"
 	"susc/internal/hexpr"
 	"susc/internal/history"
 	"susc/internal/lambda"
@@ -271,6 +272,52 @@ func BenchmarkPlanSynthesisChained(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPlansNovelGuarded is serve-mix's novel plans request without
+// HTTP: a guarded Chained(8,2) whose deny set is drawn afresh for every
+// request (each service with probability 1/4, from a fixed seed), parsed
+// and streamed through one engine.Session's AssessStream, as `susc serve`
+// answers it. Its 256 plans pass no report tier, and most fail at their
+// first denied binding, so each request builds a graph of tens to
+// hundreds of nodes. Drawing and rendering the text is not timed.
+func BenchmarkPlansNovelGuarded(b *testing.B) {
+	s, err := engine.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var deny []hexpr.Location
+		for level := 1; level <= 8; level++ {
+			for col := 0; col < 2; col++ {
+				if rng.Intn(4) == 0 {
+					deny = append(deny, hexpr.Location(fmt.Sprintf("s%d_%d", level, col)))
+				}
+			}
+		}
+		src := benchgen.GuardedChainedSource(8, 2, deny)
+		b.StartTimer()
+		f, err := parser.ParseFile(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := f.Client("cl")
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		err = s.AssessStream(f, c, plans.Options{PruneNonCompliant: true},
+			func(plans.Assessment) error { n++; return nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != 256 {
+			b.Fatalf("plans = %d, want 256", n)
+		}
 	}
 }
 

@@ -162,17 +162,46 @@ func Chained(depth, fanout int) *ChainedWorld {
 // the engine benchmarks use. The output parses back to the same world.
 func ChainedSource(depth, fanout int) string {
 	w := Chained(depth, fanout)
-	locs := make([]string, 0, len(w.Repo))
-	for loc := range w.Repo {
+	var b strings.Builder
+	writeServices(&b, w.Repo)
+	fmt.Fprintf(&b, "client cl at %s = %s;\n", w.Loc, hexpr.Pretty(w.Client))
+	return b.String()
+}
+
+// GuardedChainedSource renders the Chained world with its client's
+// session framed by nosgn(b = deny), a policy that forbids sgn(x) for x
+// in deny: the shape of the novel plans request of the serve-mix
+// benchmark workload. deny names services (s<i>_<j>); a plan is valid iff
+// it binds none of them, so Π_i (fanout − |deny ∩ level i|) of the
+// fanout^depth plans are valid, and most fail on their first denied
+// binding.
+func GuardedChainedSource(depth, fanout int, deny []hexpr.Location) string {
+	w := Chained(depth, fanout)
+	var b strings.Builder
+	// The sentinel keeps the set literal non-empty.
+	set := []string{"nobody"}
+	for _, d := range deny {
+		set = append(set, string(d))
+	}
+	b.WriteString("policy nosgn(b set) {\n  states ok bad;\n  start ok;\n  final bad;\n  edge ok -> bad on sgn(x) when x in b;\n}\n")
+	fmt.Fprintf(&b, "instance deny = nosgn(b = {%s});\n", strings.Join(set, ", "))
+	writeServices(&b, w.Repo)
+	fmt.Fprintf(&b, "client cl at %s = open r1 with deny { %s };\n",
+		w.Loc, hexpr.Pretty(w.Client.(hexpr.Session).Body))
+	return b.String()
+}
+
+// writeServices writes one service declaration per repository entry, in
+// location order.
+func writeServices(b *strings.Builder, repo network.Repository) {
+	locs := make([]string, 0, len(repo))
+	for loc := range repo {
 		locs = append(locs, string(loc))
 	}
 	sort.Strings(locs)
-	var b strings.Builder
 	for _, loc := range locs {
-		fmt.Fprintf(&b, "service %s = %s;\n", loc, hexpr.Pretty(w.Repo[hexpr.Location(loc)]))
+		fmt.Fprintf(b, "service %s = %s;\n", loc, hexpr.Pretty(repo[hexpr.Location(loc)]))
 	}
-	fmt.Fprintf(&b, "client cl at %s = %s;\n", w.Loc, hexpr.Pretty(w.Client))
-	return b.String()
 }
 
 // ChainedClient is one planned client of the ChainedClients world.
@@ -252,15 +281,8 @@ func (w *ChainedClientsWorld) Divergent(k int) hexpr.Location {
 // output parses back to the same world.
 func ChainedClientsSource(depth, fanout, n int) string {
 	w := ChainedClients(depth, fanout, n)
-	locs := make([]string, 0, len(w.Repo))
-	for loc := range w.Repo {
-		locs = append(locs, string(loc))
-	}
-	sort.Strings(locs)
 	var b strings.Builder
-	for _, loc := range locs {
-		fmt.Fprintf(&b, "service %s = %s;\n", loc, hexpr.Pretty(w.Repo[hexpr.Location(loc)]))
-	}
+	writeServices(&b, w.Repo)
 	for _, c := range w.Clients {
 		var binds []string
 		binds = append(binds, fmt.Sprintf("%s -> %s", c.Req, c.Plan[c.Req]))

@@ -2,9 +2,11 @@ package benchgen_test
 
 import (
 	"os"
+	"slices"
 	"testing"
 
 	"susc/internal/benchgen"
+	"susc/internal/hexpr"
 	"susc/internal/parser"
 	"susc/internal/plans"
 	"susc/internal/verify"
@@ -88,6 +90,44 @@ func TestChainedSourceRoundTrips(t *testing.T) {
 				t.Fatalf("parsed plan %v is %v, want valid", a.Plan, a.Report.Verdict)
 			}
 		}
+	}
+}
+
+// TestGuardedChainedSource: framing the client by nosgn(deny) keeps the
+// fanout^depth plans and makes exactly those binding no denied service
+// valid.
+func TestGuardedChainedSource(t *testing.T) {
+	deny := []hexpr.Location{"s1_0", "s3_1"}
+	f, err := parser.ParseFile(benchgen.GuardedChainedSource(3, 2, deny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := f.Client("cl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := plans.AssessAll(f.Repo, f.Table, c.Loc, c.Expr,
+		plans.Options{PruneNonCompliant: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := 0
+	for _, a := range as {
+		want := verify.Valid
+		for _, l := range a.Plan {
+			if slices.Contains(deny, l) {
+				want = verify.SecurityViolation
+			}
+		}
+		if a.Report.Verdict != want {
+			t.Fatalf("plan %v is %v, want %v", a.Plan, a.Report.Verdict, want)
+		}
+		if want == verify.Valid {
+			valid++
+		}
+	}
+	if len(as) != 8 || valid != 2 {
+		t.Fatalf("%d plans, %d valid; want 8, 2", len(as), valid)
 	}
 }
 

@@ -1,6 +1,8 @@
 package plans
 
 import (
+	"math/bits"
+
 	"susc/internal/hexpr"
 	"susc/internal/history"
 	"susc/internal/intern"
@@ -95,14 +97,21 @@ func hash64(k uint64) uint64 {
 	return h ^ h>>29
 }
 
-// put inserts k (absent, non-zero) → v, growing at 1/2 load. The low
-// ceiling matters: every pairFor/node interning does a *failed* lookup
-// first, and with linear probing the unsuccessful-search cost curve bends
-// hard past half load (~3.5 expected probes at 2/3 versus ~1.5 at 1/2,
-// each probe a likely cache miss on the million-entry tables).
+// minSlots is the size of a table's first backing array: a small sweep's
+// tables hold tens to hundreds of entries, and a big family's are
+// reserved up front (reserveTables), so a larger floor only zeroes slots
+// nobody fills.
+const minSlots = 1 << 6
+
+// put inserts k (absent, non-zero) → v, growing at 1/2 load from
+// minSlots slots, doubling. The low ceiling matters: every pairFor/node
+// interning does a *failed* lookup first, and with linear probing the
+// unsuccessful-search cost curve bends hard past half load (~3.5 expected
+// probes at 2/3 versus ~1.5 at 1/2, each probe a likely cache miss on the
+// million-entry tables).
 func (m *u64map) put(k uint64, v int32) {
 	if m.n*2 >= len(m.slots) {
-		size := 1 << 13
+		size := minSlots
 		if len(m.slots) > 0 {
 			size = len(m.slots) * 2
 		}
@@ -158,13 +167,14 @@ func (m *u64map) putAt(slot int, k uint64, v int32) {
 }
 
 // reserve grows the table so about n insertions fit without further
-// rehashing (a no-op when the table is already big enough). Callers with a
+// rehashing: the smallest power of two of at least minSlots and 2n slots
+// (a no-op when the table is already that big). Callers with a
 // workload-size estimate use it to skip the doubling ladder: growing a
 // table through a dozen doublings allocates and clears more slot memory
 // than the final table holds, and re-inserts every entry at each step —
 // measured at a third of the engine's allocated bytes on large workloads.
 func (m *u64map) reserve(n int) {
-	size := 1 << 13
+	size := minSlots
 	for size < n*2 {
 		size *= 2
 	}
@@ -181,28 +191,65 @@ func (m *u64map) reserve(n int) {
 	}
 }
 
-// carena bump-allocates pair ctrees in 4096-entry blocks, addressable by
-// dense index (the value stored in the pair table).
-type carena struct {
-	blocks [][]ctree
+// arena bump-allocates engine-lifetime entries (pair ctrees, graph
+// nodes) in blocks, addressable by dense index (the value the pair and
+// node tables store). Blocks grow with what the arena holds: the first
+// two hold 1<<arenaMin entries, each later one twice its predecessor, so
+// the first arenaShift-arenaMin+1 blocks hold 1<<arenaShift entries
+// together, and every block after them holds 1<<arenaShift. A small
+// sweep thus allocates for the entries it makes, not a 4096-entry block
+// per arena, while a big one fills full blocks as before. Entries never
+// move (alloc hands out pointers into the blocks), and at is
+// constant-time: one comparison picks the geometric or the fixed-size
+// addressing, and every block starts at a multiple of its capacity, so
+// masking an index with that capacity yields its offset.
+type arena[T any] struct {
+	blocks [][]T
 	n      int32
 }
 
-const arenaShift = 12 // 4096-entry blocks
+const (
+	arenaMin   = 6  // 64-entry first blocks
+	arenaShift = 12 // 4096-entry blocks from index 4096 on
+)
 
-func (a *carena) alloc(id intern.ID, l, r *ctree) (*ctree, int32) {
-	if a.n>>arenaShift == int32(len(a.blocks)) {
-		a.blocks = append(a.blocks, make([]ctree, 0, 1<<arenaShift))
+// blockCap is the capacity of the arena's k-th block.
+func blockCap(k int) int {
+	switch {
+	case k == 0:
+		return 1 << arenaMin
+	case k <= arenaShift-arenaMin:
+		return 1 << (arenaMin - 1 + k)
 	}
-	b := &a.blocks[len(a.blocks)-1]
-	*b = append(*b, ctree{id: id, left: l, right: r})
+	return 1 << arenaShift
+}
+
+// alloc takes the next entry, which the caller fills in, and returns it
+// with its index. Blocks are zeroed when made and only ever extended, so
+// the entry is zero.
+func (a *arena[T]) alloc() (*T, int32) {
+	k := len(a.blocks) - 1
+	if k < 0 || len(a.blocks[k]) == cap(a.blocks[k]) {
+		k++
+		a.blocks = append(a.blocks, make([]T, 0, blockCap(k)))
+	}
+	b := &a.blocks[k]
+	*b = (*b)[:len(*b)+1]
 	i := a.n
 	a.n++
 	return &(*b)[len(*b)-1], i
 }
 
-func (a *carena) at(i int32) *ctree {
-	return &a.blocks[i>>arenaShift][i&(1<<arenaShift-1)]
+func (a *arena[T]) at(i int32) *T {
+	// Below 4096, index i sits in block bits.Len(i>>arenaMin): 0 below 64,
+	// then one block per power of two up to block 6; from 4096 on, past
+	// those seven, one block per 4096 entries.
+	k := i>>arenaShift + arenaShift - arenaMin
+	if i < 1<<arenaShift {
+		k = int32(bits.Len32(uint32(i) >> arenaMin))
+	}
+	b := a.blocks[k]
+	return &b[i&int32(cap(b)-1)]
 }
 
 // leaf interns the canonical ctree of the located process (loc, e), keyed
@@ -236,7 +283,8 @@ func (eng *fusedEngine) pairFor(l, r *ctree) *ctree {
 		return eng.pairArena.at(i)
 	}
 	eng.pairID++
-	t, idx := eng.pairArena.alloc(intern.ID(2*eng.pairID), l, r) // even IDs (leaves take the odd ones)
+	t, idx := eng.pairArena.alloc()
+	t.id, t.left, t.right = intern.ID(2*eng.pairID), l, r // even IDs (leaves take the odd ones)
 	eng.pairs.putAt(slot, k, idx)
 	return t
 }

@@ -152,16 +152,17 @@ type fusedEngine struct {
 	// cannot collide. Pair ctrees and fnodes are bump-allocated from
 	// arenas: they are engine-lifetime and dominate the object population,
 	// so block allocation removes both the per-object malloc and the
-	// garbage collector's per-object tracking, and packs the replay-hot
-	// nodes contiguously.
+	// garbage collector's per-object tracking, and lays the nodes out in
+	// creation order, which is close to the BFS order replays touch them
+	// in (fnode.idx doubles as the node's arena index).
 	leaves    map[uint64]*ctree
 	leafID    int32
 	pairs     u64map
-	pairArena carena
+	pairArena arena[ctree]
 	pairID    int32
 
 	nodes     u64map
-	nodeArena narena
+	nodeArena arena[fnode]
 	// start is the graph's initial state, the client's leaf under a fresh
 	// monitor. newReplayer builds it on the engine's first replayer, so a
 	// sweep that replays nothing (a MaxPlans overrun, an empty family, a
@@ -388,30 +389,6 @@ func (eng *fusedEngine) candidates(ri int32) ([]int32, error) {
 	}
 	eng.cands[ri] = locs
 	return locs, nil
-}
-
-// narena bump-allocates fnodes in 4096-entry blocks, addressable by dense
-// index (fnode.idx doubles as the arena index). Besides
-// removing per-object malloc/GC costs, it lays the nodes out in creation
-// order, which is close to BFS order — the order replays touch them.
-type narena struct {
-	blocks [][]fnode
-	n      int32
-}
-
-func (a *narena) alloc() (*fnode, int32) {
-	if a.n>>arenaShift == int32(len(a.blocks)) {
-		a.blocks = append(a.blocks, make([]fnode, 0, 1<<arenaShift))
-	}
-	b := &a.blocks[len(a.blocks)-1]
-	*b = append(*b, fnode{})
-	i := a.n
-	a.n++
-	return &(*b)[len(*b)-1], i
-}
-
-func (a *narena) at(i int32) *fnode {
-	return &a.blocks[i>>arenaShift][i&(1<<arenaShift-1)]
 }
 
 // node interns (tree, monitor) into the shared graph, creating the node on
@@ -1334,6 +1311,25 @@ func (eng *fusedEngine) keyOrder(vecs [][]int32) []int32 {
 	return order
 }
 
+// reserveTables presizes the canonical-pair and node tables for a run
+// over the given number of plans, now that the workload scale is known:
+// the explored graph grows with plans × requests, and letting a big
+// family's tables double their way up from minSlots instead was a third
+// of the engine's allocated bytes (see u64map.reserve). A small family
+// reserves for its size (hotel.susc's c1, 3 plans of 2 requests: the
+// 64-slot floor). The estimate still over-reserves where plans fail
+// early: a guarded Chained(8,2), 256 plans of 8 requests, reserves 8192
+// + 4096 slots for a graph of hundreds of nodes and pairs. The cap keeps
+// a wide plan space with a small shared graph from over-allocating —
+// beyond it, organic growth takes over.
+func (eng *fusedEngine) reserveTables(plans int) {
+	if n := plans * eng.nReq; n > 0 {
+		const maxReserve = 1 << 21
+		eng.pairs.reserve(min(2*n, 2*maxReserve))
+		eng.nodes.reserve(min(n, maxReserve/2))
+	}
+}
+
 // run assesses the plan of vecs[i] for every i in idxs, in that order,
 // on the calling goroutine, and yields each report with its index. Every
 // listed plan is yielded exactly once, also under budget exhaustion and
@@ -1343,17 +1339,7 @@ func (eng *fusedEngine) keyOrder(vecs [][]int32) []int32 {
 func (eng *fusedEngine) run(vecs [][]int32, idxs []int,
 	yield func(int, *verify.Report) error) error {
 
-	// Presize the canonical-pair and node tables now that the workload
-	// scale is known: the explored graph grows with plans × requests, and
-	// letting the tables double their way up instead was a third of the
-	// engine's allocated bytes (see u64map.reserve). The cap keeps a wide
-	// plan space with a small shared graph from over-allocating — beyond
-	// it, organic growth takes over.
-	if n := len(idxs) * eng.nReq; n > 0 {
-		const maxReserve = 1 << 21
-		eng.pairs.reserve(min(2*n, 2*maxReserve))
-		eng.nodes.reserve(min(n, maxReserve/2))
-	}
+	eng.reserveTables(len(idxs))
 	if err := eng.computeCycleSkip(); err != nil {
 		return err
 	}
