@@ -53,10 +53,7 @@ func TestGoldenContentHashes(t *testing.T) {
 		}
 		for _, c := range f.Clients {
 			fmt.Fprintf(&b, "%s client %s expr %s\n", name, c.Name, hash.Expr(c.Expr))
-			sum, err := verify.PlanKey(f.Repo, f.Table, c.Loc, c.Expr, c.Plan, nil)
-			if err != nil {
-				t.Fatalf("%s: client %s: %v", path, c.Name, err)
-			}
+			sum := verify.PlanKey(f.Repo, f.Table, c.Loc, c.Expr, c.Plan, nil)
 			fmt.Fprintf(&b, "%s client %s plankey %s\n", name, c.Name, sum)
 		}
 	}

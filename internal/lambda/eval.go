@@ -1,6 +1,7 @@
 package lambda
 
 import (
+	"errors"
 	"fmt"
 
 	"susc/internal/hexpr"
@@ -17,92 +18,169 @@ func (e *EvalError) Error() string {
 	return fmt.Sprintf("lambda: eval: %s: in %s", e.Msg, e.Term)
 }
 
+// outOfFuel is the message of the error an evaluation that exhausts its
+// fuel stops with; EvalSession and RunNetwork report it as
+// SessionOutOfFuel.
+const outOfFuel = "out of fuel"
+
+func isFuel(err error) bool {
+	var e *EvalError
+	return errors.As(err, &e) && e.Msg == outOfFuel
+}
+
 // Value is an evaluation result: Unit, IntLit, SymLit, Abs or RecFun
 // (closures are realised by substitution, so closed abstractions are
 // values).
 type Value = Term
 
 // Eval runs a closed, communication-free term under call-by-value,
-// recording the history (events and framing actions) it produces. Terms
-// containing select/branch/open need a session partner and cannot be
-// evaluated stand-alone; Eval reports them as errors. The fuel bounds the
-// number of β-steps, so diverging recursions fail rather than hang.
+// recording the history (events and framing actions) it produces. It uses
+// the evaluator of EvalSession and RunNetwork with no partner: a term that
+// reaches a select, branch or open needs a session partner, and Eval
+// reports the one it paused at as an error. The fuel bounds the number of
+// evaluation steps, so diverging recursions fail rather than hang; the
+// error names the term no fuel was left to evaluate.
 //
 // Eval is the ground truth for the effect-soundness tests: the recorded
 // history of a terminating run is always a trace of the inferred effect.
 func Eval(t Term, fuel int) (Value, history.History, error) {
-	e := &simpleEvaluator{fuel: fuel}
-	v, err := e.eval(t)
-	if err != nil {
-		return nil, nil, err
+	sess := &session{fuel: fuel}
+	o := (&evaluator{sess: sess}).eval(t, valueK)
+	var paused Term
+	switch {
+	case o.err != nil:
+		return nil, nil, o.err
+	case o.req != nil:
+		paused = Request{Req: o.req.req, Policy: o.req.policy, Body: o.req.body}
+	case o.comm == nil:
+		return o.val, sess.hist, nil
+	case o.comm.send:
+		paused = Select{Branches: o.comm.branches}
+	default:
+		paused = Branch{Branches: o.comm.branches}
 	}
-	return v, e.hist, nil
+	return nil, nil, &EvalError{Term: paused, Msg: "communication requires a session partner"}
 }
 
-type simpleEvaluator struct {
+// outcome is the result of evaluating one side: a value, an error, or a
+// pause — at a communication, or at a service request (handled only by the
+// network runtime).
+type outcome struct {
+	val  Value
+	err  error
+	comm *pausedComm
+	req  *pausedReq
+}
+
+// pausedComm is a side blocked on select (send=true) or branch; resume
+// continues evaluation with the chosen branch body.
+type pausedComm struct {
+	send     bool
+	branches []CommBranch
+	resume   func(Term) *outcome
+}
+
+// pausedReq is a side blocked on a service request open_{r,φ}: the network
+// runtime spawns the service, evaluates body in the session, and calls
+// resume with the body's value once the session closes.
+type pausedReq struct {
+	req    hexpr.RequestID
+	policy hexpr.PolicyID
+	body   Term
+	resume func(Value) *outcome
+}
+
+func valueK(v Value) *outcome { return &outcome{val: v} }
+
+// session holds the shared fuel and history of an evaluation (one per
+// network component; both parties of EvalSession share one).
+type session struct {
 	fuel int
 	hist history.History
 }
 
-func (e *simpleEvaluator) eval(t Term) (Value, error) {
-	if e.fuel <= 0 {
-		return nil, &EvalError{Term: t, Msg: "out of fuel"}
+// evaluator is one party's CPS evaluation state: it shares the component
+// session (fuel, history) and tracks its own stack of open Enforce frames,
+// so the network runtime can close them (the Φ of rule Close) when the
+// party is terminated mid-frame.
+type evaluator struct {
+	sess   *session
+	frames []hexpr.PolicyID
+}
+
+// eval is a CPS evaluator: it reduces t and passes the value to k; when
+// the redex is a communication or a service request, it returns a pause
+// whose resume re-enters evaluation with the same continuation.
+func (e *evaluator) eval(t Term, k func(Value) *outcome) *outcome {
+	s := e.sess
+	if s.fuel <= 0 {
+		return &outcome{err: &EvalError{Term: t, Msg: outOfFuel}}
 	}
-	e.fuel--
+	s.fuel--
 	switch x := t.(type) {
 	case Unit, IntLit, SymLit, Abs, RecFun:
-		return t, nil
+		return k(t)
 	case Var:
-		return nil, &EvalError{Term: t, Msg: fmt.Sprintf("unbound variable %q", x.Name)}
+		return &outcome{err: &EvalError{Term: t, Msg: fmt.Sprintf("unbound variable %q", x.Name)}}
 	case Fire:
-		e.hist = append(e.hist, history.EventItem(x.Event))
-		return Unit{}, nil
+		s.hist = append(s.hist, history.EventItem(x.Event))
+		return k(Unit{})
 	case Seq:
-		if _, err := e.eval(x.First); err != nil {
-			return nil, err
-		}
-		return e.eval(x.Then)
+		return e.eval(x.First, func(Value) *outcome {
+			return e.eval(x.Then, k)
+		})
 	case Let:
-		v, err := e.eval(x.Bind)
-		if err != nil {
-			return nil, err
-		}
-		return e.eval(substTerm(x.Body, x.Name, v))
+		return e.eval(x.Bind, func(v Value) *outcome {
+			return e.eval(substTerm(x.Body, x.Name, v), k)
+		})
 	case Enforce:
 		if x.Policy != hexpr.NoPolicy {
-			e.hist = append(e.hist, history.OpenItem(x.Policy))
+			s.hist = append(s.hist, history.OpenItem(x.Policy))
+			e.frames = append(e.frames, x.Policy)
 		}
-		v, err := e.eval(x.Body)
-		if err != nil {
-			return nil, err
-		}
-		if x.Policy != hexpr.NoPolicy {
-			e.hist = append(e.hist, history.CloseItem(x.Policy))
-		}
-		return v, nil
+		return e.eval(x.Body, func(v Value) *outcome {
+			if x.Policy != hexpr.NoPolicy {
+				s.hist = append(s.hist, history.CloseItem(x.Policy))
+				e.frames = e.frames[:len(e.frames)-1]
+			}
+			return k(v)
+		})
 	case App:
-		fv, err := e.eval(x.Fn)
-		if err != nil {
-			return nil, err
-		}
-		av, err := e.eval(x.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch fn := fv.(type) {
-		case Abs:
-			return e.eval(substTerm(fn.Body, fn.Param, av))
-		case RecFun:
-			body := substTerm(fn.Body, fn.Param, av)
-			body = substTerm(body, fn.Name, fn)
-			return e.eval(body)
-		default:
-			return nil, &EvalError{Term: t, Msg: fmt.Sprintf("applying non-function %s", fv)}
-		}
-	case Select, Branch, Request:
-		return nil, &EvalError{Term: t, Msg: "communication requires a session partner"}
+		return e.eval(x.Fn, func(fv Value) *outcome {
+			return e.eval(x.Arg, func(av Value) *outcome {
+				switch fn := fv.(type) {
+				case Abs:
+					return e.eval(substTerm(fn.Body, fn.Param, av), k)
+				case RecFun:
+					body := substTerm(fn.Body, fn.Param, av)
+					body = substTerm(body, fn.Name, fn)
+					return e.eval(body, k)
+				default:
+					return &outcome{err: &EvalError{Term: t, Msg: fmt.Sprintf("applying non-function %s", fv)}}
+				}
+			})
+		})
+	case Select:
+		return &outcome{comm: &pausedComm{
+			send:     true,
+			branches: x.Branches,
+			resume:   func(body Term) *outcome { return e.eval(body, k) },
+		}}
+	case Branch:
+		return &outcome{comm: &pausedComm{
+			send:     false,
+			branches: x.Branches,
+			resume:   func(body Term) *outcome { return e.eval(body, k) },
+		}}
+	case Request:
+		return &outcome{req: &pausedReq{
+			req:    x.Req,
+			policy: x.Policy,
+			body:   x.Body,
+			resume: k,
+		}}
 	}
-	return nil, &EvalError{Term: t, Msg: "unknown term"}
+	return &outcome{err: &EvalError{Term: t, Msg: "unknown term"}}
 }
 
 // substTerm substitutes a value for a variable, capture-avoidingly. Values

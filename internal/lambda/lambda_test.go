@@ -1,6 +1,7 @@
 package lambda_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -351,9 +352,24 @@ func TestEvalOutOfFuel(t *testing.T) {
 	// rec f(x). f x diverges (ill-typed as an effect, but evaluable).
 	f := lambda.RecFun{Name: "f", Param: "x", ParamType: lambda.UnitT{}, Result: lambda.UnitT{},
 		Body: lambda.App{Fn: lambda.Var{Name: "f"}, Arg: lambda.Var{Name: "x"}}}
-	_, _, err := lambda.Eval(lambda.App{Fn: f, Arg: lambda.Unit{}}, 50)
+	loop := lambda.App{Fn: f, Arg: lambda.Unit{}}
+	_, _, err := lambda.Eval(loop, 50)
 	if err == nil || !strings.Contains(err.Error(), "fuel") {
 		t.Errorf("err = %v, want out-of-fuel", err)
+	}
+	// the error names the term no fuel was left to evaluate
+	for fuel, in := range []string{
+		"((rec f(x:unit):unit. (f x)) ())",
+		"(rec f(x:unit):unit. (f x))",
+		"()",
+		"((rec f(x:unit):unit. (f x)) ())",
+		"(rec f(x:unit):unit. (f x))",
+	} {
+		_, _, err := lambda.Eval(loop, fuel)
+		var ee *lambda.EvalError
+		if want := "lambda: eval: out of fuel: in " + in; !errors.As(err, &ee) || err.Error() != want {
+			t.Errorf("fuel %d: err = %v, want %s", fuel, err, want)
+		}
 	}
 }
 
@@ -363,6 +379,20 @@ func TestEvalRejectsCommunication(t *testing.T) {
 	}}, 10)
 	if err == nil || !strings.Contains(err.Error(), "session partner") {
 		t.Errorf("err = %v", err)
+	}
+	// the error names the select, branch or open, after substitution
+	for _, c := range []struct{ src, in string }{
+		{`fire a(); select { a => () | b => 1 }`, `select { a! => () | b! => 1 }`},
+		{`let x = 5 in branch { a => x }`, `branch { a? => 5 }`},
+		{`enforce phi { open r1 with phi { () } }`, `open r1 with phi { () }`},
+		{`(fun x: int . open r2 { fire b(x) }) 3`, `open r2 { fire b(x) }`},
+	} {
+		v, hist, err := lambda.Eval(mustLam(t, c.src), 100)
+		var ee *lambda.EvalError
+		want := "lambda: eval: communication requires a session partner: in " + c.in
+		if !errors.As(err, &ee) || err.Error() != want || v != nil || hist != nil {
+			t.Errorf("%s: Eval = %v, %v, %v; want error %s", c.src, v, hist, err, want)
+		}
 	}
 }
 

@@ -30,20 +30,6 @@ func (r ServiceRepo) Effects() (network.Repository, error) {
 	return out, nil
 }
 
-// NetResult is the outcome of a λ-network run.
-type NetResult struct {
-	Status SessionStatus
-	// ClientValue is the client program's result (Completed only).
-	ClientValue Value
-	// Hist is the component history: every party of every (nested) session
-	// of the client logs into it, as in the paper's network semantics.
-	Hist history.History
-	// Synchronised lists the synchronised channels in order.
-	Synchronised []string
-	// Violation is the policy the monitor tripped on (SessionAborted only).
-	Violation hexpr.PolicyID
-}
-
 // NetOptions configures RunNetwork.
 type NetOptions struct {
 	// Fuel bounds the total number of evaluation steps (default 100000).
@@ -85,7 +71,8 @@ func (*netPair) isNetNode() {}
 // plan: service requests open nested sessions exactly as in Definition 2
 // (rule Open spawns a fresh copy of the planned service; rule Close
 // terminates the service side, logging the ⌋φ of its still-open framings
-// via its frame stack — the Φ of the paper — and the session policy's ⌋φ).
+// via its frame stack — the Φ of the paper — and the session policy's ⌋φ;
+// rule Synch is the one EvalSession runs).
 //
 // This is the executable end of the paper's programme at the program
 // level: a plan validated on the *extracted effects* (verify.CheckPlan on
@@ -131,41 +118,25 @@ func RunNetwork(client Term, loc hexpr.Location, repo ServiceRepo,
 		if bad, err := feedMonitor(); err != nil {
 			return nil, err
 		} else if bad != hexpr.NoPolicy {
-			res.Status = SessionAborted
 			res.Violation = bad
-			res.Hist = sess.hist
-			return res, nil
+			return res.finish(SessionAborted, sess)
 		}
 		// terminal and error states
 		if leaf, ok := root.(*netLeaf); ok {
 			if leaf.o.err != nil {
-				if isFuel(leaf.o.err) {
-					res.Status = SessionOutOfFuel
-					res.Hist = sess.hist
-					return res, nil
-				}
-				return nil, leaf.o.err
+				return res.fail(leaf.o.err, sess)
 			}
 			if leaf.o.comm == nil && leaf.o.req == nil {
-				res.Status = SessionCompleted
 				res.ClientValue = leaf.o.val
-				res.Hist = sess.hist
-				return res, nil
+				return res.finish(SessionCompleted, sess)
 			}
 		}
 		progressed, err := step(&root, sess, plan, repo, opts.Rand, res)
 		if err != nil {
-			if isFuel(err) {
-				res.Status = SessionOutOfFuel
-				res.Hist = sess.hist
-				return res, nil
-			}
-			return nil, err
+			return res.fail(err, sess)
 		}
 		if !progressed {
-			res.Status = SessionStuck
-			res.Hist = sess.hist
-			return res, nil
+			return res.finish(SessionStuck, sess)
 		}
 	}
 }
@@ -235,32 +206,7 @@ func step(node *netNode, sess *session, plan network.Plan, repo ServiceRepo,
 		// rule Synch: both sides are leaves paused on complementary comms
 		il, iok := n.initiator.(*netLeaf)
 		sl, sok := n.svc.(*netLeaf)
-		if !iok || !sok || il.o.comm == nil || sl.o.comm == nil {
-			return false, nil
-		}
-		var sender, receiver *netLeaf
-		switch {
-		case il.o.comm.send && !sl.o.comm.send:
-			sender, receiver = il, sl
-		case !il.o.comm.send && sl.o.comm.send:
-			sender, receiver = sl, il
-		default:
-			return false, nil
-		}
-		idx := 0
-		if rnd != nil {
-			idx = rnd.Intn(len(sender.o.comm.branches))
-		}
-		ch := sender.o.comm.branches[idx].Channel
-		rBranch, ok := findBranch(receiver.o.comm.branches, ch)
-		if !ok {
-			return false, nil
-		}
-		res.Synchronised = append(res.Synchronised, ch)
-		sb := sender.o.comm.branches[idx].Body
-		sender.o = sender.o.comm.resume(sb)
-		receiver.o = receiver.o.comm.resume(rBranch.Body)
-		return true, nil
+		return iok && sok && synch(&il.o, &sl.o, rnd, res), nil
 	}
 	return false, fmt.Errorf("lambda: unknown network node %T", *node)
 }

@@ -1,7 +1,6 @@
 package lambda
 
 import (
-	"fmt"
 	"math/rand"
 
 	"susc/internal/hexpr"
@@ -39,53 +38,59 @@ func (s SessionStatus) String() string {
 	return "unknown"
 }
 
-// SessionResult is the outcome of EvalSession.
-type SessionResult struct {
+// NetResult is the outcome of a run: of a two-party session (EvalSession)
+// or of a λ-network (RunNetwork).
+type NetResult struct {
 	Status SessionStatus
-	// ClientValue is the client's result (Completed only).
+	// ClientValue is the client program's result (Completed only).
 	ClientValue Value
-	// Hist is the shared session history: both parties log their events
-	// and framing actions into it, as in the network semantics. Each side
-	// runs to its next communication point before the other is scheduled.
+	// Hist is the component history: every party of every (nested) session
+	// of the client logs its events and framing actions into it, as in the
+	// paper's network semantics.
 	Hist history.History
-	// Synchronised lists the channels synchronised, in order.
+	// Synchronised lists the synchronised channels in order.
 	Synchronised []string
+	// Violation is the policy the monitor tripped on (SessionAborted only).
+	Violation hexpr.PolicyID
+}
+
+// finish ends the run with status st and the history of s.
+func (r *NetResult) finish(st SessionStatus, s *session) (*NetResult, error) {
+	r.Status, r.Hist = st, s.hist
+	return r, nil
+}
+
+// fail ends the run on an evaluation error: running out of fuel is a
+// status, any other error is returned.
+func (r *NetResult) fail(err error, s *session) (*NetResult, error) {
+	if isFuel(err) {
+		return r.finish(SessionOutOfFuel, s)
+	}
+	return nil, err
 }
 
 // EvalSession runs a client and a server λ-program as the two parties of a
-// session: non-communication steps reduce locally (call-by-value), and
-// select/branch pairs synchronise — the side holding the select picks the
-// channel (via rnd; deterministically first when rnd is nil), the other
-// side must offer it. Service requests (open) are not supported inside a
-// session evaluation; use the network semantics on extracted effects for
-// nested sessions.
+// session: non-communication steps reduce locally (call-by-value), each
+// side running to its next communication point before the other is
+// scheduled, and select/branch pairs synchronise by rule Synch, the rule
+// RunNetwork uses. Service requests (open) are not supported inside a
+// session evaluation; use RunNetwork for nested sessions. The result's
+// Violation is always empty: no monitor runs.
 //
 // EvalSession is the run-time ground truth for compliance at the λ level:
 // when the inferred effects of the two programs are compliant, no
 // scheduling of EvalSession ever returns SessionStuck (property-tested).
-func EvalSession(client, server Term, fuel int, rnd *rand.Rand) (*SessionResult, error) {
+func EvalSession(client, server Term, fuel int, rnd *rand.Rand) (*NetResult, error) {
 	sess := &session{fuel: fuel}
-	ce := &evaluator{sess: sess}
-	se := &evaluator{sess: sess}
-	res := &SessionResult{}
-	co := ce.eval(client, valueK)
-	so := se.eval(server, valueK)
+	co := (&evaluator{sess: sess}).eval(client, valueK)
+	so := (&evaluator{sess: sess}).eval(server, valueK)
+	res := &NetResult{}
 	for {
 		if co.err != nil {
-			if isFuel(co.err) {
-				res.Status = SessionOutOfFuel
-				res.Hist = sess.hist
-				return res, nil
-			}
-			return nil, co.err
+			return res.fail(co.err, sess)
 		}
 		if so.err != nil {
-			if isFuel(so.err) {
-				res.Status = SessionOutOfFuel
-				res.Hist = sess.hist
-				return res, nil
-			}
-			return nil, so.err
+			return res.fail(so.err, sess)
 		}
 		if co.req != nil || so.req != nil {
 			return nil, &EvalError{Term: client,
@@ -93,50 +98,44 @@ func EvalSession(client, server Term, fuel int, rnd *rand.Rand) (*SessionResult,
 		}
 		// the client finished: success regardless of the server residual
 		if co.comm == nil {
-			res.Status = SessionCompleted
 			res.ClientValue = co.val
-			res.Hist = sess.hist
-			return res, nil
+			return res.finish(SessionCompleted, sess)
 		}
-		// client paused; server finished: nobody will ever answer
-		if so.comm == nil {
-			res.Status = SessionStuck
-			res.Hist = sess.hist
-			return res, nil
-		}
-		// both paused: they must form a sender/receiver pair
-		var sender, receiver *pausedComm
-		switch {
-		case co.comm.send && !so.comm.send:
-			sender, receiver = co.comm, so.comm
-		case !co.comm.send && so.comm.send:
-			sender, receiver = so.comm, co.comm
-		default:
-			res.Status = SessionStuck
-			res.Hist = sess.hist
-			return res, nil
-		}
-		// the sender decides
-		idx := 0
-		if rnd != nil {
-			idx = rnd.Intn(len(sender.branches))
-		}
-		ch := sender.branches[idx].Channel
-		rBranch, ok := findBranch(receiver.branches, ch)
-		if !ok {
-			res.Status = SessionStuck
-			res.Hist = sess.hist
-			return res, nil
-		}
-		res.Synchronised = append(res.Synchronised, ch)
-		next1 := sender.resume(sender.branches[idx].Body)
-		next2 := receiver.resume(rBranch.Body)
-		if co.comm == sender {
-			co, so = next1, next2
-		} else {
-			co, so = next2, next1
+		if !synch(&co, &so, rnd, res) {
+			return res.finish(SessionStuck, sess)
 		}
 	}
+}
+
+// synch is rule Synch: two parties paused on complementary communications
+// synchronise, the sender picking the channel (via rnd; the first branch
+// when rnd is nil) and the receiver offering it. Both resume in place, the
+// sender first (they share one history and one fuel counter), and the
+// channel is appended to res. synch reports false when the rule cannot
+// fire: a side is not paused on a communication, both send or both
+// receive, or the receiver does not offer the channel.
+func synch(a, b **outcome, rnd *rand.Rand, res *NetResult) bool {
+	sender, receiver := a, b
+	if (*b).comm != nil && (*b).comm.send {
+		sender, receiver = b, a
+	}
+	sc, rc := (*sender).comm, (*receiver).comm
+	if sc == nil || rc == nil || !sc.send || rc.send {
+		return false
+	}
+	idx := 0
+	if rnd != nil {
+		idx = rnd.Intn(len(sc.branches))
+	}
+	ch := sc.branches[idx].Channel
+	rBranch, ok := findBranch(rc.branches, ch)
+	if !ok {
+		return false
+	}
+	res.Synchronised = append(res.Synchronised, ch)
+	*sender = sc.resume(sc.branches[idx].Body)
+	*receiver = rc.resume(rBranch.Body)
+	return true
 }
 
 func findBranch(bs []CommBranch, ch string) (CommBranch, bool) {
@@ -146,134 +145,4 @@ func findBranch(bs []CommBranch, ch string) (CommBranch, bool) {
 		}
 	}
 	return CommBranch{}, false
-}
-
-// outcome is the result of evaluating one side: a value, an error, or a
-// pause — at a communication, or at a service request (handled only by the
-// network runtime).
-type outcome struct {
-	val  Value
-	err  error
-	comm *pausedComm
-	req  *pausedReq
-}
-
-// pausedComm is a side blocked on select (send=true) or branch; resume
-// continues evaluation with the chosen branch body.
-type pausedComm struct {
-	send     bool
-	branches []CommBranch
-	resume   func(Term) *outcome
-}
-
-// pausedReq is a side blocked on a service request open_{r,φ}: the network
-// runtime spawns the service, evaluates body in the session, and calls
-// resume with the body's value once the session closes.
-type pausedReq struct {
-	req    hexpr.RequestID
-	policy hexpr.PolicyID
-	body   Term
-	resume func(Value) *outcome
-}
-
-func valueK(v Value) *outcome { return &outcome{val: v} }
-
-type fuelError struct{}
-
-func (fuelError) Error() string { return "lambda: session out of fuel" }
-
-func isFuel(err error) bool {
-	_, ok := err.(fuelError)
-	return ok
-}
-
-// session holds the shared fuel and history of an evaluation (one per
-// network component; both parties of EvalSession share one).
-type session struct {
-	fuel int
-	hist history.History
-}
-
-// evaluator is one party's CPS evaluation state: it shares the component
-// session (fuel, history) and tracks its own stack of open Enforce frames,
-// so the network runtime can close them (the Φ of rule Close) when the
-// party is terminated mid-frame.
-type evaluator struct {
-	sess   *session
-	frames []hexpr.PolicyID
-}
-
-// eval is a CPS evaluator: it reduces t and passes the value to k; when
-// the redex is a communication or a service request, it returns a pause
-// whose resume re-enters evaluation with the same continuation.
-func (e *evaluator) eval(t Term, k func(Value) *outcome) *outcome {
-	s := e.sess
-	if s.fuel <= 0 {
-		return &outcome{err: fuelError{}}
-	}
-	s.fuel--
-	switch x := t.(type) {
-	case Unit, IntLit, SymLit, Abs, RecFun:
-		return k(t)
-	case Var:
-		return &outcome{err: &EvalError{Term: t, Msg: fmt.Sprintf("unbound variable %q", x.Name)}}
-	case Fire:
-		s.hist = append(s.hist, history.EventItem(x.Event))
-		return k(Unit{})
-	case Seq:
-		return e.eval(x.First, func(Value) *outcome {
-			return e.eval(x.Then, k)
-		})
-	case Let:
-		return e.eval(x.Bind, func(v Value) *outcome {
-			return e.eval(substTerm(x.Body, x.Name, v), k)
-		})
-	case Enforce:
-		if x.Policy != hexpr.NoPolicy {
-			s.hist = append(s.hist, history.OpenItem(x.Policy))
-			e.frames = append(e.frames, x.Policy)
-		}
-		return e.eval(x.Body, func(v Value) *outcome {
-			if x.Policy != hexpr.NoPolicy {
-				s.hist = append(s.hist, history.CloseItem(x.Policy))
-				e.frames = e.frames[:len(e.frames)-1]
-			}
-			return k(v)
-		})
-	case App:
-		return e.eval(x.Fn, func(fv Value) *outcome {
-			return e.eval(x.Arg, func(av Value) *outcome {
-				switch fn := fv.(type) {
-				case Abs:
-					return e.eval(substTerm(fn.Body, fn.Param, av), k)
-				case RecFun:
-					body := substTerm(fn.Body, fn.Param, av)
-					body = substTerm(body, fn.Name, fn)
-					return e.eval(body, k)
-				default:
-					return &outcome{err: &EvalError{Term: t, Msg: fmt.Sprintf("applying non-function %s", fv)}}
-				}
-			})
-		})
-	case Select:
-		return &outcome{comm: &pausedComm{
-			send:     true,
-			branches: x.Branches,
-			resume:   func(body Term) *outcome { return e.eval(body, k) },
-		}}
-	case Branch:
-		return &outcome{comm: &pausedComm{
-			send:     false,
-			branches: x.Branches,
-			resume:   func(body Term) *outcome { return e.eval(body, k) },
-		}}
-	case Request:
-		return &outcome{req: &pausedReq{
-			req:    x.Req,
-			policy: x.Policy,
-			body:   x.Body,
-			resume: func(v Value) *outcome { return k(v) },
-		}}
-	}
-	return &outcome{err: &EvalError{Term: t, Msg: "unknown term"}}
 }

@@ -1,13 +1,16 @@
 package lambda_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"susc/internal/compliance"
 	"susc/internal/hexpr"
 	"susc/internal/history"
 	"susc/internal/lambda"
+	"susc/internal/network"
 	"susc/internal/paperex"
 	"susc/internal/parser"
 )
@@ -188,5 +191,61 @@ func TestEvalSessionHistoryMatchesMonitor(t *testing.T) {
 	m := history.NewMonitor(paperex.Policies())
 	if err := m.AppendAll(res.Hist); err != nil {
 		t.Errorf("session history rejected by the monitor: %v (history %s)", err, res.Hist)
+	}
+}
+
+// TestEvalSessionAgreesWithRunNetwork: a two-party session is the network
+// run of a client whose one request opens it. EvalSession(client, server)
+// and RunNetwork of open r { client } against {s: server} under {r: s},
+// given one more step of fuel for the open, agree on the status, the
+// synchronised channels, the events and the client's value, for every
+// seed and fuel.
+func TestEvalSessionAgreesWithRunNetwork(t *testing.T) {
+	pairs := []struct{ client, server string }{
+		{`select { ping => branch { pong => 7 } }`, `branch { ping => select { pong => () } }`},
+		{`select { hello => () }`, `branch { goodbye => () }`},
+		{`select { hello => () }`, `select { hello => () }`},
+		{`branch { x => () }`, `()`},
+		{`42`, `branch { x => () }`},
+		{`enforce phi { fire order(1); select { Buy => branch { Ok => () } } }`,
+			`branch { Buy => fire charge(80); select { Ok => () } }`},
+		{`(rec pump(n: unit): unit . select { more => branch { item => pump () } | done => () }) ()`,
+			`(rec serve(n: unit): unit . branch { more => select { item => serve () } | done => () }) ()`},
+		{`(rec f(x: unit): unit . select { a => f () }) ()`, `(rec g(x: unit): unit . branch { a => g () }) ()`},
+		{`select { Req => branch { CoBo => select { Pay => () } | NoAv => () } }`,
+			`branch { Req => select { CoBo => branch { Pay => () } | NoAv => () } }`},
+		{`(rec p(x: unit): unit . select { a => branch { ack => p () } | q => () }) ()`,
+			`(rec s(x: unit): unit . branch { a => select { ack => s () } | q => () }) ()`},
+		{`select { hi => () }`, `branch { hi => () | bye => () }`},
+		// mismatched: the client sends a channel the server does not offer
+		{`select { a => () | b => () }`, `branch { a => () }`},
+		// server gone: the server ends after one exchange the client continues
+		{`select { a => branch { b => () } }`, `branch { a => () }`},
+	}
+	plan := network.Plan{"r": "s"}
+	for i, pair := range pairs {
+		client, server := mustLam(t, pair.client), mustLam(t, pair.server)
+		open := lambda.Request{Req: "r", Policy: hexpr.NoPolicy, Body: client}
+		repo := lambda.ServiceRepo{"s": server}
+		for _, fuel := range []int{5, 17, 60, 2000} {
+			for seed := int64(0); seed < 25; seed++ {
+				got, err := lambda.EvalSession(client, server, fuel, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatalf("pair %d: EvalSession: %v", i, err)
+				}
+				want, err := lambda.RunNetwork(open, "c", repo, plan,
+					lambda.NetOptions{Fuel: fuel + 1, Rand: rand.New(rand.NewSource(seed))})
+				if err != nil {
+					t.Fatalf("pair %d: RunNetwork: %v", i, err)
+				}
+				if got.Status != want.Status || !slices.Equal(got.Synchronised, want.Synchronised) ||
+					fmt.Sprint(got.Hist.Flat()) != fmt.Sprint(want.Hist.Flat()) ||
+					fmt.Sprint(got.ClientValue) != fmt.Sprint(want.ClientValue) {
+					t.Errorf("pair %d, fuel %d, seed %d:\n  EvalSession %s %v %v %v\n  RunNetwork  %s %v %v %v",
+						i, fuel, seed, got.Status, got.Synchronised, got.Hist.Flat(), got.ClientValue,
+						want.Status, want.Synchronised, want.Hist.Flat(), want.ClientValue)
+				}
+			}
+		}
 	}
 }

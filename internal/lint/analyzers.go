@@ -6,7 +6,6 @@ import (
 
 	"susc/internal/hexpr"
 	"susc/internal/parser"
-	"susc/internal/policy"
 )
 
 // --- span lookup helpers ------------------------------------------------
@@ -262,43 +261,13 @@ var vacuityAnalyzer = &Analyzer{
 					"policy %s declares no offending state: it can never be violated, so framings of it never fire", name)
 				continue
 			}
-			if !offendingReachable(a) {
+			if n, _ := templateNFA(a); n.IsEmpty() {
 				pass.Reportf(CodeVacuousPolicy, Warning, pass.policySpan(name),
 					"policy %s can never reach an offending state (%v is unreachable from %s even ignoring guards): framings of it never fire",
 					name, a.Finals, a.Start)
 			}
 		}
 	},
-}
-
-// offendingReachable reports whether some final (violation) state of the
-// template is reachable from the start by the edge graph, ignoring guards
-// (an over-approximation of firability: unreachable here means vacuous).
-func offendingReachable(a *policy.Automaton) bool {
-	next := map[string][]string{}
-	for _, e := range a.Edges {
-		next[e.From] = append(next[e.From], e.To)
-	}
-	final := map[string]bool{}
-	for _, f := range a.Finals {
-		final[f] = true
-	}
-	seen := map[string]bool{a.Start: true}
-	work := []string{a.Start}
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		if final[s] {
-			return true
-		}
-		for _, t := range next[s] {
-			if !seen[t] {
-				seen[t] = true
-				work = append(work, t)
-			}
-		}
-	}
-	return false
 }
 
 // --- SUSC004: always-violated policies -----------------------------------

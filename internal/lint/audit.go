@@ -170,10 +170,7 @@ func (p *Pass) auditData() *auditState {
 // plan's cone key (verify.PlanKey) — the key a family sweep files the
 // same plan's flow under. hit reports a read from either tier.
 func (p *Pass) flowFor(c parser.ClientDecl) (flow *verify.PlanFlow, hit bool, err error) {
-	sum, err := verify.PlanKey(p.File.Repo, p.File.Table, c.Loc, c.Expr, c.Plan, nil)
-	if err != nil {
-		return nil, false, err
-	}
+	sum := verify.PlanKey(p.File.Repo, p.File.Table, c.Loc, c.Expr, c.Plan, nil)
 	return verify.ReadFlow(p.Cache, sum, func() (*verify.PlanFlow, error) {
 		return verify.ExploreFlow(p.File.Repo, p.File.Table, c.Loc, c.Expr, c.Plan,
 			verify.Options{Cache: p.Cache, Budget: p.Budget})

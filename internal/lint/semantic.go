@@ -400,10 +400,10 @@ var deadAutomatonAnalyzer = &Analyzer{
 				return // the suite loop reports the cutoff as SUSC016
 			}
 			a := pass.File.Automata[name]
-			if len(a.Finals) == 0 || !offendingReachable(a) {
+			n, index := templateNFA(a)
+			if n.IsEmpty() {
 				continue // wholly vacuous templates are the vacuity analyzer's turf
 			}
-			n, index := templateNFA(a)
 			reach := n.Reachable()
 			coreach := n.Coreachable()
 			span := pass.policySpan(name)
@@ -454,7 +454,8 @@ var deadAutomatonAnalyzer = &Analyzer{
 // templateNFA renders a policy template as an NFA over its event names,
 // ignoring guards: every declared edge becomes a transition, final states
 // accept. Reachability over it over-approximates reachability of any
-// instance, so unreachable-here is sound evidence of dead automaton parts.
+// instance, so unreachable-here is sound evidence of dead automaton parts,
+// and an empty language a vacuous template (SUSC003).
 func templateNFA(a *policy.Automaton) (*autom.NFA, map[string]int) {
 	n := autom.NewNFA()
 	index := map[string]int{}

@@ -23,7 +23,7 @@ import (
 // it from the goroutine that called it; the fields are typed atomics so
 // that concurrent calls may share one FusedStats and any reader may Load
 // at any time, including mid-run — there is no plain access to mix with.
-// The struct must not be copied; Reset zeroes it in place between runs.
+// The struct must not be copied.
 type FusedStats struct {
 	// StatesExpanded is the number of distinct graph states whose moves
 	// and monitor advances were computed (once, shared by every plan
@@ -45,17 +45,6 @@ type FusedStats struct {
 	// BindingsPruned is the number of candidate bindings rejected by the
 	// PruneNonCompliant probe during enumeration.
 	BindingsPruned atomic.Uint64
-}
-
-// Reset zeroes every counter in place (the struct is not copyable, so
-// `*st = FusedStats{}` is not an option for reuse across runs).
-func (s *FusedStats) Reset() {
-	s.StatesExpanded.Store(0)
-	s.EdgesBuilt.Store(0)
-	s.ReplayStates.Store(0)
-	s.ReplayMemoHits.Store(0)
-	s.PlansAssessed.Store(0)
-	s.BindingsPruned.Store(0)
 }
 
 // fusedEngine is the shared-state-space synthesis engine. One engine

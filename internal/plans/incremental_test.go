@@ -378,10 +378,7 @@ func TestSweepKeysMatchPlanKey(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			for i, p := range ps {
-				want, err := verify.PlanKey(repo, table, loc, client, p, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := verify.PlanKey(repo, table, loc, client, p, nil)
 				if sums[i] != want {
 					t.Fatalf("%s (prune=%v): plan %s keyed %s, PlanKey %s", label, prune, p, sums[i], want)
 				}

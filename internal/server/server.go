@@ -71,8 +71,6 @@ type Config struct {
 	// WebhookSecret enables HMAC-signed result callbacks; without it,
 	// requests carrying a webhook parameter are rejected.
 	WebhookSecret []byte
-	// WebhookDepth bounds the callback queue (default 64).
-	WebhookDepth int
 }
 
 func (c Config) withDefaults() Config {
@@ -81,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 4 << 20
-	}
-	if c.WebhookDepth <= 0 {
-		c.WebhookDepth = 64
 	}
 	return c
 }
@@ -163,7 +158,7 @@ func New(cfg Config) (*Server, error) {
 		sem:        make(chan struct{}, cfg.MaxInFlight),
 	}
 	if len(cfg.WebhookSecret) > 0 {
-		s.hooks = newWebhookQueue(cfg.WebhookSecret, cfg.WebhookDepth)
+		s.hooks = newWebhookQueue(cfg.WebhookSecret)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/{mode}", s.handleVerify)

@@ -66,10 +66,15 @@ type webhookQueue struct {
 	dropped   atomic.Int64
 }
 
-func newWebhookQueue(secret []byte, depth int) *webhookQueue {
+// webhookDepth bounds the callback queue: under sustained callback failure
+// the server drops (and counts) deliveries instead of holding memory,
+// while a burst of this many results waits for the one worker.
+const webhookDepth = 64
+
+func newWebhookQueue(secret []byte) *webhookQueue {
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &webhookQueue{
-		ch:       make(chan delivery, depth),
+		ch:       make(chan delivery, webhookDepth),
 		ctx:      ctx,
 		cancel:   cancel,
 		secret:   secret,

@@ -26,12 +26,9 @@ import (
 // the digest; PlanKeyer.Sum is the same key from parts rendered once.
 func PlanKey(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, plan network.Plan,
-	caps map[hexpr.Location]int) (hash.Sum, error) {
+	caps map[hexpr.Location]int) hash.Sum {
 
-	reqs, err := PlannedRequests(repo, client, plan)
-	if err != nil {
-		return hash.Sum{}, err
-	}
+	reqs := PlannedRequests(repo, client, plan)
 	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
 	h := hash.New()
 	writePlanHead(h, loc, client)
@@ -52,7 +49,7 @@ func PlanKey(repo network.Repository, table *policy.Table,
 	}
 	writePolicies(h, table, policyIDs)
 	writeCaps(h, caps, coneLocs)
-	return h.Sum(), nil
+	return h.Sum()
 }
 
 // NetworkKey is the content hash of a whole-network verdict under bounded
@@ -60,7 +57,7 @@ func PlanKey(repo network.Repository, table *policy.Table,
 // the activated policies, and the full capacity map — components share
 // limited replicas, so every capacity is in every component's cone.
 func NetworkKey(repo network.Repository, table *policy.Table,
-	specs []ClientSpec, caps map[hexpr.Location]int) (hash.Sum, error) {
+	specs []ClientSpec, caps map[hexpr.Location]int) hash.Sum {
 
 	h := hash.New()
 	h.Str("network-report")
@@ -72,10 +69,7 @@ func NetworkKey(repo network.Repository, table *policy.Table,
 		for _, id := range hexpr.Policies(sp.Client) {
 			policyIDs[id] = true
 		}
-		reqs, err := PlannedRequests(repo, sp.Client, sp.Plan)
-		if err != nil {
-			return hash.Sum{}, err
-		}
+		reqs := PlannedRequests(repo, sp.Client, sp.Plan)
 		sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
 		h.Int(len(reqs))
 		for _, pr := range reqs {
@@ -87,7 +81,7 @@ func NetworkKey(repo network.Repository, table *policy.Table,
 	}
 	writePolicies(h, table, policyIDs)
 	writeCaps(h, caps, nil)
-	return h.Sum(), nil
+	return h.Sum()
 }
 
 // writePlanHead writes the part every plan key of one client starts with.

@@ -28,7 +28,7 @@ func CheckNetwork(repo network.Repository, table *policy.Table,
 	// The persistent tier keys on the whole network's cone: components
 	// compete for shared replicas, so there is no per-component
 	// granularity to exploit.
-	key := func() (hash.Sum, error) { return NetworkKey(repo, table, clients, opts.Capacities) }
+	key := func() hash.Sum { return NetworkKey(repo, table, clients, opts.Capacities) }
 	return cachedReport(cache, opts, store.KindNetworkReport, key, func() (*Report, error) {
 		// per-client static prechecks; the witness names the client
 		for _, c := range clients {

@@ -32,11 +32,11 @@ type PlannedRequest struct {
 // comes first does not matter: deduplication only folds the identical
 // copies of a session and the cycles of services invoking each other,
 // which keep the composed behaviour infinite but the request set finite.
-func PlannedRequests(repo network.Repository, client hexpr.Expr, plan network.Plan) ([]PlannedRequest, error) {
+func PlannedRequests(repo network.Repository, client hexpr.Expr, plan network.Plan) []PlannedRequest {
 	var out []PlannedRequest
 	seen := map[hexpr.RequestID]bool{}
-	var collect func(e hexpr.Expr) error
-	collect = func(e hexpr.Expr) error {
+	var collect func(e hexpr.Expr)
+	collect = func(e hexpr.Expr) {
 		var sessions []hexpr.Session
 		hexpr.Walk(e, func(x hexpr.Expr) {
 			if s, ok := x.(hexpr.Session); ok {
@@ -59,33 +59,24 @@ func PlannedRequests(repo network.Repository, client hexpr.Expr, plan network.Pl
 			}
 			out = append(out, pr)
 			if pr.Bound {
-				if err := collect(pr.Service); err != nil {
-					return err
-				}
+				collect(pr.Service)
 			}
 		}
-		return nil
 	}
-	if err := collect(client); err != nil {
-		return nil, err
-	}
-	return out, nil
+	collect(client)
+	return out
 }
 
 // UnboundRequests returns the requests of the composition the plan fails
 // to bind to a repository service.
-func UnboundRequests(repo network.Repository, client hexpr.Expr, plan network.Plan) ([]hexpr.RequestID, error) {
-	reqs, err := PlannedRequests(repo, client, plan)
-	if err != nil {
-		return nil, err
-	}
+func UnboundRequests(repo network.Repository, client hexpr.Expr, plan network.Plan) []hexpr.RequestID {
 	var out []hexpr.RequestID
-	for _, pr := range reqs {
+	for _, pr := range PlannedRequests(repo, client, plan) {
 		if !pr.Bound {
 			out = append(out, pr.Req)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ClientNode is the synthetic call-graph node standing for the client in

@@ -147,15 +147,12 @@ func ReadFlow(cache *memo.Cache, sum hash.Sum,
 // filed under the cone key, else the computation, filed. A private cache
 // (opts.Cache nil) skips the tiers, and the key.
 func cachedReport(cache *memo.Cache, opts Options, kind store.Kind,
-	key func() (hash.Sum, error), compute func() (*Report, error)) (*Report, error) {
+	key func() hash.Sum, compute func() (*Report, error)) (*Report, error) {
 
 	if opts.Cache == nil {
 		return compute()
 	}
-	sum, err := key()
-	if err != nil {
-		return nil, err
-	}
+	sum := key()
 	if r, ok := LookupReport(cache, kind, sum); ok {
 		return r, nil
 	}

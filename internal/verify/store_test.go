@@ -227,14 +227,8 @@ func TestPlanKeyerMatchesPlanKey(t *testing.T) {
 			if l3 != "" {
 				plan["r3"] = l3
 			}
-			want, err := verify.PlanKey(repo, table, paperex.LocC1, paperex.C1(), plan, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reqs, err := verify.PlannedRequests(repo, paperex.C1(), plan)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := verify.PlanKey(repo, table, paperex.LocC1, paperex.C1(), plan, nil)
+			reqs := verify.PlannedRequests(repo, paperex.C1(), plan)
 			sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
 			var bs []*verify.Binding
 			for _, pr := range reqs {
@@ -301,10 +295,7 @@ func TestPlanKeyerResumes(t *testing.T) {
 			plans = next
 		}
 		sorted := func(p network.Plan) []verify.PlannedRequest {
-			reqs, err := verify.PlannedRequests(w.repo, w.client, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			reqs := verify.PlannedRequests(w.repo, w.client, p)
 			sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
 			return reqs
 		}
@@ -334,10 +325,7 @@ func TestPlanKeyerResumes(t *testing.T) {
 				bs = append(bs, cells[cell])
 				fresh = append(fresh, f.Binding(pr))
 			}
-			want, err := verify.PlanKey(w.repo, w.table, w.loc, w.client, p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := verify.PlanKey(w.repo, w.table, w.loc, w.client, p, nil)
 			if got := k.Sum(bs); got != want {
 				t.Fatalf("%s, call %d, plan %s: resumed keyer %s, PlanKey %s", w.name, n, p, got, want)
 			}
@@ -357,16 +345,10 @@ func TestPlanKeyerResumes(t *testing.T) {
 func TestPlanKeyConeSensitivity(t *testing.T) {
 	repo := paperex.Repository()
 	plan := network.Plan{"r1": paperex.LocBr, "r3": paperex.LocS3}
-	base, err := verify.PlanKey(repo, paperex.Policies(), paperex.LocC1, paperex.C1(), plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := verify.PlanKey(repo, paperex.Policies(), paperex.LocC1, paperex.C1(), plan, nil)
 
-	again, err := verify.PlanKey(paperex.Repository(), paperex.Policies(),
+	again := verify.PlanKey(paperex.Repository(), paperex.Policies(),
 		paperex.LocC1, paperex.C1(), plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if again != base {
 		t.Fatal("plan key not deterministic across repository rebuilds")
 	}
@@ -377,10 +359,7 @@ func TestPlanKeyConeSensitivity(t *testing.T) {
 		edited[l] = e
 	}
 	edited[paperex.LocS3] = hexpr.Cat(hexpr.Act(hexpr.E("extra")), repo[paperex.LocS3])
-	moved, err := verify.PlanKey(edited, paperex.Policies(), paperex.LocC1, paperex.C1(), plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	moved := verify.PlanKey(edited, paperex.Policies(), paperex.LocC1, paperex.C1(), plan, nil)
 	if moved == base {
 		t.Fatal("editing the bound service s3 did not move the plan key")
 	}
@@ -391,28 +370,19 @@ func TestPlanKeyConeSensitivity(t *testing.T) {
 		edited2[l] = e
 	}
 	edited2[paperex.LocS2] = hexpr.Cat(hexpr.Act(hexpr.E("extra")), repo[paperex.LocS2])
-	same, err := verify.PlanKey(edited2, paperex.Policies(), paperex.LocC1, paperex.C1(), plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	same := verify.PlanKey(edited2, paperex.Policies(), paperex.LocC1, paperex.C1(), plan, nil)
 	if same != base {
 		t.Fatal("editing the unbound service s2 moved the plan key (cone too wide)")
 	}
 
 	// Capacities of cone locations are part of the key; others are not.
-	capped, err := verify.PlanKey(repo, paperex.Policies(), paperex.LocC1, paperex.C1(), plan,
+	capped := verify.PlanKey(repo, paperex.Policies(), paperex.LocC1, paperex.C1(), plan,
 		map[hexpr.Location]int{paperex.LocS3: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if capped == base {
 		t.Fatal("bounding an in-cone location did not move the plan key")
 	}
-	outside, err := verify.PlanKey(repo, paperex.Policies(), paperex.LocC1, paperex.C1(), plan,
+	outside := verify.PlanKey(repo, paperex.Policies(), paperex.LocC1, paperex.C1(), plan,
 		map[hexpr.Location]int{paperex.LocS2: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if outside != base {
 		t.Fatal("bounding an out-of-cone location moved the plan key")
 	}

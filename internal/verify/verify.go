@@ -216,11 +216,7 @@ func staticCheck(repo network.Repository, client hexpr.Expr,
 	// Per-request compliance over the composed service; verdicts (and
 	// their witnesses) are memoised per distinct (body, service) pair, so
 	// assessing many plans over the same repository decides each pair once.
-	reqs, err := PlannedRequests(repo, client, plan)
-	if err != nil {
-		return nil, err
-	}
-	for _, pr := range reqs {
+	for _, pr := range PlannedRequests(repo, client, plan) {
 		if !pr.Bound {
 			continue // the exploration reports the deadlock with a trace
 		}
@@ -249,7 +245,7 @@ func CheckPlanOpts(repo network.Repository, table *policy.Table,
 	if cache == nil {
 		cache = memo.New()
 	}
-	key := func() (hash.Sum, error) { return PlanKey(repo, table, loc, client, plan, opts.Capacities) }
+	key := func() hash.Sum { return PlanKey(repo, table, loc, client, plan, opts.Capacities) }
 	return cachedReport(cache, opts, store.KindPlanReport, key, func() (*Report, error) {
 		// (a) the static prechecks: cyclic composition, per-request compliance.
 		if r, err := staticCheck(repo, client, plan, cache); err != nil || r != nil {

@@ -198,32 +198,26 @@ func TestVerdictStrings(t *testing.T) {
 
 func TestUnboundRequests(t *testing.T) {
 	plan := network.Plan{"r1": paperex.LocBr} // r3 discovered via the broker, unbound
-	unbound, err := verify.UnboundRequests(paperex.Repository(), paperex.C1(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unbound := verify.UnboundRequests(paperex.Repository(), paperex.C1(), plan)
 	if len(unbound) != 1 || unbound[0] != "r3" {
 		t.Errorf("unbound = %v, want [r3]", unbound)
 	}
 	full := network.Plan{"r1": paperex.LocBr, "r3": paperex.LocS3}
-	unbound, err = verify.UnboundRequests(paperex.Repository(), paperex.C1(), full)
-	if err != nil || len(unbound) != 0 {
-		t.Errorf("unbound = %v err %v, want none", unbound, err)
+	unbound = verify.UnboundRequests(paperex.Repository(), paperex.C1(), full)
+	if len(unbound) != 0 {
+		t.Errorf("unbound = %v, want none", unbound)
 	}
 	// a location missing from the repository is also unbound
 	dangling := network.Plan{"r1": "ghost", "r3": paperex.LocS3}
-	unbound, err = verify.UnboundRequests(paperex.Repository(), paperex.C1(), dangling)
-	if err != nil || len(unbound) != 1 || unbound[0] != "r1" {
-		t.Errorf("unbound = %v err %v, want [r1]", unbound, err)
+	unbound = verify.UnboundRequests(paperex.Repository(), paperex.C1(), dangling)
+	if len(unbound) != 1 || unbound[0] != "r1" {
+		t.Errorf("unbound = %v, want [r1]", unbound)
 	}
 }
 
 func TestPlannedRequestsStrings(t *testing.T) {
-	reqs, err := verify.PlannedRequests(paperex.Repository(), paperex.C1(),
+	reqs := verify.PlannedRequests(paperex.Repository(), paperex.C1(),
 		network.Plan{"r1": paperex.LocBr})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(reqs) != 2 {
 		t.Fatalf("requests = %v", reqs)
 	}
