@@ -8,6 +8,8 @@
 package susc_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 
 	"fmt"
@@ -317,6 +319,50 @@ func BenchmarkPlansNovelGuarded(b *testing.B) {
 		}
 		if n != 256 {
 			b.Fatalf("plans = %d, want 256", n)
+		}
+	}
+}
+
+// BenchmarkPlansWarmJSON is the plans-chained benchmark workload's warm op
+// without its harness: Chained(12,2) through one engine.Session whose
+// memory tier already holds every verdict, so an op is the sweep
+// (enumeration, plan keys, report-tier lookups) and a json.Encoder record
+// of every engine.ToPlanEntry, the `susc plans -json -stream` record
+// shape. Parsing is outside the timer.
+func BenchmarkPlansWarmJSON(b *testing.B) {
+	f, err := parser.ParseFile(benchgen.ChainedSource(12, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := f.Client("cl")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := engine.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := plans.Options{PruneNonCompliant: true}
+	if _, err := s.Assess(f, c, opts); err != nil { // the cold op fills the memory tier
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		as, err := s.Assess(f, c, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf.Reset()
+		enc := json.NewEncoder(&buf)
+		for _, a := range as {
+			if err := enc.Encode(engine.ToPlanEntry(a)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if len(as) != 4096 {
+			b.Fatalf("plans = %d, want 4096", len(as))
 		}
 	}
 }

@@ -49,7 +49,7 @@ func TestE2EValidPlansNeverGoWrong(t *testing.T) {
 			}
 			for seed := int64(0); seed < 25; seed++ {
 				cfg := network.NewConfig(f.Repo, f.Table,
-					network.Client{Loc: c.Loc, Expr: c.Expr, Plan: a.Plan})
+					network.Client{Loc: c.Loc, Expr: c.Expr, Plan: a.Plan.Map()})
 				res := cfg.Run(network.RunOptions{Rand: rand.New(rand.NewSource(seed))})
 				if res.Status != network.Completed {
 					t.Fatalf("client %s, valid plan %s, seed %d: %s",
@@ -83,14 +83,14 @@ func TestE2ESecurityViolatingPlansAbortWhenMonitored(t *testing.T) {
 			}
 			checked++
 			cfg := network.NewConfig(f.Repo, f.Table,
-				network.Client{Loc: c.Loc, Expr: c.Expr, Plan: a.Plan})
+				network.Client{Loc: c.Loc, Expr: c.Expr, Plan: a.Plan.Map()})
 			res := cfg.Run(network.RunOptions{Monitored: true})
 			if res.Status != network.SecurityAbort {
 				t.Errorf("client %s, plan %s: monitored run gave %s, want security-abort",
 					c.Name, a.Plan, res)
 			}
 			free := network.NewConfig(f.Repo, f.Table,
-				network.Client{Loc: c.Loc, Expr: c.Expr, Plan: a.Plan})
+				network.Client{Loc: c.Loc, Expr: c.Expr, Plan: a.Plan.Map()})
 			fres := free.Run(network.RunOptions{})
 			if fres.Status == network.Completed &&
 				history.Valid(free.Comps[0].Hist, f.Table) {

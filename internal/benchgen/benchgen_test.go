@@ -114,7 +114,7 @@ func TestGuardedChainedSource(t *testing.T) {
 	valid := 0
 	for _, a := range as {
 		want := verify.Valid
-		for _, l := range a.Plan {
+		for _, l := range a.Plan.Map() {
 			if slices.Contains(deny, l) {
 				want = verify.SecurityViolation
 			}

@@ -2,22 +2,19 @@ package engine
 
 import (
 	"errors"
-	"slices"
-	"strings"
 
 	"susc/internal/budget"
-	"susc/internal/hexpr"
 	"susc/internal/lint"
-	"susc/internal/network"
 	"susc/internal/plans"
 	"susc/internal/verify"
 )
 
 // PlanEntry is the JSON shape of one assessed plan: the batch array of
 // `susc plans -json`, the per-line objects of `-json -stream`, and the
-// server's plans NDJSON records.
+// server's plans NDJSON records. The plan stays the sweep's vector
+// (plans.Plan): no map is built to encode it.
 type PlanEntry struct {
-	Plan   network.Plan
+	Plan   plans.Plan
 	Report *verify.Report
 }
 
@@ -27,30 +24,16 @@ func ToPlanEntry(a plans.Assessment) PlanEntry {
 }
 
 // MarshalJSON writes {"plan":{…},"report":…}: the plan's bindings in
-// sorted request order, then the report (null when there is none) — the
-// bytes encoding/json writes for the plan as a map[string]string.
+// sorted request order (plans.Plan.AppendJSON), then the report (null when
+// there is none) — the bytes encoding/json writes for the plan as a
+// map[string]string. Each call returns a fresh slice, sized for the plan
+// and a short report.
 func (e PlanEntry) MarshalJSON() ([]byte, error) {
-	type binding struct {
-		req hexpr.RequestID
-		loc hexpr.Location
-	}
-	var scratch [16]binding
-	bs := scratch[:0]
-	for r, l := range e.Plan {
-		bs = append(bs, binding{r, l})
-	}
-	slices.SortFunc(bs, func(x, y binding) int { return strings.Compare(string(x.req), string(y.req)) })
-	b := make([]byte, 0, 64+24*len(bs))
-	b = append(b, `{"plan":{`...)
-	for i, x := range bs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = verify.AppendJSONString(b, string(x.req))
-		b = append(b, ':')
-		b = verify.AppendJSONString(b, string(x.loc))
-	}
-	b = append(b, `},"report":`...)
+	const shortReport = len(`{"verdict":"security-violation","states":1000}`)
+	b := make([]byte, 0, len(`{"plan":,"report":}`)+e.Plan.JSONLen()+shortReport)
+	b = append(b, `{"plan":`...)
+	b = e.Plan.AppendJSON(b)
+	b = append(b, `,"report":`...)
 	if e.Report == nil {
 		b = append(b, "null"...)
 	} else {

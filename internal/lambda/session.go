@@ -77,6 +77,12 @@ func (r *NetResult) fail(err error, s *session) (*NetResult, error) {
 // session evaluation; use RunNetwork for nested sessions. The result's
 // Violation is always empty: no monitor runs.
 //
+// Each round looks at the client first: its error, its request, and
+// whether it has finished, which completes the session whatever the
+// server is doing (as rule Close ends a session on the client side
+// alone). Only then come the server's error, its request and rule Synch:
+// the order of RunNetwork's step.
+//
 // EvalSession is the run-time ground truth for compliance at the λ level:
 // when the inferred effects of the two programs are compliant, no
 // scheduling of EvalSession ever returns SessionStuck (property-tested).
@@ -85,21 +91,27 @@ func EvalSession(client, server Term, fuel int, rnd *rand.Rand) (*NetResult, err
 	co := (&evaluator{sess: sess}).eval(client, valueK)
 	so := (&evaluator{sess: sess}).eval(server, valueK)
 	res := &NetResult{}
+	nested := func() error {
+		return &EvalError{Term: client,
+			Msg: "nested service requests are not supported in session evaluation (use RunNetwork)"}
+	}
 	for {
 		if co.err != nil {
 			return res.fail(co.err, sess)
 		}
-		if so.err != nil {
-			return res.fail(so.err, sess)
+		if co.req != nil {
+			return nil, nested()
 		}
-		if co.req != nil || so.req != nil {
-			return nil, &EvalError{Term: client,
-				Msg: "nested service requests are not supported in session evaluation (use RunNetwork)"}
-		}
-		// the client finished: success regardless of the server residual
+		// the client finished: success whatever the server's state
 		if co.comm == nil {
 			res.ClientValue = co.val
 			return res.finish(SessionCompleted, sess)
+		}
+		if so.err != nil {
+			return res.fail(so.err, sess)
+		}
+		if so.req != nil {
+			return nil, nested()
 		}
 		if !synch(&co, &so, rnd, res) {
 			return res.finish(SessionStuck, sess)

@@ -199,7 +199,9 @@ func TestEvalSessionHistoryMatchesMonitor(t *testing.T) {
 // and RunNetwork of open r { client } against {s: server} under {r: s},
 // given one more step of fuel for the open, agree on the status, the
 // synchronised channels, the events and the client's value, for every
-// seed and fuel.
+// seed and fuel; where both fail, they fail with the same error. A
+// finished client ends the session whatever its server does: diverges,
+// fails, or opens a request of its own.
 func TestEvalSessionAgreesWithRunNetwork(t *testing.T) {
 	pairs := []struct{ client, server string }{
 		{`select { ping => branch { pong => 7 } }`, `branch { ping => select { pong => () } }`},
@@ -221,6 +223,12 @@ func TestEvalSessionAgreesWithRunNetwork(t *testing.T) {
 		{`select { a => () | b => () }`, `branch { a => () }`},
 		// server gone: the server ends after one exchange the client continues
 		{`select { a => branch { b => () } }`, `branch { a => () }`},
+		// the client has finished: the server diverges, fails or opens
+		{`42`, `(rec f(x: unit): unit . f ()) ()`},
+		{`42`, `fire a(); y`},
+		{`42`, `open r2 { () }`},
+		// the client is paused when the server fails
+		{`select { a => () }`, `fire a(); y`},
 	}
 	plan := network.Plan{"r": "s"}
 	for i, pair := range pairs {
@@ -229,14 +237,15 @@ func TestEvalSessionAgreesWithRunNetwork(t *testing.T) {
 		repo := lambda.ServiceRepo{"s": server}
 		for _, fuel := range []int{5, 17, 60, 2000} {
 			for seed := int64(0); seed < 25; seed++ {
-				got, err := lambda.EvalSession(client, server, fuel, rand.New(rand.NewSource(seed)))
-				if err != nil {
-					t.Fatalf("pair %d: EvalSession: %v", i, err)
-				}
-				want, err := lambda.RunNetwork(open, "c", repo, plan,
+				got, gotErr := lambda.EvalSession(client, server, fuel, rand.New(rand.NewSource(seed)))
+				want, wantErr := lambda.RunNetwork(open, "c", repo, plan,
 					lambda.NetOptions{Fuel: fuel + 1, Rand: rand.New(rand.NewSource(seed))})
-				if err != nil {
-					t.Fatalf("pair %d: RunNetwork: %v", i, err)
+				if gotErr != nil || wantErr != nil {
+					if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+						t.Errorf("pair %d, fuel %d, seed %d:\n  EvalSession %v, error %v\n  RunNetwork  %v, error %v",
+							i, fuel, seed, got, gotErr, want, wantErr)
+					}
+					continue
 				}
 				if got.Status != want.Status || !slices.Equal(got.Synchronised, want.Synchronised) ||
 					fmt.Sprint(got.Hist.Flat()) != fmt.Sprint(want.Hist.Flat()) ||
@@ -245,6 +254,41 @@ func TestEvalSessionAgreesWithRunNetwork(t *testing.T) {
 						i, fuel, seed, got.Status, got.Synchronised, got.Hist.Flat(), got.ClientValue,
 						want.Status, want.Synchronised, want.Hist.Flat(), want.ClientValue)
 				}
+			}
+		}
+	}
+}
+
+// TestSynchDrawsOnceFromTheScheduler: rule Synch draws the sender's
+// branch with one rnd.Intn over the branches it offers, per
+// synchronisation. A sender offering a, b and c in a loop against a
+// receiver taking all three synchronises, under seed s, on the channels
+// successive rand.New(rand.NewSource(s)).Intn(3) draws pick, on both
+// EvalSession and RunNetwork.
+func TestSynchDrawsOnceFromTheScheduler(t *testing.T) {
+	sender := mustLam(t, `(rec f(x: unit): unit . select { a => f () | b => f () | c => f () }) ()`)
+	receiver := mustLam(t, `(rec g(x: unit): unit . branch { a => g () | b => g () | c => g () }) ()`)
+	open := lambda.Request{Req: "r", Policy: hexpr.NoPolicy, Body: sender}
+	repo := lambda.ServiceRepo{"s": receiver}
+	const fuel = 200
+	for seed := int64(0); seed < 20; seed++ {
+		session, err := lambda.EvalSession(sender, receiver, fuel, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := lambda.RunNetwork(open, "c", repo, network.Plan{"r": "s"},
+			lambda.NetOptions{Fuel: fuel + 1, Rand: rand.New(rand.NewSource(seed))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*lambda.NetResult{session, net} {
+			draws := rand.New(rand.NewSource(seed))
+			want := make([]string, len(res.Synchronised))
+			for k := range want {
+				want[k] = []string{"a", "b", "c"}[draws.Intn(3)]
+			}
+			if res.Status != lambda.SessionOutOfFuel || len(want) < 10 || !slices.Equal(res.Synchronised, want) {
+				t.Errorf("seed %d: %s after %v, want out-of-fuel after the draws %v", seed, res.Status, res.Synchronised, want)
 			}
 		}
 	}

@@ -153,7 +153,7 @@ func (p *Pass) auditData() *auditState {
 		}
 		for _, k := range valid {
 			flow, hit, err := fam.Flow(k)
-			if !add(fam.Plan(k), flow, hit, err) {
+			if !add(fam.Plan(k).Map(), flow, hit, err) {
 				break
 			}
 		}

@@ -209,7 +209,7 @@ var unrealizableAnalyzer = &Analyzer{
 				continue
 			}
 			w := &Witness{Kind: WitnessNoPlan}
-			rep := fam.Plan(0)
+			rep := fam.Plan(0).Map()
 			for _, r := range sortedRequests(rep) {
 				w.Steps = append(w.Steps, WitnessStep{
 					Label: fmt.Sprintf("%s -> %s", r, rep[r]),

@@ -67,7 +67,7 @@ func AssessAllLegacy(repo network.Repository, table *policy.Table,
 	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 	out := make([]Assessment, len(complete))
 	for k, i := range order {
-		out[k] = Assessment{Plan: complete[i], Report: reports[i]}
+		out[k] = Assessment{Plan: PlanOf(complete[i]), Report: reports[i]}
 	}
 	if firstInternal != nil {
 		return out, firstInternal
@@ -97,7 +97,7 @@ func SweepKeys(repo network.Repository, table *policy.Table,
 	ps := make([]network.Plan, len(order))
 	ordered := make([]hash.Sum, len(order))
 	for k, i := range order {
-		ps[k], ordered[k] = eng.planOf(vecs[i]), sums[i]
+		ps[k], ordered[k] = eng.planOf(vecs[i]).Map(), sums[i]
 	}
 	return ps, ordered, nil
 }

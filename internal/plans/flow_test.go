@@ -110,7 +110,7 @@ func checkGraphFlows(t *testing.T, warm bool) {
 					continue
 				}
 				valid++
-				plan := fam.Plan(i)
+				plan := fam.Plan(i).Map()
 				got, _, err := fam.Flow(i)
 				if err != nil {
 					t.Fatalf("%s/%s %s: graph flow: %v", name, c.Name, plan, err)
@@ -157,7 +157,7 @@ func TestGraphFlowsBudgetAgree(t *testing.T) {
 			if fam.Report(i).Verdict != verify.Valid {
 				continue
 			}
-			plan := fam.Plan(i)
+			plan := fam.Plan(i).Map()
 			var flow *verify.PlanFlow
 			if kernel {
 				flow, err = verify.ExploreFlow(f.Repo, f.Table, c.Loc, c.Expr, plan,

@@ -112,6 +112,10 @@ type fusedEngine struct {
 	nReq     int
 	policies []hexpr.PolicyID
 	bodies   []hexpr.Expr
+	// bindings names reqs and locations for the plans the engine hands
+	// out, built by the first planOf: a family refused by its count
+	// never renders a plan.
+	bindings *bindingTable
 	// clientOpens and locOpens (indexed by locIdx) list the requests the
 	// client and each service open, as dense indices in hexpr.Walk
 	// pre-order, each once: plan enumeration, the cycle checks and the
@@ -311,7 +315,7 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 		}
 	}
 	// Dense request index space: every request of the world, in sorted
-	// order, so a plan is an int32 vector (planOf maps it back).
+	// order, so a plan is an int32 vector (planOf names it).
 	eng.reqs = make([]hexpr.RequestID, 0, len(first))
 	for r := range first {
 		eng.reqs = append(eng.reqs, r)
@@ -639,23 +643,15 @@ func (eng *fusedEngine) newReplayer() *replayer {
 	}
 }
 
-// planOf builds the plan map of a dense plan vector, for the readers of
-// one: a family's and a stream's results, a panic's label and fault
-// injection. The sweep itself never builds one.
-func (eng *fusedEngine) planOf(vec []int32) network.Plan {
-	n := 0
-	for _, li := range vec {
-		if li >= 0 {
-			n++
-		}
+// planOf is the Plan of a dense plan vector over the engine's binding
+// table, sharing the vector: a family's and a stream's results, the
+// sweep's sort keys, a panic's label and fault injection read it. No plan
+// map is built here.
+func (eng *fusedEngine) planOf(vec []int32) Plan {
+	if eng.bindings == nil {
+		eng.bindings = newBindingTable(eng.reqs, eng.locations)
 	}
-	plan := make(network.Plan, n)
-	for ri, li := range vec {
-		if li >= 0 {
-			plan[eng.reqs[ri]] = eng.locations[li]
-		}
-	}
-	return plan
+	return Plan{t: eng.bindings, vec: vec}
 }
 
 // slot returns the visited slot of n, growing the array when expansion has
@@ -1163,7 +1159,7 @@ func (eng *fusedEngine) tooMany() error {
 // plans. A capped family is counted first (overCap), and one the count
 // proves past MaxPlans is refused before any plan is enumerated; when the
 // count cannot decide, the enumeration fails at the (MaxPlans+1)-th plan.
-// It emits each plan as its dense vector, never as a map (planOf
+// It emits each plan as its dense vector, never as a map (Plan.Map
 // builds one where a reader needs it). The pending lists of every
 // recursion level share one growing buffer: a child appends its
 // service's requests at the tail and the parent truncates on backtrack,
@@ -1261,38 +1257,15 @@ func AssessStream(repo network.Repository, table *policy.Table,
 }
 
 // keyOrder returns the enumeration indices of vecs in the order of their
-// plans' network.Plan.Key, the order a sweep reports in. The keys are
-// built without plan maps: the "req>loc" fragments are precomputed per
-// (request, candidate) pair and concatenated in sorted-request order
-// (the dense order), skipping unbound requests — byte-identical to
-// Plan.Key, as the cross-engine equivalence tests pin against the legacy
-// engine, which sorts on the map-built keys.
+// plans' keys (Plan.Key, byte-identical to network.Plan.Key), the order a
+// sweep reports in. The sort keys are rendered by the appender that
+// renders a printed key, without plan maps.
 func (eng *fusedEngine) keyOrder(vecs [][]int32) []int32 {
-	frags := make([][]string, eng.nReq)
-	for ri := range frags {
-		fs := make([]string, len(eng.locations))
-		for li, l := range eng.locations {
-			fs[li] = string(eng.reqs[ri]) + ">" + string(l)
-		}
-		frags[ri] = fs
-	}
 	keys := make([]string, len(vecs))
 	order := make([]int32, len(vecs))
 	var buf []byte
 	for vi, vec := range vecs {
-		buf = append(buf[:0], '{')
-		first := true
-		for ri, li := range vec {
-			if li < 0 {
-				continue
-			}
-			if !first {
-				buf = append(buf, ',')
-			}
-			first = false
-			buf = append(buf, frags[ri][li]...)
-		}
-		buf = append(buf, '}')
+		buf = eng.planOf(vec).appendKey(buf[:0])
 		keys[vi] = string(buf)
 		order[vi] = int32(vi)
 	}

@@ -70,9 +70,11 @@ type Options struct {
 	Budget *budget.Budget
 }
 
-// Assessment is a complete plan together with its verdict.
+// Assessment is a complete plan together with its verdict. The plan is
+// the sweep's dense vector (Plan), not a map: Plan.Map builds one for a
+// reader that needs it.
 type Assessment struct {
-	Plan   network.Plan
+	Plan   Plan
 	Report *verify.Report
 }
 
@@ -82,7 +84,7 @@ func (a Assessment) String() string {
 
 // AssessAll enumerates every complete plan for the client and validates
 // each, returning the assessments in deterministic order (lexicographic in
-// the plan keys): AssessWithFlows's sweep, with every plan's map built.
+// the plan keys): AssessWithFlows's sweep, as a slice.
 func AssessAll(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
 
@@ -90,11 +92,7 @@ func AssessAll(repo network.Repository, table *policy.Table,
 	if fam == nil {
 		return nil, err
 	}
-	out := make([]Assessment, fam.Len())
-	for i := range out {
-		out[i] = Assessment{Plan: fam.Plan(i), Report: fam.Report(i)}
-	}
-	return out, err
+	return fam.assessments(), err
 }
 
 // AssessWithFlows is the plan sweep behind AssessAll and the audit: it
@@ -118,8 +116,8 @@ func AssessWithFlows(repo network.Repository, table *policy.Table,
 }
 
 // Family is a swept plan family in plan-key order: plan i's verdict, its
-// plan and its flow. Plans are held as dense vectors, and a plan's map is
-// built only when Plan asks for it. Reports and flows may be shared with
+// plan and its flow. Plans are held as dense vectors, and Family.Plan hands
+// one out as it is held. Reports and flows may be shared with
 // the report tiers: callers must not mutate them. A Family is not safe for
 // concurrent use.
 type Family struct {
@@ -139,8 +137,19 @@ func (f *Family) Len() int { return len(f.order) }
 // Report is plan i's verdict.
 func (f *Family) Report(i int) *verify.Report { return f.reports[f.order[i]] }
 
-// Plan builds plan i's map.
-func (f *Family) Plan(i int) network.Plan { return f.eng.planOf(f.vecs[f.order[i]]) }
+// Plan is plan i, sharing the family's vector: it keeps the family's
+// binding table alive, not its engine.
+func (f *Family) Plan(i int) Plan { return f.eng.planOf(f.vecs[f.order[i]]) }
+
+// assessments lists every plan of the family with its verdict, in key
+// order.
+func (f *Family) assessments() []Assessment {
+	out := make([]Assessment, f.Len())
+	for i := range out {
+		out[i] = Assessment{Plan: f.Plan(i), Report: f.Report(i)}
+	}
+	return out
+}
 
 // Flow returns plan i's flow, for a plan the sweep assessed Valid: the
 // record verify.ExploreFlow makes for it. A tiered sweep reads it through
@@ -184,7 +193,7 @@ func Synthesize(repo network.Repository, table *policy.Table,
 	var out []network.Plan
 	for _, a := range assessments {
 		if a.Report.Verdict == verify.Valid {
-			out = append(out, a.Plan)
+			out = append(out, a.Plan.Map())
 		}
 	}
 	return out, nil

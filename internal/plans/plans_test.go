@@ -132,7 +132,7 @@ func TestSynthesizeCyclicServices(t *testing.T) {
 	}
 	found := false
 	for _, a := range as {
-		if a.Plan["r0"] == "A" && a.Plan["rb"] == "B" && a.Plan["ra"] == "A" {
+		if p := a.Plan.Map(); p["r0"] == "A" && p["rb"] == "B" && p["ra"] == "A" {
 			found = true
 			if a.Report.Verdict != verify.UnboundedNesting {
 				t.Errorf("cyclic closure verdict = %s, want unbounded-nesting", a.Report)

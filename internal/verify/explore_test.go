@@ -65,13 +65,13 @@ func TestExplorationsAgree(t *testing.T) {
 			}
 			for _, a := range as {
 				at := fmt.Sprintf("%s/%s %s", name, c.Name, a.Plan)
-				check, err := verify.CheckPlanOpts(f.Repo, f.Table, c.Loc, c.Expr, a.Plan,
+				check, err := verify.CheckPlanOpts(f.Repo, f.Table, c.Loc, c.Expr, a.Plan.Map(),
 					verify.Options{Cache: cache})
 				if err != nil {
 					t.Fatalf("%s: check: %v", at, err)
 				}
 
-				flow, err := verify.ExploreFlow(f.Repo, f.Table, c.Loc, c.Expr, a.Plan,
+				flow, err := verify.ExploreFlow(f.Repo, f.Table, c.Loc, c.Expr, a.Plan.Map(),
 					verify.Options{Cache: cache})
 				if err != nil {
 					t.Fatalf("%s: flow: %v", at, err)
@@ -94,7 +94,7 @@ func TestExplorationsAgree(t *testing.T) {
 				flows++
 
 				net, err := verify.CheckNetwork(f.Repo, f.Table,
-					[]verify.ClientSpec{{Loc: c.Loc, Client: c.Expr, Plan: a.Plan}},
+					[]verify.ClientSpec{{Loc: c.Loc, Client: c.Expr, Plan: a.Plan.Map()}},
 					verify.Options{Cache: cache})
 				if err != nil {
 					t.Fatalf("%s: network: %v", at, err)

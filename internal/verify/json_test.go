@@ -56,7 +56,7 @@ func FuzzReportJSON(f *testing.F) {
 				f.Fatal(err)
 			}
 			var binds []string
-			for req, loc := range a.Plan {
+			for req, loc := range a.Plan.Map() {
 				binds = append(binds, string(req)+">"+string(loc))
 			}
 			f.Add(int(r.Verdict), r.States, r.Frontier, false, strings.Join([]string{
@@ -114,7 +114,7 @@ func FuzzReportJSON(f *testing.F) {
 				m[req] = loc
 			}
 		}
-		e := engine.PlanEntry{Plan: plan, Report: r}
+		e := engine.PlanEntry{Plan: plans.PlanOf(plan), Report: r}
 		reflective := struct {
 			Plan   map[string]string  `json:"plan"`
 			Report *verify.ReportJSON `json:"report"`

@@ -76,7 +76,7 @@ func TestSoakStaticVerdictsMatchRuntime(t *testing.T) {
 			case verify.Valid:
 				for s := int64(0); s < 8; s++ {
 					cfg := network.NewConfig(repo, table,
-						network.Client{Loc: "cl", Expr: client, Plan: a.Plan})
+						network.Client{Loc: "cl", Expr: client, Plan: a.Plan.Map()})
 					res := cfg.Run(network.RunOptions{
 						Rand: rand.New(rand.NewSource(s)), MaxSteps: 2000})
 					if res.Status == network.Deadlock || res.Status == network.SecurityAbort {
@@ -91,7 +91,7 @@ func TestSoakStaticVerdictsMatchRuntime(t *testing.T) {
 			case verify.SecurityViolation:
 				for s := int64(0); s < 4; s++ {
 					cfg := network.NewConfig(repo, table,
-						network.Client{Loc: "cl", Expr: client, Plan: a.Plan})
+						network.Client{Loc: "cl", Expr: client, Plan: a.Plan.Map()})
 					res := cfg.Run(network.RunOptions{
 						Rand: rand.New(rand.NewSource(s)), Monitored: true, MaxSteps: 2000})
 					if res.Status == network.Completed &&
