@@ -23,14 +23,19 @@ func ToPlanEntry(a plans.Assessment) PlanEntry {
 	return PlanEntry{Plan: a.Plan, Report: a.Report}
 }
 
-// MarshalJSON writes {"plan":{…},"report":…}: the plan's bindings in
-// sorted request order (plans.Plan.AppendJSON), then the report (null when
-// there is none) — the bytes encoding/json writes for the plan as a
-// map[string]string. Each call returns a fresh slice, sized for the plan
-// and a short report.
+// MarshalJSON returns AppendJSON's bytes in a fresh slice, sized for the
+// plan and a short report.
 func (e PlanEntry) MarshalJSON() ([]byte, error) {
 	const shortReport = len(`{"verdict":"security-violation","states":1000}`)
-	b := make([]byte, 0, len(`{"plan":,"report":}`)+e.Plan.JSONLen()+shortReport)
+	return e.AppendJSON(make([]byte, 0, len(`{"plan":,"report":}`)+e.Plan.JSONLen()+shortReport)), nil
+}
+
+// AppendJSON appends {"plan":{…},"report":…} to b: the plan's bindings in
+// sorted request order (plans.Plan.AppendJSON), then the report (null when
+// there is none) — the bytes encoding/json writes for the plan as a
+// map[string]string, compact and HTML-escaped, so json.Encoder.Encode
+// writes them unchanged before its newline.
+func (e PlanEntry) AppendJSON(b []byte) []byte {
 	b = append(b, `{"plan":`...)
 	b = e.Plan.AppendJSON(b)
 	b = append(b, `,"report":`...)
@@ -39,7 +44,7 @@ func (e PlanEntry) MarshalJSON() ([]byte, error) {
 	} else {
 		b = e.Report.AppendJSON(b)
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // LintEntry is the JSON shape of one diagnostic in NDJSON output — the

@@ -208,6 +208,7 @@ type Output struct {
 	Record         func(v any) error
 	Note           func(kind string, e LintEntry)
 	enc            *json.Encoder
+	buf            []byte // plan's line buffer
 }
 
 // record emits one NDJSON record.
@@ -219,6 +220,19 @@ func (o *Output) record(v any) error {
 		o.enc = json.NewEncoder(o.Stdout)
 	}
 	return o.enc.Encode(v)
+}
+
+// plan emits one PlanEntry record. On the CLI its AppendJSON bytes and a
+// newline are appended into a reused buffer and written in one call: the
+// bytes json.Encoder.Encode writes for it, without the encoder's second
+// pass over them.
+func (o *Output) plan(e PlanEntry) error {
+	if o.Record != nil {
+		return o.Record(e)
+	}
+	o.buf = append(e.AppendJSON(o.buf[:0]), '\n')
+	_, err := o.Stdout.Write(o.buf)
+	return err
 }
 
 // doc emits a whole JSON document: indented on the CLI, one record when
@@ -459,7 +473,7 @@ func runPlans(s *Session, r *Request, out *Output) error {
 			valid++
 		}
 		if r.JSON {
-			return out.record(ToPlanEntry(a))
+			return out.plan(ToPlanEntry(a))
 		}
 		fmt.Fprintf(out.Stdout, "%-30s %s\n", a.Plan, a.Report)
 		return nil

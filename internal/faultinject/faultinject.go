@@ -34,9 +34,10 @@ const (
 	// fused engine and the tests' legacy oracle); the unit is the plan
 	// key.
 	PlansWorker Point = "plans.worker"
-	// FusedExpand fires when the fused engine expands a shared graph
-	// node (inside the node lock, before the move relation is computed);
-	// the unit is the node's session-tree key.
+	// FusedExpand fires each time the fused engine stages an outgoing
+	// group of a shared graph node it expands, before the node's groups
+	// are filed, so a panic here unwinds a half-built expansion; the unit
+	// is the node's session-tree key.
 	FusedExpand Point = "plans.fused.expand"
 	// FusedReplay fires on every state visit of a fused plan replay; the
 	// unit is the visited node's session-tree key.

@@ -1,10 +1,10 @@
 package plans
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"susc/internal/budget"
@@ -75,8 +75,8 @@ type FusedStats struct {
 // Everything on the expansion and replay hot paths is compiled to dense
 // form at engine construction (see compiled.go): requests and repository
 // locations get dense int32 indices (a plan becomes an int32 vector),
-// session trees are ctrees carrying their interned IDs, and the move
-// relation of a leaf is cached as a compiled row with successors
+// session trees are canonical ctrees named by their arena index, and the
+// move relation of a tree is cached as a compiled row with successors
 // pre-interned, items pre-built and monitor inertness pre-decided.
 type fusedEngine struct {
 	table  *policy.Table
@@ -129,7 +129,8 @@ type fusedEngine struct {
 	// one cache round-trip per engine.
 	compl []int8
 	// cands holds the candidate locations of each request (candidates),
-	// nil until first asked.
+	// nil until first asked. An open's candidate runs (eng.candTrees,
+	// eng.candNodes) are as long as its request's list.
 	cands [][]int32
 
 	// cycleFree records that the union call graph — every request pointing
@@ -139,77 +140,109 @@ type fusedEngine struct {
 	// before the first plan is assessed, read-only after.
 	cycleFree bool
 
-	// leaves/pairs intern the canonical ctrees — leaves keyed on (location
-	// ID, expression ID), pairs on the children's engine-local IDs. IDs are
-	// split odd (leaves, leafID) / even (pairs, pairID) so the two spaces
-	// cannot collide. Pair ctrees and fnodes are bump-allocated from
-	// arenas: they are engine-lifetime and dominate the object population,
-	// so block allocation removes both the per-object malloc and the
-	// garbage collector's per-object tracking, and lays the nodes out in
-	// creation order, which is close to the BFS order replays touch them
-	// in (fnode.idx doubles as the node's arena index).
-	leaves    map[uint64]*ctree
-	leafID    int32
-	pairs     u64map
-	pairArena arena[ctree]
-	pairID    int32
-
-	nodes     u64map
-	nodeArena arena[fnode]
-	// start is the graph's initial state, the client's leaf under a fresh
-	// monitor. newReplayer builds it on the engine's first replayer, so a
+	// graph is the explored state space. newReplayer (or reserveTables,
+	// which sizes it for a family about to be replayed) makes it, so a
 	// sweep that replays nothing (a MaxPlans overrun, an empty family, a
-	// tiered family whose every verdict hits) allocates no node table, no
-	// arena block and no start node; nil until then.
-	start *fnode
-
-	memo *decisionTrie
+	// tiered family whose every verdict hits) allocates none of it: nil
+	// until then.
+	*graph
 }
 
-// fnode is one shared graph state. The monitor is warmed (signature
-// cached and interned into sigID) before publication and never mutated
-// afterwards; expansion advances only fresh snapshots.
+// graph is a fused engine's shared state graph — trees, rows, nodes,
+// groups, the candidate runs of opens and the replay memo — stored in
+// typed arenas and slices whose element types hold no pointer, linked by
+// int32 indices: the collector has nothing to scan there however large
+// the graph grows, and building it makes no heap object per tree, row,
+// node or group. What must stay a pointer (monitors, item sets, labels,
+// violated policies, expansion errors, leaf payloads, memoised reports)
+// sits in small side slices the arenas index: a few entries per distinct
+// monitor, leaf or failure, not per state.
+type graph struct {
+	// trees holds the canonical ctrees, leaves and pairs alike; leaves
+	// interns them on (location ID, expression ID), pairs on the
+	// children's tree IDs. leafPays and labels are the leaves' payloads
+	// and step labels (labels[tauLabel] is τ).
+	trees    arena[ctree]
+	leaves   u64map
+	pairs    u64map
+	leafPays []leafPayload
+	labels   []*hexpr.Label
+	// moves holds the compiled rows, candTrees the successor trees of
+	// their opens, itemSets the items of their non-inert moves.
+	moves     arena[cleafMove]
+	candTrees arena[int32]
+	itemSets  [][]history.Item
+
+	// nodes interns the graph states on (tree ID, signature ID) into
+	// nodeArena; groups holds their outgoing groups and candNodes the
+	// successor nodes of their opens. mons, viols and errs are the
+	// monitors, violated policies and expansion errors they index.
+	// Creation order is close to the BFS order replays touch them in.
+	// The graph's initial state, the client's leaf under a fresh monitor,
+	// is node startNode, built by the engine's first replayer.
+	nodes     u64map
+	nodeArena arena[fnode]
+	groups    arena[fgroup]
+	candNodes arena[int32]
+	mons      []*history.Monitor
+	viols     []hexpr.PolicyID
+	errs      []error
+
+	// Staging: a row's moves (and its opens' successor trees) and a
+	// node's groups (and its opens' successor nodes) are built here and
+	// filed as runs only when complete.
+	stageMoves  []cleafMove
+	stageTrees  []int32
+	stageGroups []fgroup
+	stageNodes  []int32
+
+	// trie and trieReports are the replay memo (trieNode).
+	trie        []trieNode
+	trieReports []*verify.Report
+}
+
+// startNode is the graph's initial state: the first node any engine makes.
+const startNode = 0
+
+// fnode is one shared graph state. Its monitor (eng.mons) is warmed
+// (signature cached and interned into sigID) before publication and never
+// mutated afterwards; expansion advances only fresh snapshots. A node is
+// its nodeArena index: replays key their visited arrays on it.
 type fnode struct {
-	ct  *ctree
-	mon *history.Monitor
+	tree int32
+	mon  int32
 	// sigID is the interned monitor signature, inherited by successors
 	// that share the monitor so inert moves re-key nothing.
 	sigID intern.ID
-	done  bool
-	// idx is the node's dense creation index; replays key their visited
-	// arrays on it (an indexed slot instead of a map operation per visit).
-	idx int32
-
-	// expanded flips once groups/err are final.
+	// groupOff/nGroups address the outgoing groups in eng.groups once the
+	// node is expanded.
+	groupOff, nGroups int32
+	// err is 1 + the eng.errs index of a failed expansion, 0 for none.
+	err  int32
+	done bool
+	// expanded flips once the groups or err are final.
 	expanded bool
-	err      error
-	groups   []fgroup
 }
 
-// fgroup is one outgoing move group of an expanded node. The overwhelming
-// majority of groups are plain concrete moves, so the struct is three
-// words — move, successor, and a nil ext — and everything rarer (a policy
-// violation, or the candidate set of a lazy open) lives behind ext. The
-// monitor items of a group are shared by all its candidates, so a
-// violation is a per-group fact.
+// fgroup is one outgoing move group of an expanded node: one concrete
+// move, a lazy open branching over its request's compliant candidates, or
+// a move that violates a policy (whichever kind it was). The monitor
+// items of a group are shared by all its candidates, so a violation is a
+// per-group fact.
 type fgroup struct {
-	// mv is the compiled move the group was built from: its label for
-	// traces, its items for flow replays (replayer.record).
-	mv   *cleafMove
-	next *fnode // concrete groups (nil when the move violates or opens)
-	ext  *fgext
-}
-
-// fgext is the rare-group extension: a violating move (violation set,
-// whichever kind the move was) or a lazy open (reqIdx plus one successor
-// per compliant candidate, in candidate order; locIdxs is *shared* with
-// the compiled row move the group was built from — the candidate set of an
-// open is plan-independent, only the successors are per-node).
-type fgext struct {
-	reqIdx    int32
-	violation hexpr.PolicyID
-	locIdxs   []int32
-	cnexts    []*fnode
+	// mv is the eng.moves index of the compiled move the group was built
+	// from: its label for traces, its items for flow replays
+	// (replayer.record).
+	mv int32
+	// next is the successor node of a concrete group; for an open, the
+	// offset in eng.candNodes of the run of successor nodes, one per
+	// compliant candidate of reqIdx, in candidate order (the candidate set
+	// of an open is plan-independent, only the successors are per-node).
+	next   int32
+	reqIdx int32 // the open's dense request index, -1 for concrete moves
+	// viol is 1 + the eng.viols index of the policy the move violates, 0
+	// for none.
+	viol int32
 }
 
 // decision is one binding consulted during a replay, in consultation
@@ -220,19 +253,34 @@ type decision struct {
 	loc int32
 }
 
-// decisionTrie memoises replay reports on the ordered binding decisions
-// the replay consulted. Plans agreeing on a replay's consulted decisions
-// explore the very same projection of the graph, so they share its report;
-// a plan that fails before its later bindings are ever consulted stands in
-// for the whole (possibly exponential) family of plans extending the
-// failing prefix. Replays consult decisions deterministically, so the
-// next-consulted request at any trie position is a function of the path —
-// the trie is well-formed by construction.
-type decisionTrie struct {
-	req      int32 // dense request index this node branches on (-1 = leaf/unset)
-	branches map[int32]*decisionTrie
-	leaf     bool
-	report   *verify.Report
+// The decision trie memoises replay reports on the ordered binding
+// decisions the replay consulted. Plans agreeing on a replay's consulted
+// decisions explore the very same projection of the graph, so they share
+// its report; a plan that fails before its later bindings are ever
+// consulted stands in for the whole (possibly exponential) family of
+// plans extending the failing prefix. Replays consult decisions
+// deterministically, so the next-consulted request at any trie position
+// is a function of the path — the trie is well-formed by construction.
+//
+// The trie is one slice of trieNodes (eng.trie, the root at 0, made by
+// the first filing), each linked to its first child and next sibling, and
+// a filed report lives in eng.trieReports.
+type trieNode struct {
+	req    int32 // dense request index this node branches on (-1 = unset)
+	loc    int32 // the binding of the parent's request that leads here
+	child  int32 // first child, -1 for none
+	sib    int32 // next sibling, -1 for none
+	report int32 // 1 + the eng.trieReports index of the filed report, 0 for none
+}
+
+// trieChild returns the child of node t reached by binding loc, -1 for
+// none.
+func (eng *fusedEngine) trieChild(t, loc int32) int32 {
+	c := eng.trie[t].child
+	for c >= 0 && eng.trie[c].loc != loc {
+		c = eng.trie[c].sib
+	}
+	return c
 }
 
 // errRequestClash tags the refusal of a world that opens one request
@@ -266,7 +314,6 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 		stats:     stats,
 		monCT:     table.Compiled(),
 		locations: repo.Locations(),
-		leaves:    map[uint64]*ctree{},
 	}
 	nLoc := len(eng.locations)
 	eng.locIDs = make(map[hexpr.Location]intern.ID, nLoc+1)
@@ -384,58 +431,80 @@ func (eng *fusedEngine) candidates(ri int32) ([]int32, error) {
 	return locs, nil
 }
 
+// monRef is the monitor of a move group: a node's (idx ≥ 0), or a fresh
+// snapshot (idx -1) that node files in eng.mons the first time a node is
+// made with it, so a snapshot that reaches only existing nodes is
+// dropped, and the candidates of an open file it once.
+type monRef struct {
+	idx   int32
+	fresh *history.Monitor
+	sigID intern.ID
+}
+
 // node interns (tree, monitor) into the shared graph, creating the node on
 // first sight. The caller supplies the interned monitor signature,
 // computed once per move group. The tree's one-entry node cache answers
 // repeat lookups (the vast majority: worlds have few distinct signatures
-// per tree) without the map.
-func (eng *fusedEngine) node(ct *ctree, mon *history.Monitor, sigID intern.ID) *fnode {
-	if n := ct.nd; n != nil && n.sigID == sigID {
-		return n
+// per tree) without the table.
+func (eng *fusedEngine) node(t int32, m *monRef) int32 {
+	ct := eng.trees.at(t)
+	if ct.nd >= 0 && eng.nodeArena.at(ct.nd).sigID == m.sigID {
+		return ct.nd
 	}
-	k := intern.Pack(ct.id, sigID)
+	k := intern.Pack(treeID(t), m.sigID)
 	i, slot, ok := eng.nodes.getOrSlot(k)
 	if ok {
-		n := eng.nodeArena.at(i)
-		ct.nd = n
-		return n
+		ct.nd = i
+		return i
+	}
+	if m.idx < 0 {
+		eng.mons = append(eng.mons, m.fresh)
+		m.idx, m.fresh = int32(len(eng.mons)-1), nil
 	}
 	n, idx := eng.nodeArena.alloc()
-	n.ct = ct
-	n.mon = mon
-	n.sigID = sigID
-	n.done = ct.left == nil && hexpr.IsNil(ct.lp.expr)
-	n.idx = idx
+	*n = fnode{tree: t, mon: m.idx, sigID: m.sigID,
+		done: ct.leaf >= 0 && hexpr.IsNil(eng.leafPays[ct.leaf].expr)}
 	eng.nodes.putAt(slot, k, idx)
-	ct.nd = n
-	return n
+	ct.nd = idx
+	return idx
 }
 
 // advance computes the monitor of a move group: shared with the
 // predecessor when the items are provably inert (nothing to re-key, sigID
 // inherited), a fresh snapshot advanced over the items otherwise. A
 // violation is a per-group fact (the candidates of an open share their
-// items). The returned sigID is the interned signature of the returned
-// monitor.
+// items).
 func (eng *fusedEngine) advance(n *fnode, items []history.Item, inert bool) (
-	mon *history.Monitor, sigID intern.ID, violation hexpr.PolicyID, err error) {
+	m monRef, violation hexpr.PolicyID, err error) {
 
 	if len(items) == 0 || inert {
-		return n.mon, n.sigID, hexpr.NoPolicy, nil
+		return monRef{idx: n.mon, sigID: n.sigID}, hexpr.NoPolicy, nil
 	}
-	mon = n.mon.Snapshot()
+	mon := eng.mons[n.mon].Snapshot()
 	for _, it := range items {
 		if aerr := mon.Append(it); aerr != nil {
 			if verr, ok := aerr.(*history.ViolationError); ok {
-				return nil, 0, verr.Policy, nil
+				return monRef{}, verr.Policy, nil
 			}
-			return nil, 0, hexpr.NoPolicy, fmt.Errorf("verify: unexpected monitor error: %w", aerr)
+			return monRef{}, hexpr.NoPolicy, fmt.Errorf("verify: unexpected monitor error: %w", aerr)
 		}
 	}
-	return mon, eng.tab.Key(mon.Signature()), hexpr.NoPolicy, nil
+	return monRef{idx: -1, fresh: mon, sigID: eng.tab.Key(mon.Signature())}, hexpr.NoPolicy, nil
 }
 
-// buildGroups computes the outgoing move groups of the node from the
+// violation returns a group's viol field for policy p: the violated
+// policies of a world are few, so the table is searched, not indexed.
+func (eng *fusedEngine) violation(p hexpr.PolicyID) int32 {
+	for i, q := range eng.viols {
+		if q == p {
+			return int32(i + 1)
+		}
+	}
+	eng.viols = append(eng.viols, p)
+	return int32(len(eng.viols))
+}
+
+// buildGroups computes the outgoing move groups of node ni from the
 // compiled rows, in the order that, projected onto any one plan, is
 // network.TreeMovesStep's: for a pair, the left subtree's moves
 // (successors lifted through the shared right sibling), then the right's
@@ -445,108 +514,102 @@ func (eng *fusedEngine) advance(n *fnode, items []history.Item, inert bool) (
 // to it (caching root rows was tried and lost: the extra row per root
 // inflated the live heap for no reuse). Each group costs one monitor
 // advance (candidates share their items) and one successor-node interning
-// per edge. The groups are returned, not published: the caller owns the
+// per edge. The groups are staged and filed as one run only once all are
+// built, and the run is returned, not published: the caller owns the
 // partial-expansion retry semantics.
-func (eng *fusedEngine) buildGroups(n *fnode) ([]fgroup, error) {
-	var out []fgroup
+func (eng *fusedEngine) buildGroups(ni int32) (run, error) {
 	var edges uint64 // flushed to the shared stats in one add
 	defer func() {
 		if edges > 0 {
 			eng.stats.EdgesBuilt.Add(edges)
 		}
 	}()
-	// side 0: successor is already the whole tree (root is a leaf, or a
-	// Synch/Close collapsing the root pair). side 1/2: the move evolved
-	// the left/right child and the successor is lifted over the sibling.
-	emit := func(moves []cleafMove, side int) error {
-		for i := range moves {
-			mv := &moves[i]
-			fg := fgroup{mv: mv}
-			mon, sigID, violation, err := eng.advance(n, mv.moveItems(), mv.inert)
-			if err != nil {
-				return err
-			}
-			if violation != hexpr.NoPolicy {
-				fg.ext = &fgext{reqIdx: mv.reqIdx, violation: violation}
-			} else {
-				lift := func(s *ctree) *ctree {
-					switch side {
-					case 1:
-						return eng.pairFor(s, n.ct.right)
-					case 2:
-						return eng.pairFor(n.ct.left, s)
-					}
-					return s
-				}
-				if mv.reqIdx < 0 {
-					fg.next = eng.node(lift(mv.next), mon, sigID)
-					edges++
-					// The return value is deliberately dropped: the per-state
-					// charge at the next pop observes the sticky exhaustion.
-					eng.opts.Budget.ConsumeEdges(1)
-				} else {
-					// locIdxs shared: candidate sets are plan-independent.
-					ext := &fgext{reqIdx: mv.reqIdx, violation: hexpr.NoPolicy,
-						locIdxs: mv.ext.locIdxs, cnexts: make([]*fnode, len(mv.ext.cnexts))}
-					for ci, c := range mv.ext.cnexts {
-						ext.cnexts[ci] = eng.node(lift(c), mon, sigID)
-					}
-					fg.ext = ext
-					edges += uint64(len(mv.ext.cnexts))
-					eng.opts.Budget.ConsumeEdges(int64(len(mv.ext.cnexts)))
-				}
-			}
-			out = append(out, fg)
-		}
-		return nil
-	}
-	t := n.ct
-	if t.left == nil {
-		row, err := eng.rowFor(t)
+	n := eng.nodeArena.at(ni)
+	t := *eng.trees.at(n.tree)
+	var rows [3]run
+	var sides [3]lift
+	if t.leaf >= 0 {
+		rw, err := eng.rowFor(n.tree)
 		if err != nil {
-			return nil, err
+			return run{}, err
 		}
-		out = make([]fgroup, 0, len(row.moves))
-		if err := emit(row.moves, 0); err != nil {
-			return nil, err
+		rows[0] = rw
+	} else {
+		lrow, err := eng.treeRowFor(t.left)
+		if err != nil {
+			return run{}, err
 		}
-		return out, nil
+		rrow, err := eng.treeRowFor(t.right)
+		if err != nil {
+			return run{}, err
+		}
+		rows[0], rows[1], sides[0], sides[1] = lrow, rrow, liftLeft, liftRight
+		// Synch/Close moves of a bottomed-out session. The root pair is
+		// unique to this node, so the moves are filed as a run the groups
+		// point into instead of a row cached on the ctree.
+		if eng.isLeaf(t.left) && eng.isLeaf(t.right) {
+			eng.stageReset()
+			eng.pairMoves(t.left, t.right)
+			rows[2] = eng.fileRow()
+		}
 	}
-	lrow, err := eng.treeRowFor(t.left)
-	if err != nil {
-		return nil, err
+	eng.stageGroups = eng.stageGroups[:0]
+	eng.stageNodes = eng.stageNodes[:0]
+	for k, rw := range rows {
+		for mi := rw.off; mi < rw.off+rw.n; mi++ {
+			mv := eng.moves.at(mi)
+			g := fgroup{mv: mi, next: -1, reqIdx: mv.reqIdx}
+			m, violation, err := eng.advance(n, eng.moveItems(mv), mv.inert)
+			if err != nil {
+				return run{}, err
+			}
+			switch {
+			case violation != hexpr.NoPolicy:
+				g.viol = eng.violation(violation)
+			case mv.reqIdx < 0:
+				g.next = eng.node(eng.lifted(mv.next, t.left, t.right, sides[k]), &m)
+				edges++
+				// The return value is deliberately dropped: the per-state
+				// charge at the next pop observes the sticky exhaustion.
+				eng.opts.Budget.ConsumeEdges(1)
+			default:
+				// Staged relative to the staged candidate nodes; rebased
+				// when filed.
+				g.next = int32(len(eng.stageNodes))
+				c := int32(len(eng.cands[mv.reqIdx]))
+				for ci := range c {
+					s := eng.lifted(*eng.candTrees.at(mv.next + ci), t.left, t.right, sides[k])
+					eng.stageNodes = append(eng.stageNodes, eng.node(s, &m))
+				}
+				edges += uint64(c)
+				eng.opts.Budget.ConsumeEdges(int64(c))
+			}
+			eng.stageGroups = append(eng.stageGroups, g)
+			if faultinject.Enabled() {
+				faultinject.Fire(faultinject.FusedExpand, eng.treeKey(n.tree))
+			}
+		}
 	}
-	rrow, err := eng.treeRowFor(t.right)
-	if err != nil {
-		return nil, err
+	base := eng.candNodes.file(eng.stageNodes)
+	for i := range eng.stageGroups {
+		if g := &eng.stageGroups[i]; g.reqIdx >= 0 && g.viol == 0 {
+			g.next += base
+		}
 	}
-	// Synch/Close moves of a bottomed-out session. The root pair is unique
-	// to this node, so the moves go straight into the groups (via a
-	// scratch row) instead of being cached on the ctree.
-	var scratch leafRow
-	if t.left.left == nil && t.right.left == nil {
-		eng.pairMovesInto(&scratch, t.left, t.right)
-	}
-	out = make([]fgroup, 0, len(lrow.moves)+len(rrow.moves)+len(scratch.moves))
-	if err := emit(lrow.moves, 1); err != nil {
-		return nil, err
-	}
-	if err := emit(rrow.moves, 2); err != nil {
-		return nil, err
-	}
-	if err := emit(scratch.moves, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return run{eng.groups.file(eng.stageGroups), int32(len(eng.stageGroups))}, nil
 }
 
-// ensureExpanded computes the node's outgoing groups once: the compiled
+// ensureExpanded computes node ni's outgoing groups once: the compiled
 // move relation, one monitor advance per group (candidates share their
 // items), and the successor nodes. Every plan whose replay reaches this
 // state reuses the result.
-func (n *fnode) ensureExpanded(eng *fusedEngine) error {
+func (eng *fusedEngine) ensureExpanded(ni int32) error {
+	n := eng.nodeArena.at(ni)
 	if n.expanded {
-		return n.err
+		if n.err != 0 {
+			return eng.errs[n.err-1]
+		}
+		return nil
 	}
 	// Budget exhaustion aborts the expansion *without* recording it in
 	// n.err: the cutoff is a property of this run's budget, not of the
@@ -555,20 +618,18 @@ func (n *fnode) ensureExpanded(eng *fusedEngine) error {
 	if e := eng.opts.Budget.Exhausted(); e != nil {
 		return e
 	}
-	if faultinject.Enabled() {
-		faultinject.Fire(faultinject.FusedExpand, n.ct.treeKey())
-	}
-	// Built groups accumulate in a local slice stored only on success:
-	// if a panic (injected or genuine) unwinds mid-expansion, the node
-	// stays unexpanded and a sibling plan's retry rebuilds from scratch
-	// instead of appending duplicates after a partial n.groups.
-	built, err := eng.buildGroups(n)
+	// The groups are staged and filed as one run only when complete: if a
+	// panic (injected or genuine) unwinds mid-expansion, the node stays
+	// unexpanded, no filed run references the staged groups, and a
+	// sibling plan's retry rebuilds them from scratch.
+	groups, err := eng.buildGroups(ni)
 	n.expanded = true
 	if err != nil {
-		n.err = err
+		eng.errs = append(eng.errs, err)
+		n.err = int32(len(eng.errs))
 		return err
 	}
-	n.groups = built
+	n.groupOff, n.nGroups = groups.off, groups.n
 	eng.stats.StatesExpanded.Add(1)
 	return nil
 }
@@ -586,32 +647,33 @@ func unknownReport(report *verify.Report, e *budget.ExhaustedError, frontier int
 // rvis is one slot of a replayer's visited array: the epoch stamps the
 // replay the slot belongs to (bumping the epoch clears the whole array in
 // O(1)), prev/gi record how the replay first reached the node (the trace
-// label lives in the predecessor's group). prev == nil marks the start.
+// label lives in the predecessor's group). prev == -1 marks the start.
 type rvis struct {
 	epoch uint32
 	gi    int32
-	prev  *fnode
+	prev  int32
 }
 
 // pmove is one projected move of the current replay state: the group index
-// (the trace label is the group's), the policy the move violates (if any)
-// and the successor node (nil for violating moves).
+// (the trace label is the group's), the group's violation (if any) and
+// the successor node (-1 for violating moves).
 type pmove struct {
-	gi        int32
-	violation hexpr.PolicyID
-	next      *fnode
+	gi   int32
+	viol int32
+	next int32
 }
 
 // replayer holds the engine's reusable replay scratch: the epoch-stamped
-// visited array (indexed by fnode.idx — a slot access instead of a map
+// visited array (indexed by node — a slot access instead of a map
 // operation per visit), BFS ring, projected-move buffer and decision
 // accumulators persist across plans, so assessing the n-th plan of a
 // large family allocates almost nothing. A plan is its dense vector:
 // vec[reqIdx] = locIdx, or -1 when the request is unbound.
 type replayer struct {
+	eng     *fusedEngine
 	visited []rvis
 	epoch   uint32
-	queue   ring.Queue[*fnode]
+	queue   ring.Queue[int32]
 	moves   []pmove
 	// used accumulates the binding decisions the replay consulted, in
 	// consultation order; usedMark dedups them per replay epoch.
@@ -624,20 +686,25 @@ type replayer struct {
 	// per plan.
 	states uint64
 	// flow, when set, observes the replay as it observes a kernel
-	// exploration (record); flowAt maps a visited node's fnode.idx to its
-	// discovery index in the recorder.
+	// exploration (record); flowAt maps a visited node to its discovery
+	// index in the recorder.
 	flow   *verify.FlowRecorder
 	flowAt []int32
 }
 
-// newReplayer returns fresh replay scratch, building the start node first
-// if no replayer has needed it yet.
+// newReplayer returns fresh replay scratch, building the graph and its
+// start node first if no replayer has needed them yet.
 func (eng *fusedEngine) newReplayer() *replayer {
-	if eng.start == nil {
+	if eng.graph == nil {
+		eng.graph = &graph{}
+	}
+	if eng.nodeArena.n == 0 {
 		mon := history.NewMonitor(eng.table)
-		eng.start = eng.node(eng.leaf(eng.loc, eng.locIDs[eng.loc], eng.client), mon, eng.tab.Key(mon.Signature()))
+		m := monRef{idx: -1, fresh: mon, sigID: eng.tab.Key(mon.Signature())}
+		eng.node(eng.leaf(eng.loc, eng.locIDs[eng.loc], eng.client), &m) // startNode
 	}
 	return &replayer{
+		eng:      eng,
 		usedMark: make([]uint32, eng.nReq),
 		seenMark: make([]uint32, eng.nReq),
 	}
@@ -654,60 +721,70 @@ func (eng *fusedEngine) planOf(vec []int32) Plan {
 	return Plan{t: eng.bindings, vec: vec}
 }
 
-// slot returns the visited slot of n, growing the array when expansion has
-// minted nodes past its end mid-replay.
-func (r *replayer) slot(n *fnode) *rvis {
-	if int(n.idx) >= len(r.visited) {
+// slot returns the visited slot of node n, growing the array when
+// expansion has minted nodes past its end mid-replay.
+func (r *replayer) slot(n int32) *rvis {
+	if int(n) >= len(r.visited) {
 		size := len(r.visited) * 2
-		if size <= int(n.idx) {
-			size = int(n.idx) + 64
+		if size <= int(n) {
+			size = int(n) + 64
 		}
 		grown := make([]rvis, size)
 		copy(grown, r.visited)
 		r.visited = grown
 	}
-	return &r.visited[n.idx]
+	return &r.visited[n]
 }
 
-// discovered records n, just visited by the replay, as the recorder's
-// state reached from state parent by a move labelled label.
-func (r *replayer) discovered(n *fnode, parent int32, label *hexpr.Label) {
+// discovered records node n, just visited by the replay, as the
+// recorder's state reached from state parent by a move labelled label.
+func (r *replayer) discovered(n, parent int32, label *hexpr.Label) {
 	if len(r.flowAt) < len(r.visited) {
 		r.flowAt = append(r.flowAt, make([]int32, len(r.visited)-len(r.flowAt))...)
 	}
-	r.flowAt[n.idx] = r.flow.State(parent, label, n.mon)
+	r.flowAt[n] = r.flow.State(parent, label, r.eng.mons[r.eng.nodeArena.at(n).mon])
 }
 
-// record feeds the recorder one projected move of n, in the kernel's
-// order: each history item the move logs, the target when the move
-// discovered it, and the move.
-func (r *replayer) record(n *fnode, m pmove, fresh bool) {
-	mv := n.groups[m.gi].mv
-	from := r.flowAt[n.idx]
-	if mv.inert && mv.label.Kind == hexpr.LEvent {
+// groupMove returns the compiled move of node n's gi-th group.
+func (eng *fusedEngine) groupMove(n *fnode, gi int32) *cleafMove {
+	return eng.moves.at(eng.groups.at(n.groupOff + gi).mv)
+}
+
+// record feeds the recorder one projected move of node ni, in the
+// kernel's order: each history item the move logs, the target when the
+// move discovered it, and the move.
+func (r *replayer) record(ni int32, m pmove, fresh bool) {
+	eng := r.eng
+	n := eng.nodeArena.at(ni)
+	mv := eng.groupMove(n, m.gi)
+	label, mon := eng.labels[mv.label], eng.mons[n.mon]
+	from := r.flowAt[ni]
+	if mv.inert && label.Kind == hexpr.LEvent {
 		// Inert moves dropped their items at row-build time; of those,
 		// only an event move logs one.
-		r.flow.Item(from, mv.label, n.mon, history.EventItem(mv.label.Event))
+		r.flow.Item(from, label, mon, history.EventItem(label.Event))
 	}
-	for _, it := range mv.moveItems() {
-		r.flow.Item(from, mv.label, n.mon, it)
+	for _, it := range eng.moveItems(mv) {
+		r.flow.Item(from, label, mon, it)
 	}
 	if fresh {
-		r.discovered(m.next, from, mv.label)
+		r.discovered(m.next, from, label)
 	}
-	r.flow.Move(from, r.flowAt[m.next.idx])
+	r.flow.Move(from, r.flowAt[m.next])
 }
 
-func (r *replayer) trace(n *fnode) []network.TraceEntry {
+func (r *replayer) trace(n int32) []network.TraceEntry {
+	eng := r.eng
 	depth := 0
-	for p := r.visited[n.idx]; p.prev != nil; p = r.visited[p.prev.idx] {
+	for p := r.visited[n]; p.prev >= 0; p = r.visited[p.prev] {
 		depth++
 	}
 	// Non-nil even when empty, like verify's trace materialisation.
 	out := make([]network.TraceEntry, depth)
-	for p := r.visited[n.idx]; p.prev != nil; p = r.visited[p.prev.idx] {
+	for p := r.visited[n]; p.prev >= 0; p = r.visited[p.prev] {
 		depth--
-		out[depth] = network.TraceEntry{Label: *p.prev.groups[p.gi].mv.label}
+		mv := eng.groupMove(eng.nodeArena.at(p.prev), p.gi)
+		out[depth] = network.TraceEntry{Label: *eng.labels[mv.label]}
 	}
 	return out
 }
@@ -728,11 +805,10 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 	r.epoch++
 	r.queue.Reset()
 	r.states = 0
-	s := r.slot(eng.start)
-	*s = rvis{epoch: r.epoch}
-	r.queue.Push(eng.start)
+	*r.slot(startNode) = rvis{epoch: r.epoch, prev: -1}
+	r.queue.Push(startNode)
 	if r.flow != nil {
-		r.discovered(eng.start, -1, nil)
+		r.discovered(startNode, -1, nil)
 	}
 	report := &verify.Report{}
 	for r.queue.Len() > 0 {
@@ -744,12 +820,12 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 			report.States--
 			return unknownReport(report, e, r.queue.Len()), nil
 		}
-		n := r.queue.Pop()
+		ni := r.queue.Pop()
 		r.states++
 		if faultinject.Enabled() {
-			faultinject.Fire(faultinject.FusedReplay, n.ct.treeKey())
+			faultinject.Fire(faultinject.FusedReplay, eng.treeKey(eng.nodeArena.at(ni).tree))
 		}
-		if err := n.ensureExpanded(eng); err != nil {
+		if err := eng.ensureExpanded(ni); err != nil {
 			var e *budget.ExhaustedError
 			if errors.As(err, &e) {
 				report.States--
@@ -757,34 +833,34 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 			}
 			return nil, err
 		}
+		n := eng.nodeArena.at(ni)
 		r.moves = r.moves[:0]
-		for gi := range n.groups {
-			g := &n.groups[gi]
-			if g.ext == nil {
-				r.moves = append(r.moves, pmove{int32(gi), hexpr.NoPolicy, g.next})
-				continue
-			}
-			if g.ext.violation != hexpr.NoPolicy {
+		for gi := range n.nGroups {
+			g := eng.groups.at(n.groupOff + gi)
+			switch {
+			case g.viol != 0:
 				// A violating move — if it is an open, it violates whichever
 				// service it selects: no binding decision is consulted, so
 				// every plan reaching this state shares the verdict.
-				r.moves = append(r.moves, pmove{int32(gi), g.ext.violation, nil})
-				continue
-			}
-			li := vec[g.ext.reqIdx]
-			if r.usedMark[g.ext.reqIdx] != r.epoch {
-				r.usedMark[g.ext.reqIdx] = r.epoch
-				r.used = append(r.used, decision{req: g.ext.reqIdx, loc: li})
-			}
-			for ci, cli := range g.ext.locIdxs {
-				if cli == li {
-					r.moves = append(r.moves, pmove{int32(gi), hexpr.NoPolicy, g.ext.cnexts[ci]})
-					break
+				r.moves = append(r.moves, pmove{gi, g.viol, -1})
+			case g.reqIdx < 0:
+				r.moves = append(r.moves, pmove{gi, 0, g.next})
+			default:
+				li := vec[g.reqIdx]
+				if r.usedMark[g.reqIdx] != r.epoch {
+					r.usedMark[g.reqIdx] = r.epoch
+					r.used = append(r.used, decision{req: g.reqIdx, loc: li})
 				}
+				for ci, cli := range eng.cands[g.reqIdx] {
+					if cli == li {
+						r.moves = append(r.moves, pmove{gi, 0, *eng.candNodes.at(g.next + int32(ci))})
+						break
+					}
+				}
+				// No matching candidate (request unbound, or bound outside
+				// the candidate set): the open is not enabled, exactly as in
+				// the direct exploration.
 			}
-			// No matching candidate (request unbound, or bound outside the
-			// candidate set): the open is not enabled, exactly as in the
-			// direct exploration.
 		}
 		if r.flow != nil {
 			if e := eng.opts.Budget.ConsumeEdges(int64(len(r.moves))); e != nil {
@@ -793,25 +869,26 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 		}
 		if len(r.moves) == 0 && !n.done {
 			report.Verdict = verify.CommunicationDeadlock
-			report.Trace = r.trace(n)
-			report.StuckTree = n.ct.treeKey()
+			report.Trace = r.trace(ni)
+			report.StuckTree = eng.treeKey(n.tree)
 			return report, nil
 		}
 		for _, m := range r.moves {
-			if m.violation != hexpr.NoPolicy {
+			if m.viol != 0 {
 				report.Verdict = verify.SecurityViolation
-				report.Policy = m.violation
-				report.Trace = append(r.trace(n), network.TraceEntry{Label: *n.groups[m.gi].mv.label})
+				report.Policy = eng.viols[m.viol-1]
+				label := eng.labels[eng.groupMove(n, m.gi).label]
+				report.Trace = append(r.trace(ni), network.TraceEntry{Label: *label})
 				return report, nil
 			}
 			s := r.slot(m.next)
 			fresh := s.epoch != r.epoch
 			if fresh {
-				*s = rvis{epoch: r.epoch, gi: m.gi, prev: n}
+				*s = rvis{epoch: r.epoch, gi: m.gi, prev: ni}
 				r.queue.Push(m.next)
 			}
 			if r.flow != nil {
-				r.record(n, m, fresh)
+				r.record(ni, m, fresh)
 			}
 		}
 	}
@@ -820,19 +897,21 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 }
 
 // assessReplay returns the plan's exploration report, through the decision
-// memo: a hit costs one trie walk; a miss replays and files the report
+// trie: a hit costs one trie walk; a miss replays and files the report
 // under the decisions the replay consulted.
 func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, error) {
-	for t := eng.memo; t != nil; {
-		if t.leaf {
-			rep := *t.report
+	for t := int32(0); int(t) < len(eng.trie); {
+		if i := eng.trie[t].report; i != 0 {
+			rep := *eng.trieReports[i-1]
 			eng.stats.ReplayMemoHits.Add(1)
 			return &rep, nil
 		}
-		if t.req < 0 {
+		if eng.trie[t].req < 0 {
 			break // placeholder without a filed report yet
 		}
-		t = t.branches[vec[t.req]]
+		if t = eng.trieChild(t, vec[eng.trie[t].req]); t < 0 {
+			break
+		}
 	}
 
 	report, err := eng.replay(vec, r)
@@ -847,29 +926,28 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 		return report, nil
 	}
 
-	node := eng.memo
-	if node == nil {
-		node = &decisionTrie{req: -1}
-		eng.memo = node
+	if len(eng.trie) == 0 {
+		eng.trie = append(eng.trie, trieNode{req: -1, child: -1, sib: -1})
 	}
+	t := int32(0)
 	for _, d := range r.used {
-		if node.leaf {
+		if eng.trie[t].report != 0 {
 			break // defensive: a filed prefix would have answered the lookup
 		}
-		if node.req < 0 {
-			node.req = d.req
-			node.branches = map[int32]*decisionTrie{}
+		if eng.trie[t].req < 0 {
+			eng.trie[t].req = d.req
 		}
-		child := node.branches[d.loc]
-		if child == nil {
-			child = &decisionTrie{req: -1}
-			node.branches[d.loc] = child
+		c := eng.trieChild(t, d.loc)
+		if c < 0 {
+			c = int32(len(eng.trie))
+			eng.trie = append(eng.trie, trieNode{req: -1, loc: d.loc, child: -1, sib: eng.trie[t].child})
+			eng.trie[t].child = c
 		}
-		node = child
+		t = c
 	}
-	if !node.leaf && node.req < 0 {
-		node.leaf = true
-		node.report = report
+	if eng.trie[t].report == 0 && eng.trie[t].req < 0 {
+		eng.trieReports = append(eng.trieReports, report)
+		eng.trie[t].report = int32(len(eng.trieReports))
 	}
 	rep := *report
 	return &rep, nil
@@ -1165,14 +1243,17 @@ func (eng *fusedEngine) tooMany() error {
 // service's requests at the tail and the parent truncates on backtrack,
 // so the traversal order matches the rest-then-pending concatenation of
 // the legacy enumerator while enumeration allocates only the returned
-// vectors. Pruning reads the compliance matrix (backtracking re-asks the
-// same pair on every branch — millions of times on deep workloads), and
-// pruned bindings are counted in the stats.
+// vectors. The vectors are carved from chunks (vecChunks), so a family
+// of thousands of plans makes a handful of allocations, not one per plan.
+// Pruning reads the compliance matrix (backtracking re-asks the same pair
+// on every branch — millions of times on deep workloads), and pruned
+// bindings are counted in the stats.
 func (eng *fusedEngine) enumerate() ([][]int32, error) {
 	if eng.overCap() {
 		return nil, eng.tooMany()
 	}
 	var vecs [][]int32
+	var chunks vecChunks
 	cur := make([]int32, eng.nReq)
 	for i := range cur {
 		cur[i] = -1
@@ -1190,7 +1271,7 @@ func (eng *fusedEngine) enumerate() ([][]int32, error) {
 			if eng.opts.Budget.Exhausted() != nil {
 				return errStopEnumeration
 			}
-			vecs = append(vecs, slices.Clone(cur))
+			vecs = append(vecs, chunks.clone(cur))
 			return nil
 		}
 		ri := buf[start]
@@ -1221,6 +1302,34 @@ func (eng *fusedEngine) enumerate() ([][]int32, error) {
 		return nil, err
 	}
 	return vecs, nil
+}
+
+// vecChunks hands out copies of plan vectors carved from shared chunks:
+// the first chunk holds vecChunkMin vectors and each later one twice its
+// predecessor's, up to vecChunkMax, so a small family allocates for its
+// size and a large one one chunk per vecChunkMax plans. No chunk is ever
+// regrown (and copied), and each copy's capacity ends with it, so no
+// append to a vector can spill into its neighbour.
+type vecChunks struct {
+	free []int32 // the unused tail of the current chunk
+	next int     // vectors the next chunk holds
+}
+
+const (
+	vecChunkMin = 8
+	vecChunkMax = 512
+)
+
+func (c *vecChunks) clone(vec []int32) []int32 {
+	n := len(vec)
+	if len(c.free) < n {
+		c.next = min(max(2*c.next, vecChunkMin), vecChunkMax)
+		c.free = make([]int32, c.next*n)
+	}
+	out := c.free[:n:n]
+	copy(out, vec)
+	c.free = c.free[n:]
+	return out
 }
 
 // AssessStream enumerates every complete plan for the client and streams
@@ -1259,17 +1368,22 @@ func AssessStream(repo network.Repository, table *policy.Table,
 // keyOrder returns the enumeration indices of vecs in the order of their
 // plans' keys (Plan.Key, byte-identical to network.Plan.Key), the order a
 // sweep reports in. The sort keys are rendered by the appender that
-// renders a printed key, without plan maps.
+// renders a printed key, without plan maps, into one byte buffer sized
+// for them all: key i is keys[offs[i]:offs[i+1]], and bytes.Compare
+// orders keys as strings.Compare does.
 func (eng *fusedEngine) keyOrder(vecs [][]int32) []int32 {
-	keys := make([]string, len(vecs))
-	order := make([]int32, len(vecs))
-	var buf []byte
+	offs := make([]int32, len(vecs)+1)
 	for vi, vec := range vecs {
-		buf = eng.planOf(vec).appendKey(buf[:0])
-		keys[vi] = string(buf)
+		offs[vi+1] = offs[vi] + int32(eng.planOf(vec).keyLen())
+	}
+	keys := make([]byte, 0, offs[len(vecs)])
+	order := make([]int32, len(vecs))
+	for vi, vec := range vecs {
+		keys = eng.planOf(vec).appendKey(keys)
 		order[vi] = int32(vi)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	key := func(i int32) []byte { return keys[offs[i]:offs[i+1]] }
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
 	return order
 }
 
@@ -1283,8 +1397,12 @@ func (eng *fusedEngine) keyOrder(vecs [][]int32) []int32 {
 // early: a guarded Chained(8,2), 256 plans of 8 requests, reserves 8192
 // + 4096 slots for a graph of hundreds of nodes and pairs. The cap keeps
 // a wide plan space with a small shared graph from over-allocating —
-// beyond it, organic growth takes over.
+// beyond it, organic growth takes over. The family is about to be
+// replayed, so the graph is made here if no replayer has made it yet.
 func (eng *fusedEngine) reserveTables(plans int) {
+	if eng.graph == nil {
+		eng.graph = &graph{}
+	}
 	if n := plans * eng.nReq; n > 0 {
 		const maxReserve = 1 << 21
 		eng.pairs.reserve(min(2*n, 2*maxReserve))

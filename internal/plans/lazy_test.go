@@ -18,15 +18,15 @@ import (
 
 // TestSweepWithoutReplayBuildsNoGraph: a sweep that replays no plan — a
 // MaxPlans overrun, an empty family, a tiered family whose every verdict
-// hits — builds no start node, mints no graph node and allocates no node
-// table, and a flow read from such a family builds the start on its first
-// replay.
+// hits — builds no graph (no start node, no tree, no arena block, no
+// table), and a flow read from such a family builds the start on its
+// first replay.
 func TestSweepWithoutReplayBuildsNoGraph(t *testing.T) {
 	noGraph := func(label string, eng *fusedEngine) {
 		t.Helper()
-		if eng.start != nil || eng.nodeArena.n != 0 || eng.nodes.slots != nil {
-			t.Fatalf("%s built a graph: start=%t nodes=%d table=%t",
-				label, eng.start != nil, eng.nodeArena.n, eng.nodes.slots != nil)
+		if eng.graph != nil {
+			t.Fatalf("%s built a graph: %d nodes (table %t), %d trees, %d moves, %d groups",
+				label, eng.nodeArena.n, eng.nodes.slots != nil, eng.trees.n, eng.moves.n, eng.groups.n)
 		}
 	}
 
@@ -83,7 +83,7 @@ func TestSweepWithoutReplayBuildsNoGraph(t *testing.T) {
 	if err != nil || hit {
 		t.Fatalf("warm flow: hit=%t err=%v, want a replayed flow", hit, err)
 	}
-	if eng.start == nil {
+	if eng.graph == nil || eng.nodeArena.n == 0 {
 		t.Fatal("the flow replay built no start node")
 	}
 	cold, err := engine(w.Repo, w.Table, w.Loc, w.Client, Options{PruneNonCompliant: true}).sweep(false)
@@ -153,11 +153,62 @@ func checkArenaAddressing[T any](t *testing.T, name string) {
 	}
 }
 
-// TestArenaAddressing: both arenas hand out stable pointers that at
-// finds again, in geometric blocks up to 4096 entries.
+// TestArenaAddressing: every arena hands out stable pointers that at
+// finds again, in geometric blocks up to 4096 entries, and file lays a
+// run across block boundaries entry by entry where at finds it.
 func TestArenaAddressing(t *testing.T) {
-	checkArenaAddressing[ctree](t, "pair arena")
+	checkArenaAddressing[ctree](t, "tree arena")
+	checkArenaAddressing[cleafMove](t, "move arena")
 	checkArenaAddressing[fnode](t, "node arena")
+	checkArenaAddressing[fgroup](t, "group arena")
+	checkArenaAddressing[int32](t, "candidate arena")
+
+	var a arena[int32]
+	next := int32(0)
+	for _, n := range []int{0, 3, 61, 1, 200, 0, 4000, 5000} {
+		run := make([]int32, n)
+		for i := range run {
+			run[i] = next + int32(i)
+		}
+		if off := a.file(run); off != next {
+			t.Fatalf("run of %d filed at %d, want %d", n, off, next)
+		}
+		next += int32(n)
+	}
+	if a.n != next {
+		t.Fatalf("arena holds %d entries after filing %d", a.n, next)
+	}
+	for i := range next {
+		if got := *a.at(i); got != i {
+			t.Fatalf("at(%d) = %d", i, got)
+		}
+	}
+	if want := []int{64, 64, 128, 256, 512, 1024, 2048, 4096, 4096}; !slices.Equal(blockCaps(&a), want) {
+		t.Fatalf("filed runs: block capacities %v, want %v", blockCaps(&a), want)
+	}
+}
+
+// graphBytes is what the engine's graph storage holds: every arena block,
+// table and side slice, by capacity (the objects the side slices point
+// at are not counted).
+func graphBytes(eng *fusedEngine) uintptr {
+	size := func(n int, elem uintptr) uintptr { return uintptr(n) * elem }
+	return size(arenaCap(&eng.trees), unsafe.Sizeof(ctree{})) +
+		size(arenaCap(&eng.moves), unsafe.Sizeof(cleafMove{})) +
+		size(arenaCap(&eng.candTrees), 4) +
+		size(arenaCap(&eng.nodeArena), unsafe.Sizeof(fnode{})) +
+		size(arenaCap(&eng.groups), unsafe.Sizeof(fgroup{})) +
+		size(arenaCap(&eng.candNodes), 4) +
+		size(len(eng.leaves.slots)+len(eng.pairs.slots)+len(eng.nodes.slots), unsafe.Sizeof(u64slot{})) +
+		size(cap(eng.leafPays), unsafe.Sizeof(leafPayload{})) +
+		size(cap(eng.labels)+cap(eng.mons)+cap(eng.trieReports), unsafe.Sizeof(uintptr(0))) +
+		size(cap(eng.itemSets), unsafe.Sizeof([]int{})) +
+		size(cap(eng.viols), unsafe.Sizeof("")) +
+		size(cap(eng.errs), unsafe.Sizeof(error(nil))) +
+		size(cap(eng.stageMoves), unsafe.Sizeof(cleafMove{})) +
+		size(cap(eng.stageTrees)+cap(eng.stageNodes), 4) +
+		size(cap(eng.stageGroups), unsafe.Sizeof(fgroup{})) +
+		size(cap(eng.trie), unsafe.Sizeof(trieNode{}))
 }
 
 // TestSmallSweepAllocatesForItsGraph: a sweep's arenas and tables grow
@@ -165,8 +216,9 @@ func TestArenaAddressing(t *testing.T) {
 // engine serves too. Each arena holds at most twice its entries plus one
 // first block, and each table at most what the family reserved or four
 // slots per entry; hotel.susc's c1, whose graph has tens of nodes, keeps
-// all four under 64 KiB (a fixed 4096-entry block per arena and 8192
-// slots per table would be 736 KiB).
+// every arena, table and side slice under 64 KiB together (a fixed
+// 4096-entry block per arena and 8192 slots per table would be several
+// hundred KiB).
 func TestSmallSweepAllocatesForItsGraph(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/hotel.susc")
 	if err != nil {
@@ -185,7 +237,7 @@ func TestSmallSweepAllocatesForItsGraph(t *testing.T) {
 		name   string
 		f      *parser.File
 		client string
-		limit  uintptr // bytes of both arenas and both tables, 0 = unchecked
+		limit  uintptr // graphBytes, 0 = unchecked
 	}{
 		{"hotel c1", hotel, "c1", 64 << 10},
 		{"guarded Chained(8,2)", guarded, "cl", 0},
@@ -212,8 +264,12 @@ func TestSmallSweepAllocatesForItsGraph(t *testing.T) {
 			name   string
 			n, cap int
 		}{
-			{"pair arena", int(eng.pairArena.n), arenaCap(&eng.pairArena)},
+			{"tree arena", int(eng.trees.n), arenaCap(&eng.trees)},
+			{"move arena", int(eng.moves.n), arenaCap(&eng.moves)},
+			{"candidate tree arena", int(eng.candTrees.n), arenaCap(&eng.candTrees)},
 			{"node arena", int(eng.nodeArena.n), arenaCap(&eng.nodeArena)},
+			{"group arena", int(eng.groups.n), arenaCap(&eng.groups)},
+			{"candidate node arena", int(eng.candNodes.n), arenaCap(&eng.candNodes)},
 		} {
 			if a.cap > 2*a.n+64 {
 				t.Errorf("%s: %s holds %d entries in %d", tc.name, a.name, a.n, a.cap)
@@ -231,11 +287,8 @@ func TestSmallSweepAllocatesForItsGraph(t *testing.T) {
 					tc.name, m.name, len(m.got.slots), m.got.n, len(m.resv.slots))
 			}
 		}
-		bytes := uintptr(arenaCap(&eng.pairArena))*unsafe.Sizeof(ctree{}) +
-			uintptr(arenaCap(&eng.nodeArena))*unsafe.Sizeof(fnode{}) +
-			uintptr(len(eng.pairs.slots)+len(eng.nodes.slots))*unsafe.Sizeof(u64slot{})
-		if tc.limit > 0 && bytes >= tc.limit {
-			t.Errorf("%s: arenas and tables hold %d bytes, want under %d", tc.name, bytes, tc.limit)
+		if bytes := graphBytes(eng); tc.limit > 0 && bytes >= tc.limit {
+			t.Errorf("%s: arenas, tables and side slices hold %d bytes, want under %d", tc.name, bytes, tc.limit)
 		}
 	}
 }
@@ -266,7 +319,7 @@ func TestBigSweepReservesItsTables(t *testing.T) {
 		name   string
 		blocks []int
 	}{
-		{"pair arena", blockCaps(&eng.pairArena)},
+		{"tree arena", blockCaps(&eng.trees)},
 		{"node arena", blockCaps(&eng.nodeArena)},
 	} {
 		if len(a.blocks) <= 7 {

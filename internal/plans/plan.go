@@ -103,6 +103,20 @@ func (p Plan) JSONLen() int {
 	return n
 }
 
+// keyLen is the length of the plan's key.
+func (p Plan) keyLen() int {
+	n := 2
+	for ri, li := range p.vec {
+		if li >= 0 {
+			n += 1 + len(p.t.reqKey[ri]) + len(p.t.locs[li])
+		}
+	}
+	if n > 2 {
+		n-- // one separator fewer than bindings
+	}
+	return n
+}
+
 // appendKey appends the plan's key to b. A sweep sorts its plans on these
 // bytes, so the order it reports in and the keys it prints come from one
 // function.

@@ -20,13 +20,15 @@ import (
 // CLI's -json output for the mode, control lines (first key "susc") for
 // everything else, flushed per line so long verifications stream.
 type stream struct {
+	w       io.Writer
 	enc     *json.Encoder
+	buf     []byte // a plan record's line buffer
 	flusher http.Flusher
 	records int
 }
 
 func newStream(w http.ResponseWriter) *stream {
-	st := &stream{enc: json.NewEncoder(w)}
+	st := &stream{w: w, enc: json.NewEncoder(w)}
 	st.flusher, _ = w.(http.Flusher)
 	return st
 }
@@ -37,9 +39,17 @@ func (st *stream) flush() {
 	}
 }
 
-// record emits one result line — the shapes engine/entry.go pins.
+// record emits one result line — the shapes engine/entry.go pins. A plan
+// record is its AppendJSON bytes and a newline, appended into a reused
+// buffer and written in one call: the bytes json.Encoder.Encode writes
+// for it, without the encoder's second pass over them.
 func (st *stream) record(v any) error {
-	if err := st.enc.Encode(v); err != nil {
+	if e, ok := v.(engine.PlanEntry); ok {
+		st.buf = append(e.AppendJSON(st.buf[:0]), '\n')
+		if _, err := st.w.Write(st.buf); err != nil {
+			return err
+		}
+	} else if err := st.enc.Encode(v); err != nil {
 		return err
 	}
 	st.records++
