@@ -332,48 +332,3 @@ func TestHistoryString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
-
-func TestInertFor(t *testing.T) {
-	events := []history.Item{ev("a"), ev("b", hexpr.Int(1))}
-	// No policies: plain events are inert — sharing the monitor instead of
-	// snapshotting must leave signature and acceptance unchanged.
-	empty := history.NewMonitor(policy.NewTable())
-	if !empty.InertFor(events) {
-		t.Error("events under an empty table must be inert")
-	}
-	sig := empty.Signature()
-	for _, it := range events {
-		if err := empty.Append(it); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := empty.Signature(); got != sig {
-		t.Errorf("inert items changed the signature: %q -> %q", sig, got)
-	}
-	// Framing items are never inert, even under an empty table.
-	if empty.InertFor([]history.Item{history.OpenItem(hexpr.NoPolicy)}) {
-		t.Error("frame-open must not be inert")
-	}
-	// With policy automata present, events on *watched* names can advance
-	// states: not inert. Events no automaton has an edge on self-loop every
-	// state (the watched-name bitset test), so they stay inert.
-	m := history.NewMonitor(policy.NewTable(noWriteAfterRead()))
-	if m.InertFor([]history.Item{ev("read")}) {
-		t.Error("a watched event must not be inert")
-	}
-	if m.InertFor([]history.Item{ev("a"), ev("read")}) {
-		t.Error("a batch containing a watched event must not be inert")
-	}
-	if !m.InertFor(events) {
-		t.Error("unwatched events must be inert even under a non-empty table")
-	}
-	sig = m.Signature()
-	for _, it := range events {
-		if err := m.Append(it); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.Signature(); got != sig {
-		t.Errorf("inert items changed the signature: %q -> %q", sig, got)
-	}
-}

@@ -150,22 +150,6 @@ func (m *Monitor) Append(it Item) error {
 	return nil
 }
 
-// InertFor reports whether appending the items would provably leave the
-// monitor's abstract state unchanged and violation-free: every item must
-// be a plain event whose name no policy automaton has an edge on (a bitset
-// membership test against the table's watched-event index), so every
-// automaton self-loops and no active policy can newly violate.
-// Explorations use this to share a monitor across such moves instead of
-// snapshotting and re-appending.
-func (m *Monitor) InertFor(items []Item) bool {
-	for _, it := range items {
-		if it.Kind != ItemEvent || m.ct.WatchedMask(it.Event.Name) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // AppendAll consumes a whole history, stopping at the first error.
 func (m *Monitor) AppendAll(h History) error {
 	for _, it := range h {

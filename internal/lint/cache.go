@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 
 	"susc/internal/hash"
@@ -38,22 +39,26 @@ func sourceKey(src string, opts Options) hash.Sum {
 		"min-severity="+opts.MinSeverity.String())
 }
 
-// persistable reports whether a diagnostic list may be written back:
-// SUSC016 findings describe *this run* — an isolated analyzer panic or a
-// budget cutoff — not the file's content, so lists carrying one are never
-// persisted (the disk analogue of the never-cache-Unknown rule).
-func persistable(diags []Diagnostic) bool {
-	for _, d := range diags {
-		if d.Code == CodeInternalError {
-			return false
-		}
-	}
-	return true
+// findingsCodec is the store form of one run's findings: their JSON. A
+// list carrying SUSC016 — an isolated analyzer panic or a budget cutoff
+// — describes this run, not the file's content, and is not persistable
+// (the disk analogue of the never-cache-Unknown rule).
+var findingsCodec = store.Codec[[]Diagnostic]{
+	Kind:   store.KindLint,
+	Encode: func(diags []Diagnostic) ([]byte, error) { return json.Marshal(diags) },
+	Decode: func(b []byte) ([]Diagnostic, error) {
+		var diags []Diagnostic
+		err := json.Unmarshal(b, &diags)
+		return diags, err
+	},
+	Persistable: func(diags []Diagnostic) bool {
+		return !slices.ContainsFunc(diags, func(d Diagnostic) bool { return d.Code == CodeInternalError })
+	},
 }
 
-// SourceCached is Source with a persistent tier: probe disk under the
-// file's content key, decode a hit, and otherwise lint and write the
-// findings back. With a nil store it is exactly Source.
+// SourceCached is Source with a persistent tier: the findings filed
+// under the file's content key, else Source's, written back. With a nil
+// store it is exactly Source.
 func SourceCached(src string, disk *store.Store, opts Options) []Diagnostic {
 	return cached(src, disk, opts, func() []Diagnostic { return Source(src, opts) })
 }
@@ -65,22 +70,16 @@ func RunCached(f *parser.File, issues []parser.Issue, src string, disk *store.St
 	return cached(src, disk, opts, func() []Diagnostic { return Run(f, issues, opts) })
 }
 
+// cached reads the findings through the store (store.Fill): concurrent
+// identical runs over one store lint once. A failed write-back loses
+// only the write: the findings stand. A caller that queued behind a
+// flight whose leader panicked got no findings from it, and lints itself.
 func cached(src string, disk *store.Store, opts Options, compute func() []Diagnostic) []Diagnostic {
-	if disk == nil {
+	linted := false
+	diags, _, err := store.Fill(disk, findingsCodec, func() hash.Sum { return sourceKey(src, opts) },
+		func() ([]Diagnostic, error) { linted = true; return compute(), nil })
+	if err != nil && !linted {
 		return compute()
-	}
-	sum := sourceKey(src, opts)
-	if raw, ok := disk.Get(store.KindLint, sum); ok {
-		var diags []Diagnostic
-		if err := json.Unmarshal(raw, &diags); err == nil {
-			return diags
-		}
-	}
-	diags := compute()
-	if persistable(diags) {
-		if enc, err := json.Marshal(diags); err == nil {
-			disk.Put(store.KindLint, sum, enc)
-		}
 	}
 	return diags
 }

@@ -26,6 +26,7 @@ import (
 	"susc/internal/autom"
 	"susc/internal/compliance"
 	"susc/internal/contract"
+	"susc/internal/hash"
 	"susc/internal/hexpr"
 	"susc/internal/intern"
 	"susc/internal/lts"
@@ -255,27 +256,25 @@ func (c *Cache) Product(client, server hexpr.Expr) (*compliance.Product, error) 
 // Compliance decides H_client ⊢ H_server, memoised per distinct pair. It
 // returns the verdict together with the (deterministic) witness string of
 // a shortest stuck run when non-compliant. With a disk tier attached, a
-// memory miss probes the store (content-keyed on both canonical forms)
-// before computing, and computed verdicts are written back.
+// memory miss reads through the store (store.Fill), content-keyed on both
+// canonical forms — the entire dependency cone of a compliance verdict —
+// and a failed write-back fails the call and leaves no memory entry.
 func (c *Cache) Compliance(client, server hexpr.Expr) (ok bool, witness string, err error) {
 	k := intern.Pack(c.tab.Expr(client), c.tab.Expr(server))
 	if v, ok := c.verdicts.get(k); ok {
 		return v.ok, v.witness, v.err
 	}
-	if c.disk != nil {
-		v, derr := c.complianceDisk(k, client, server)
-		if derr != nil {
-			return false, "", derr
-		}
-		return v.ok, v.witness, v.err
+	v, _, err := store.Fill(c.disk, verdictCodec,
+		func() hash.Sum { return hash.Pair(client, server) },
+		func() (verdict, error) { return c.computeCompliance(client, server), nil })
+	if err != nil {
+		return false, "", err
 	}
-	v := c.computeCompliance(client, server)
 	c.verdicts.put(k, v, 16+uint64(len(v.witness)))
 	return v.ok, v.witness, v.err
 }
 
-// computeCompliance builds the product and extracts the verdict; the
-// single compute path shared by the memory-only and disk-tier routes.
+// computeCompliance builds the product and extracts the verdict.
 func (c *Cache) computeCompliance(client, server hexpr.Expr) verdict {
 	v := verdict{}
 	p, err := c.Product(client, server)

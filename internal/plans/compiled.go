@@ -362,7 +362,7 @@ type cleafMove struct {
 	// consumer of items is the monitor advance, which inert moves skip by
 	// definition. Every lift of a move shares its item set.
 	items int32
-	inert bool // items provably monitor-neutral (history.Monitor.InertFor)
+	inert bool // items provably monitor-neutral (inertItems)
 }
 
 // moveItems returns the history items of the move (nil for inert moves,
@@ -382,9 +382,10 @@ func (eng *fusedEngine) itemSet(items []history.Item) int32 {
 }
 
 // inertItems reports whether the items are provably monitor-neutral for
-// every monitor over the engine's table — the static analogue of
-// history.Monitor.InertFor, decided once at row-build time: every item must
-// be a plain event whose name no policy automaton watches.
+// every monitor over the engine's table, decided once at row-build time:
+// every item must be a plain event whose name no policy automaton watches
+// (the table's watched-event index), so every automaton self-loops and no
+// active policy can newly violate.
 func (eng *fusedEngine) inertItems(items []history.Item) bool {
 	for _, it := range items {
 		if it.Kind != history.ItemEvent || eng.monCT.WatchedMask(it.Event.Name) != 0 {

@@ -102,8 +102,8 @@ func stepCompiled(row stepRow, s StateSet) StateSet {
 // identifiers sorted once, instances indexed densely, and a watched-event
 // index mapping event names to the bitmask of instances with an edge on
 // that name. Monitors run on these arrays instead of per-call maps, and
-// inertness (Monitor.InertFor) becomes a bitset membership test: an event
-// whose name no automaton watches provably self-loops every state.
+// inertness becomes a bitset membership test: an event whose name no
+// automaton watches provably self-loops every state.
 type CompiledTable struct {
 	ids       []hexpr.PolicyID
 	instances []*Instance

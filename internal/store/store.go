@@ -26,8 +26,8 @@
 //
 // A Store is safe for concurrent use: reads take a shared lock over the
 // in-memory index, appends serialise on a writer lock, and each record is
-// written with a single Write call. The Once method provides singleflight
-// deduplication so concurrent callers missing on the same key compute the
+// written with a single Write call. Fill (tier.go) deduplicates under a
+// singleflight, so concurrent callers missing on the same key compute the
 // artifact once.
 package store
 
@@ -337,11 +337,11 @@ func (s *Store) Get(kind Kind, sum hash.Sum) ([]byte, bool) {
 	return v, ok
 }
 
-// Peek is Get without touching the hit/miss counters, for callers probing
-// again after a counted miss (the report tiers re-read a cone under its
-// singleflight, in case a concurrent caller filed it meanwhile), which
-// would otherwise count the miss twice.
-func (s *Store) Peek(kind Kind, sum hash.Sum) ([]byte, bool) {
+// peek is Get without touching the hit/miss counters, for Fill's re-read
+// under the singleflight after a counted miss (in case a concurrent
+// caller filed the record meanwhile), which would otherwise count the
+// miss twice.
+func (s *Store) peek(kind Kind, sum hash.Sum) ([]byte, bool) {
 	s.mu.RLock()
 	v, ok := s.index[ikey{kind: kind, sum: sum}]
 	s.mu.RUnlock()
@@ -382,10 +382,10 @@ func (s *Store) Put(kind Kind, sum hash.Sum, value []byte) error {
 	return nil
 }
 
-// Once runs compute under singleflight on (kind, sum): concurrent callers
+// once runs compute under singleflight on (kind, sum): concurrent callers
 // with the same key share one execution and its result. It does not read
-// or write the store — pair it with Get/Put inside compute as needed.
-func (s *Store) Once(kind Kind, sum hash.Sum, compute func() (any, error)) (any, error) {
+// or write the store; Fill pairs it with peek and File.
+func (s *Store) once(kind Kind, sum hash.Sum, compute func() (any, error)) (any, error) {
 	return s.flight.do(ikey{kind: kind, sum: sum}, compute)
 }
 

@@ -149,11 +149,11 @@ func TestCrashSafetyEveryByteBoundary(t *testing.T) {
 			defer s.Close()
 			st := s.Stats()
 			for _, r := range keep {
-				if v, ok := s.Peek(r.kind, r.key); !ok || string(v) != r.val {
+				if v, ok := s.peek(r.kind, r.key); !ok || string(v) != r.val {
 					t.Fatalf("lost intact record %q: %q, %v", r.val, v, ok)
 				}
 			}
-			_, tornPresent := s.Peek(KindLTSSummary, lastKey)
+			_, tornPresent := s.peek(KindLTSSummary, lastKey)
 			if cut == int64(len(full)) {
 				if !tornPresent {
 					t.Fatal("complete file lost its last record")
@@ -181,7 +181,7 @@ func TestCrashSafetyEveryByteBoundary(t *testing.T) {
 			// A healed-and-rewritten store replays clean.
 			s2 := openT(t, path, fp)
 			defer s2.Close()
-			if v, ok := s2.Peek(KindLTSSummary, lastKey); !ok || string(v) != lastVal {
+			if v, ok := s2.peek(KindLTSSummary, lastKey); !ok || string(v) != lastVal {
 				t.Fatalf("recomputed record lost on second reopen: %q, %v", v, ok)
 			}
 			if st := s2.Stats(); st.HealedBytes != 0 {
@@ -222,14 +222,14 @@ func TestCrashSafetyCorruptTail(t *testing.T) {
 			}
 			s := openT(t, path, fp)
 			defer s.Close()
-			if v, ok := s.Peek(KindCompliance, sumOf("keep")); !ok || string(v) != "kept-value" {
+			if v, ok := s.peek(KindCompliance, sumOf("keep")); !ok || string(v) != "kept-value" {
 				t.Fatalf("lost intact record: %q, %v", v, ok)
 			}
 			// The flipped byte may corrupt the kind, key, length, value or
 			// CRC — in every case the tail record must not be served with a
 			// wrong value. (Flipping the kind byte alone keeps the CRC
 			// stale, so the record is still rejected.)
-			if v, ok := s.Peek(KindPlanReport, sumOf("tail")); ok && string(v) != "tail-value" {
+			if v, ok := s.peek(KindPlanReport, sumOf("tail")); ok && string(v) != "tail-value" {
 				t.Fatalf("served corrupt value %q", v)
 			}
 			if s.Stats().HealedBytes == 0 {
@@ -250,7 +250,7 @@ func TestFingerprintMismatchResets(t *testing.T) {
 	s.Close()
 
 	s2 := openT(t, path, fpB)
-	if _, ok := s2.Peek(KindCompliance, sumOf("k")); ok {
+	if _, ok := s2.peek(KindCompliance, sumOf("k")); ok {
 		t.Fatal("verdict from another engine served")
 	}
 	if !s2.Stats().Reset {
@@ -267,7 +267,7 @@ func TestFingerprintMismatchResets(t *testing.T) {
 	if s3.Stats().Reset {
 		t.Fatal("spurious reset")
 	}
-	if v, ok := s3.Peek(KindCompliance, sumOf("k2")); !ok || string(v) != "v2" {
+	if v, ok := s3.peek(KindCompliance, sumOf("k2")); !ok || string(v) != "v2" {
 		t.Fatalf("lost record after re-open: %q, %v", v, ok)
 	}
 }
@@ -290,7 +290,7 @@ func TestVersionMismatchResets(t *testing.T) {
 	}
 	s2 := openT(t, path, fp)
 	defer s2.Close()
-	if _, ok := s2.Peek(KindCompliance, sumOf("k")); ok {
+	if _, ok := s2.peek(KindCompliance, sumOf("k")); ok {
 		t.Fatal("record from another format version served")
 	}
 	if !s2.Stats().Reset {
@@ -343,14 +343,23 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i := 0; i < perWorker; i++ {
 			k := sumOf(fmt.Sprintf("w%d-%d", w, i))
-			if v, ok := s2.Peek(KindCompliance, k); !ok || string(v) != fmt.Sprintf("val-%d-%d", w, i) {
+			if v, ok := s2.peek(KindCompliance, k); !ok || string(v) != fmt.Sprintf("val-%d-%d", w, i) {
 				t.Fatalf("lost w%d-%d after replay: %q, %v", w, i, v, ok)
 			}
 		}
 	}
 }
 
-func TestOnceSingleflight(t *testing.T) {
+// stringCodec files strings as their bytes; "unknown" is not
+// persistable.
+var stringCodec = Codec[string]{
+	Kind:        KindPlanReport,
+	Encode:      func(v string) ([]byte, error) { return []byte(v), nil },
+	Decode:      func(b []byte) (string, error) { return string(b), nil },
+	Persistable: func(v string) bool { return v != "unknown" },
+}
+
+func TestFillSingleflight(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.store")
 	s := openT(t, path, hash.Fingerprint())
 	defer s.Close()
@@ -359,28 +368,29 @@ func TestOnceSingleflight(t *testing.T) {
 	calls := 0
 	release := make(chan struct{})
 	const waiters = 16
-	results := make(chan any, waiters)
+	results := make(chan string, waiters)
 	var wg sync.WaitGroup
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := s.Once(KindPlanReport, k, func() (any, error) {
+			v, hit, err := Fill(s, stringCodec, func() hash.Sum { return k }, func() (string, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
 				<-release
 				return "computed", nil
 			})
-			if err != nil {
-				t.Errorf("Once: %v", err)
+			if err != nil || hit {
+				t.Errorf("Fill: hit %v, err %v", hit, err)
 			}
 			results <- v
 		}()
 	}
 	// Release the leader only once every other caller has joined its
-	// flight: Once shares one execution among concurrent callers, and a
-	// caller that arrives after the flight has ended starts its own.
+	// flight: the flight shares one execution among concurrent callers,
+	// and a caller that arrives after the flight has ended reads the
+	// filed record instead.
 	for {
 		s.flight.mu.Lock()
 		c := s.flight.m[ikey{kind: KindPlanReport, sum: k}]
@@ -402,6 +412,79 @@ func TestOnceSingleflight(t *testing.T) {
 			t.Fatalf("waiter got %v", v)
 		}
 	}
+	// Every caller's read was counted once, as a miss; the re-reads under
+	// the flight were not, and the one computation was written once.
+	if st := s.Stats().PerKind[KindPlanReport]; st.Misses != waiters || st.Hits != 0 || st.Writebacks != 1 {
+		t.Fatalf("plan stats = %+v, want %d misses, 0 hits, 1 write-back", st, waiters)
+	}
+}
+
+// TestFillNilStore: with no store, Fill is compute, and the key is never
+// rendered.
+func TestFillNilStore(t *testing.T) {
+	calls := 0
+	v, hit, err := Fill(nil, stringCodec,
+		func() hash.Sum { t.Fatal("key rendered for a nil store"); return hash.Sum{} },
+		func() (string, error) { calls++; return "computed", nil })
+	if v != "computed" || hit || err != nil || calls != 1 {
+		t.Fatalf("Fill(nil) = %q, %v, %v after %d computations", v, hit, err, calls)
+	}
+}
+
+// TestFillWriteError: a write-back that fails (here on a closed store)
+// returns the computed value beside the error, and indexes nothing.
+func TestFillWriteError(t *testing.T) {
+	s := openT(t, filepath.Join(t.TempDir(), "s.store"), hash.Fingerprint())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k := sumOf("cone")
+	v, hit, err := Fill(s, stringCodec, func() hash.Sum { return k },
+		func() (string, error) { return "computed", nil })
+	if v != "computed" || hit || err == nil {
+		t.Fatalf("Fill on a closed store = %q, %v, %v; want the value and a write error", v, hit, err)
+	}
+	if _, ok := s.peek(KindPlanReport, k); ok {
+		t.Fatal("a failed write indexed the record")
+	}
+	if st := s.Stats().PerKind[KindPlanReport]; st.Entries != 0 || st.Writebacks != 0 {
+		t.Fatalf("plan stats = %+v after a failed write", st)
+	}
+}
+
+// TestFillNeverFilesUnpersistable: a value the codec refuses to persist
+// is returned and not written, and a resident record decoding to such a
+// value is a miss, recomputed and overwritten.
+func TestFillNeverFilesUnpersistable(t *testing.T) {
+	s := openT(t, filepath.Join(t.TempDir(), "s.store"), hash.Fingerprint())
+	defer s.Close()
+	k := sumOf("cone")
+	key := func() hash.Sum { return k }
+	v, hit, err := Fill(s, stringCodec, key, func() (string, error) { return "unknown", nil })
+	if v != "unknown" || hit || err != nil {
+		t.Fatalf("Fill = %q, %v, %v", v, hit, err)
+	}
+	if _, ok := s.peek(KindPlanReport, k); ok {
+		t.Fatal("an unpersistable value was filed")
+	}
+	if err := s.Put(KindPlanReport, k, []byte("unknown")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := Lookup(s, stringCodec, k); ok {
+		t.Fatal("Lookup served an unpersistable record")
+	}
+	calls := 0
+	v, hit, err = Fill(s, stringCodec, key, func() (string, error) { calls++; return "decided", nil })
+	if v != "decided" || hit || err != nil || calls != 1 {
+		t.Fatalf("Fill over an unpersistable record = %q, %v, %v after %d computations", v, hit, err, calls)
+	}
+	if raw, ok := s.peek(KindPlanReport, k); !ok || string(raw) != "decided" {
+		t.Fatalf("resident record = %q, %v; want it overwritten", raw, ok)
+	}
+	v, hit, err = Fill(s, stringCodec, key, func() (string, error) { t.Fatal("recomputed a filed record"); return "", nil })
+	if v != "decided" || !hit || err != nil {
+		t.Fatalf("warm Fill = %q, %v, %v", v, hit, err)
+	}
 }
 
 func TestStatsCounters(t *testing.T) {
@@ -422,9 +505,9 @@ func TestStatsCounters(t *testing.T) {
 	if got := st.HitRate(); got != 0.5 {
 		t.Fatalf("hit rate = %v", got)
 	}
-	// Peek leaves counters alone.
-	s.Peek(KindCompliance, sumOf("hit"))
+	// peek leaves counters alone.
+	s.peek(KindCompliance, sumOf("hit"))
 	if st := s.Stats(); st.Hits() != 1 {
-		t.Fatal("Peek counted as a hit")
+		t.Fatal("peek counted as a hit")
 	}
 }

@@ -2,9 +2,6 @@ package valid
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"susc/internal/budget"
 	"susc/internal/hexpr"
@@ -42,26 +39,24 @@ func Check(e hexpr.Expr, table *policy.Table) error {
 // CheckBudget is Check with the exploration charged against the budget
 // (nil = unbounded): the LTS construction meters its own states and
 // edges, and the product BFS — whose state space is the LTS times the
-// policy-vector space, so potentially far larger than what the build
+// monitor's state space, so potentially far larger than what the build
 // charged — additionally charges one state per dequeued product node and
 // one edge per product transition. Exhaustion aborts with the typed
 // *budget.ExhaustedError; a violation found before the cutoff stands.
+//
+// The product pairs each LTS state with a history.Monitor over the
+// policies e mentions, keyed on the monitor's Signature.
 func CheckBudget(e hexpr.Expr, table *policy.Table, b *budget.Budget) error {
 	l, err := lts.BuildBudgeted(intern.NewTable(), e, lts.DefaultMaxStates, b)
 	if err != nil {
 		return err
 	}
 	ids := hexpr.Policies(e)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	instances := make([]*policy.Instance, len(ids))
-	idIndex := map[hexpr.PolicyID]int{}
 	for i, id := range ids {
-		in, err := table.Get(id)
-		if err != nil {
+		if instances[i], err = table.Get(id); err != nil {
 			return err
 		}
-		instances[i] = in
-		idIndex[id] = i
 	}
 
 	// nodes record their BFS parent and the logged item, so violating
@@ -69,8 +64,7 @@ func CheckBudget(e hexpr.Expr, table *policy.Table, b *budget.Budget) error {
 	// (keeping exploration linear in the state count).
 	type node struct {
 		expr   int
-		states []policy.StateSet
-		active []int
+		mon    *history.Monitor
 		parent *node
 		item   *history.Item
 	}
@@ -88,27 +82,13 @@ func CheckBudget(e hexpr.Expr, table *policy.Table, b *budget.Budget) error {
 		}
 		return out
 	}
-	key := func(n *node) string {
-		var b strings.Builder
-		b.WriteString(strconv.Itoa(n.expr))
-		for i := range n.states {
-			b.WriteByte('|')
-			b.WriteString(strconv.FormatUint(uint64(n.states[i]), 16))
-			b.WriteByte(':')
-			b.WriteString(strconv.Itoa(n.active[i]))
-		}
-		return b.String()
+	type key struct {
+		expr int
+		sig  string
 	}
 
-	start := &node{
-		expr:   0,
-		states: make([]policy.StateSet, len(ids)),
-		active: make([]int, len(ids)),
-	}
-	for i, in := range instances {
-		start.states[i] = in.Initial()
-	}
-	seen := map[string]bool{key(start): true}
+	start := &node{mon: history.NewMonitor(policy.NewTable(instances...))}
+	seen := map[key]bool{{0, start.mon.Signature()}: true}
 	queue := []*node{start}
 
 	for len(queue) > 0 {
@@ -121,72 +101,49 @@ func CheckBudget(e hexpr.Expr, table *policy.Table, b *budget.Budget) error {
 			if err := b.ConsumeEdges(1); err != nil {
 				return err
 			}
-			next, item, bad := step(n.states, n.active, instances, idIndex, edge.Label)
-			if bad != hexpr.NoPolicy {
-				return &Violation{Policy: bad, Trace: rebuild(n, *item)}
+			mon, item, err := advance(n.mon, edge.Label)
+			if v, ok := err.(*history.ViolationError); ok {
+				return &Violation{Policy: v.Policy, Trace: rebuild(n, *item)}
 			}
-			nn := &node{expr: edge.To, states: next.states, active: next.active,
-				parent: n, item: item}
-			k := key(nn)
+			k := key{edge.To, mon.Signature()}
 			if !seen[k] {
 				seen[k] = true
-				queue = append(queue, nn)
+				queue = append(queue, &node{expr: edge.To, mon: mon, parent: n, item: item})
 			}
 		}
 	}
 	return nil
 }
 
-type policyVec struct {
-	states []policy.StateSet
-	active []int
-}
-
-// step advances the policy vector over one transition label. It returns
-// the new vector, the history item logged (nil when the label logs
-// nothing), and the violated policy if the step is invalid.
-func step(states []policy.StateSet, active []int, instances []*policy.Instance,
-	idIndex map[hexpr.PolicyID]int, label hexpr.Label) (policyVec, *history.Item, hexpr.PolicyID) {
-
-	out := policyVec{
-		states: append([]policy.StateSet(nil), states...),
-		active: append([]int(nil), active...),
-	}
+// advance logs the item a transition label carries — an event, or the
+// open or close of a non-trivial policy — on a snapshot of m, and returns
+// the monitor after it, the item, and the monitor's *ViolationError when
+// the item violates an active policy. Communications, τ and
+// trivial-policy frames log nothing and keep m. A close with no matching
+// open (a residual close) is logged and changes nothing.
+func advance(m *history.Monitor, label hexpr.Label) (*history.Monitor, *history.Item, error) {
+	var it history.Item
 	switch label.Kind {
 	case hexpr.LEvent:
-		it := history.EventItem(label.Event)
-		for i, in := range instances {
-			out.states[i] = in.Step(out.states[i], label.Event)
-			if out.active[i] > 0 && in.Final(out.states[i]) {
-				return out, &it, in.ID()
-			}
-		}
-		return out, &it, hexpr.NoPolicy
+		it = history.EventItem(label.Event)
 	case hexpr.LFrameOpen, hexpr.LOpen:
-		if label.Policy == hexpr.NoPolicy {
-			return out, nil, hexpr.NoPolicy
-		}
-		it := history.OpenItem(label.Policy)
-		i := idIndex[label.Policy]
-		// History dependence: the past must already respect the policy.
-		if instances[i].Final(out.states[i]) {
-			return out, &it, label.Policy
-		}
-		out.active[i]++
-		return out, &it, hexpr.NoPolicy
+		it = history.OpenItem(label.Policy)
 	case hexpr.LFrameClose, hexpr.LClose:
-		if label.Policy == hexpr.NoPolicy {
-			return out, nil, hexpr.NoPolicy
-		}
-		it := history.CloseItem(label.Policy)
-		i := idIndex[label.Policy]
-		if out.active[i] > 0 {
-			out.active[i]--
-		}
-		return out, &it, hexpr.NoPolicy
+		it = history.CloseItem(label.Policy)
 	default:
-		// communications and τ log nothing
-		return out, nil, hexpr.NoPolicy
+		return m, nil, nil
+	}
+	if label.Kind != hexpr.LEvent && label.Policy == hexpr.NoPolicy {
+		return m, nil, nil
+	}
+	next := m.Snapshot()
+	switch err := next.Append(it).(type) {
+	case nil:
+		return next, &it, nil
+	case *history.NestingError:
+		return m, &it, nil
+	default:
+		return m, &it, err
 	}
 }
 

@@ -16,116 +16,75 @@ import (
 // (record kind, cone key) (key.go), for reports and for flows alike, and
 // a faithful Report round-trip through the existing JSON wire form, so a
 // report decoded from the store renders — as text and as JSON —
-// byte-identically to one computed fresh.
+// byte-identically to one computed fresh. The store side is
+// store.Lookup, File and Fill over a codec per record type; the memory
+// tier is written after the store, so a memory hit on a store-backed
+// session implies the store holds the record. A budget cutoff describes
+// one run's limits, not the cone's content, so an Unknown goes to
+// neither tier.
 
-// codec is the store form of one record type of the report tiers, and
-// which of its values are persistable: a budget cutoff describes one
-// run's limits, not the cone's content, so an Unknown goes to neither
-// tier.
-type codec[T any] struct {
-	encode      func(T) ([]byte, error)
-	decode      func([]byte) (T, error)
-	persistable func(T) bool
+// reportCodec is the store form of the reports of one kind (plan or
+// network).
+func reportCodec(kind store.Kind) store.Codec[*Report] {
+	return store.Codec[*Report]{Kind: kind, Encode: EncodeReport, Decode: DecodeReport,
+		Persistable: func(r *Report) bool { return r.Verdict != Unknown }}
 }
 
-var (
-	reportCodec = codec[*Report]{EncodeReport, DecodeReport,
-		func(r *Report) bool { return r.Verdict != Unknown }}
-	flowCodec = codec[*PlanFlow]{EncodeFlow, DecodeFlow,
-		func(f *PlanFlow) bool { return f.Verdict != Unknown.String() }}
-)
+var flowCodec = store.Codec[*PlanFlow]{Kind: store.KindAudit, Encode: EncodeFlow, Decode: DecodeFlow,
+	Persistable: func(f *PlanFlow) bool { return f.Verdict != Unknown.String() }}
 
-// lookup returns the record filed under (kind, sum): from the cache's
-// memory tier, else from its disk tier, promoting a disk hit into
-// memory. The record is shared: callers must not mutate it.
-func lookup[T any](c codec[T], cache *memo.Cache, kind store.Kind, sum hash.Sum) (T, bool) {
-	var zero T
-	if v, ok := cache.Report(kind, sum); ok {
-		return v.(T), true
+// remember files a record in the cache's memory tier, unless the codec
+// refuses to persist it.
+func remember[T any](c store.Codec[T], cache *memo.Cache, sum hash.Sum, v T) {
+	if c.Persistable(v) {
+		cache.PutReport(c.Kind, sum, v)
 	}
-	disk := cache.Disk()
-	if disk == nil {
-		return zero, false
-	}
-	raw, ok := disk.Get(kind, sum)
-	if !ok {
-		return zero, false
-	}
-	v, err := c.decode(raw)
-	if err != nil || !c.persistable(v) {
-		return zero, false
-	}
-	cache.PutReport(kind, sum, v)
-	return v, true
 }
 
-// file writes a freshly computed record under (kind, sum) to the store,
-// then to memory, so a memory hit on a store-backed session implies the
-// store holds the record. An Unknown goes to neither tier.
-func file[T any](c codec[T], cache *memo.Cache, kind store.Kind, sum hash.Sum, v T) error {
-	if !c.persistable(v) {
-		return nil
-	}
-	if disk := cache.Disk(); disk != nil {
-		enc, err := c.encode(v)
-		if err != nil {
-			return err
-		}
-		if err := disk.Put(kind, sum, enc); err != nil {
-			return err
-		}
-	}
-	cache.PutReport(kind, sum, v)
-	return nil
-}
+// read returns the record filed under (c.Kind, sum) in the memory tier,
+// else store.Fill's over the cache's store: the filed record or
+// compute's, then remembered. hit reports a read from either tier. A
+// compute or store-write error comes back with the zero record.
+func read[T any](c store.Codec[T], cache *memo.Cache, sum hash.Sum,
+	compute func() (T, error)) (v T, hit bool, err error) {
 
-// fill computes the record of a cone lookup missed and files it. With a
-// disk tier, the computation runs under the store's singleflight, so
-// concurrent callers compute a cone once.
-func fill[T any](c codec[T], cache *memo.Cache, kind store.Kind, sum hash.Sum,
-	compute func() (T, error)) (T, error) {
-
-	var zero T
-	run := func() (any, error) {
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return v, file(c, cache, kind, sum, v)
+	if m, ok := cache.Report(c.Kind, sum); ok {
+		return m.(T), true, nil
 	}
-	var got any
-	var err error
-	if disk := cache.Disk(); disk != nil {
-		got, err = disk.Once(kind, sum, func() (any, error) {
-			// A concurrent caller may have filed the cone while this one
-			// queued behind the flight.
-			if raw, ok := disk.Peek(kind, sum); ok {
-				if v, err := c.decode(raw); err == nil {
-					return v, nil
-				}
-			}
-			return run()
-		})
-	} else {
-		got, err = run()
-	}
+	v, hit, err = store.Fill(cache.Disk(), c, func() hash.Sum { return sum }, compute)
 	if err != nil {
-		return zero, err
+		var zero T
+		return zero, false, err
 	}
-	return got.(T), nil
+	remember(c, cache, sum, v)
+	return v, hit, nil
 }
 
 // LookupReport returns the report filed under (kind, sum) in the report
-// tiers (lookup). The report is shared: callers must not mutate it.
+// tiers: the memory tier, else the store, promoting a store hit into
+// memory. The report is shared: callers must not mutate it.
 func LookupReport(cache *memo.Cache, kind store.Kind, sum hash.Sum) (*Report, bool) {
-	return lookup(reportCodec, cache, kind, sum)
+	if r, ok := cache.Report(kind, sum); ok {
+		return r.(*Report), true
+	}
+	c := reportCodec(kind)
+	r, ok := store.Lookup(cache.Disk(), c, sum)
+	if ok {
+		remember(c, cache, sum, r)
+	}
+	return r, ok
 }
 
-// FileReport writes a freshly computed report under (kind, sum) to both
-// tiers (file). An Unknown report — a budget cutoff, a cancellation —
-// goes to neither.
+// FileReport writes a freshly computed report under (kind, sum) to the
+// store, then to memory. An Unknown report — a budget cutoff, a
+// cancellation — goes to neither.
 func FileReport(cache *memo.Cache, kind store.Kind, sum hash.Sum, r *Report) error {
-	return file(reportCodec, cache, kind, sum, r)
+	c := reportCodec(kind)
+	if err := store.File(cache.Disk(), c, sum, r); err != nil {
+		return err
+	}
+	remember(c, cache, sum, r)
+	return nil
 }
 
 // ReadFlow is the flow audit's read-through: the flow filed under
@@ -133,14 +92,16 @@ func FileReport(cache *memo.Cache, kind store.Kind, sum hash.Sum, r *Report) err
 // its verdict is filed under — from memory, then the store, else
 // compute's flow, filed in both unless Unknown. hit reports a read from
 // either tier. The flow is shared: callers must not mutate it.
+//
+// ReadFlow stays a call: inlined into a caller's package, its call to the
+// generic read would make every caller's compute closure escape to the
+// heap, memory hits included.
+//
+//go:noinline
 func ReadFlow(cache *memo.Cache, sum hash.Sum,
 	compute func() (*PlanFlow, error)) (flow *PlanFlow, hit bool, err error) {
 
-	if f, ok := lookup(flowCodec, cache, store.KindAudit, sum); ok {
-		return f, true, nil
-	}
-	flow, err = fill(flowCodec, cache, store.KindAudit, sum, compute)
-	return flow, false, err
+	return read(flowCodec, cache, sum, compute)
 }
 
 // cachedReport is the read-through of this package's checks: a report
@@ -152,11 +113,8 @@ func cachedReport(cache *memo.Cache, opts Options, kind store.Kind,
 	if opts.Cache == nil {
 		return compute()
 	}
-	sum := key()
-	if r, ok := LookupReport(cache, kind, sum); ok {
-		return r, nil
-	}
-	return fill(reportCodec, cache, kind, sum, compute)
+	r, _, err := read(reportCodec(kind), cache, key(), compute)
+	return r, err
 }
 
 // ParseVerdict is the inverse of Verdict.String.
